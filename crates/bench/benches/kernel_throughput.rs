@@ -46,16 +46,13 @@ fn config(instrs: u64, kernel: KernelMode) -> SystemConfig {
     cfg
 }
 
-/// 4-channel variant of `config`, with the shard thread count pinned
-/// explicitly (ignoring `MOPAC_SHARD_THREADS`) so one bench process can
-/// sweep thread counts.
-fn mc4_config(instrs: u64, threads: usize) -> SystemConfig {
+/// 4-channel variant of `config` on the event kernel.
+fn mc4_config(instrs: u64) -> SystemConfig {
     let mut cfg = config(instrs, KernelMode::EventDriven);
     cfg.geometry = DramGeometry {
         channels: 4,
         ..DramGeometry::tiny()
     };
-    cfg.shard_threads = threads;
     cfg
 }
 
@@ -75,19 +72,17 @@ fn mc4_saturated_trace(core: u64) -> Box<dyn TraceSource> {
     Box::new(ReplayTrace::new("mc4_saturated", records))
 }
 
-/// Median-of-[`RUNS`] wall clock for the 4-channel saturated run at a
-/// given shard thread count; cycles are asserted identical across
-/// thread counts by the caller.
-fn run_mc4(instrs: u64, threads: usize) -> Sample {
+/// Median-of-[`RUNS`] wall clock for the 4-channel saturated run.
+fn run_mc4(instrs: u64) -> Sample {
     let traces = |n: u64| (0..n).map(mc4_saturated_trace).collect::<Vec<_>>();
-    System::new(mc4_config(instrs / 4, threads), traces(8))
+    System::new(mc4_config(instrs / 4), traces(8))
         .expect("system")
         .run()
         .expect("warm-up run");
     let mut cycles = 0;
     let mut times = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
-        let sys = System::new(mc4_config(instrs, threads), traces(8)).expect("system");
+        let sys = System::new(mc4_config(instrs), traces(8)).expect("system");
         let t0 = Instant::now();
         let result = sys.run().expect("timed run");
         times.push(t0.elapsed().as_secs_f64());
@@ -95,12 +90,7 @@ fn run_mc4(instrs: u64, threads: usize) -> Sample {
     }
     Sample {
         workload: "mc4_saturated",
-        kernel: match threads {
-            1 => "event@t1",
-            2 => "event@t2",
-            4 => "event@t4",
-            _ => "event@tn",
-        },
+        kernel: "event",
         cycles,
         times: Times::from(times),
     }
@@ -252,20 +242,10 @@ fn main() {
         run("saturated_attack", KernelMode::EventDriven, 200_000, saturated_trace),
         run("mixed_phase", KernelMode::Lockstep, 200_000, mixed_phase_trace),
         run("mixed_phase", KernelMode::EventDriven, 200_000, mixed_phase_trace),
-        // Multi-channel topology: the same event kernel over 4 channels
-        // at each shard thread count. Simulated cycles must agree
-        // exactly (sharding is bit-identical); wall clock shows the
-        // fork-join cost/benefit on this host — a speedup needs real
-        // hardware parallelism, so on a single-CPU runner t4 only
-        // documents the synchronization overhead.
-        run_mc4(100_000, 1),
-        run_mc4(100_000, 2),
-        run_mc4(100_000, 4),
+        // Multi-channel topology: the same event kernel over 4
+        // channels, ticked serially in channel order.
+        run_mc4(100_000),
     ];
-    assert!(
-        samples[6].cycles == samples[7].cycles && samples[7].cycles == samples[8].cycles,
-        "mc4_saturated simulated cycles diverged across shard thread counts"
-    );
     let mut json = String::from("{\n");
     for (i, s) in samples.iter().enumerate() {
         println!(
@@ -298,10 +278,6 @@ fn main() {
     for pair in samples[..6].chunks(2) {
         let speedup = pair[1].cps() / pair[0].cps();
         println!("{:<18} event/lockstep speedup: {speedup:.2}x", pair[0].workload);
-    }
-    for s in &samples[7..] {
-        let rel = s.cps() / samples[6].cps();
-        println!("mc4_saturated      {} vs event@t1: {rel:.2}x", s.kernel);
     }
     let file = if metrics_enabled() {
         "BENCH_kernel_metrics.json"

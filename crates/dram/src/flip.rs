@@ -33,8 +33,8 @@
 //! position. Two consequences the
 //! tests rely on:
 //!
-//! * runs are bit-identical at any `MOPAC_THREADS` /
-//!   `MOPAC_SHARD_THREADS` and across snapshot/restore, and
+//! * runs are bit-identical at any campaign thread count
+//!   (`MOPAC_THREADS`) and across snapshot/restore, and
 //! * the *flip draws* are independent of the ECC mode: ECC-on and
 //!   ECC-off runs inject the same bits, ECC can only clear them. Flips
 //!   set bits with OR (a re-flip is idempotent, never an XOR toggle),

@@ -469,73 +469,6 @@ impl MemoryController {
         Ok(issued)
     }
 
-    /// Ticks this channel from `from` (inclusive) to `to` (exclusive)
-    /// in one call, applying the controller's own [`next_wake`] between
-    /// issuing ticks so the event kernel's time-skipping composes with
-    /// channel sharding: inside the batch the channel never crosses the
-    /// fork-join barrier, and skipped regions get the same bulk stat
-    /// compensation ([`note_idle_cycles`]) the system-level kernel
-    /// applies — so the result is bit-identical to `to - from` separate
-    /// [`tick`] calls (commands, completions, stats, RNG streams).
-    ///
-    /// The caller guarantees nothing arrives at this channel inside
-    /// `[from, to)` — no enqueues, no fault-injector mutations — which
-    /// is exactly the horizon contract `System::batch_horizon` computes.
-    ///
-    /// [`next_wake`]: MemoryController::next_wake
-    /// [`note_idle_cycles`]: MemoryController::note_idle_cycles
-    /// [`tick`]: MemoryController::tick
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first tick error (see [`MemoryController::tick`]).
-    pub fn tick_until(
-        &mut self,
-        from: Cycle,
-        to: Cycle,
-        completions: &mut Vec<Completion>,
-    ) -> MopacResult<u32> {
-        let mut issued = 0;
-        let mut now = from;
-        while now < to {
-            let n = self.tick(now, completions)?;
-            issued += n;
-            if n == 0 {
-                // Idle cycle: jump straight to this channel's next wake
-                // (clamped to the batch end) and account the gap as the
-                // per-cycle loop would have.
-                let jump = self.next_wake(now).map_or(to, |w| w.min(to)).max(now + 1);
-                self.note_idle_cycles(now + 1, jump - (now + 1));
-                now = jump;
-            } else {
-                now += 1;
-            }
-        }
-        Ok(issued)
-    }
-
-    /// Minimum cycles between a column read issuing and its completion
-    /// becoming due (CAS latency + burst): a lower bound the batching
-    /// kernel uses so completions generated *inside* a batch cannot
-    /// become deliverable before the batch ends.
-    #[must_use]
-    pub fn min_read_latency(&self) -> Cycle {
-        let t = self.dram.timing_default();
-        t.cl + t.burst
-    }
-
-    /// Earliest scheduled refresh deadline across sub-channels: no REF
-    /// can fire before this cycle, so a batch ending at or before it
-    /// cannot move a `run_until_refs` pause point.
-    #[must_use]
-    pub fn next_ref_floor(&self) -> Cycle {
-        self.subs
-            .iter()
-            .map(|s| s.next_ref)
-            .min()
-            .unwrap_or(Cycle::MAX)
-    }
-
     fn tick_subchannel(
         &mut self,
         sc: u32,

@@ -12,19 +12,6 @@ use mopac_workloads::spec::{self, MIXES};
 /// Number of cores in the paper's system.
 pub const CORES: usize = 8;
 
-/// Default per-core instruction budget for experiments. The paper runs
-/// 100 M instructions per core; slowdown ratios for these steady-state
-/// workloads converge much earlier, so the bench harness defaults to a
-/// smaller budget (override with the `MOPAC_INSTRS` environment
-/// variable).
-#[must_use]
-pub fn default_instrs_per_core() -> u64 {
-    std::env::var("MOPAC_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250_000)
-}
-
 /// Every name [`build_traces`] accepts: the 23 single workloads plus
 /// the `mix1`–`mix6` assignments.
 #[must_use]

@@ -30,6 +30,7 @@
 // failures as `MopacResult`, never by unwrapping. Tests are exempt
 // via clippy.toml (`allow-unwrap-in-tests`).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod attack;
 pub mod campaign;
@@ -48,5 +49,5 @@ pub use campaign::{
 pub use experiment::{mean_slowdown, run_workload, slowdown_sweep};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use runner::{IsolatedRunner, RunReport, RunStatus};
-pub use shard::{resolve_shard_threads, ChannelSet};
+pub use shard::ChannelSet;
 pub use system::{KernelMode, RunResult, System, SystemConfig};

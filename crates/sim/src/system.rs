@@ -8,13 +8,15 @@
 //!   retire) it jumps `now` straight to the earliest external wake —
 //!   the minimum of the fault injector's next event, the earliest
 //!   in-flight completion, and [`MemoryController::next_wake`] — and
-//!   compensates the per-cycle statistics in bulk. Skipped cycles are
-//!   provably no-ops, so the results are bit-identical to lockstep.
+//!   compensates the per-cycle statistics in bulk; while every core is
+//!   deep inside an instruction gap it fast-forwards through a
+//!   driver-only loop. Skipped cycles are provably no-ops, so the
+//!   results are bit-identical to lockstep.
 //! * [`KernelMode::Lockstep`] ticks every DRAM cycle; it is the golden
 //!   reference the equivalence suite checks the fast kernel against.
 
 use crate::fault::{CorruptingTrace, FaultInjector, FaultPlan};
-use crate::shard::{resolve_shard_threads, ChannelSet};
+use crate::shard::ChannelSet;
 use mopac::config::MitigationConfig;
 use mopac_cpu::core::{Core, CoreParams};
 use mopac_cpu::llc::{CacheAccess, Llc};
@@ -30,7 +32,6 @@ use mopac_types::geometry::DramGeometry;
 use mopac_types::obs::{
     Counter, Gauge, Hist, MetricsRegistry, MetricsSink, MetricsSnapshot, SinkConfig,
 };
-use mopac_types::rng::DetRng;
 use mopac_types::snapshot::{expect_exhausted, SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::Cycle;
 use std::cmp::Reverse;
@@ -85,11 +86,10 @@ pub struct SystemConfig {
     /// keeps every sink call a no-op; runs are bit-identical either
     /// way — the sink only records alongside the simulation.
     pub metrics: Option<SinkConfig>,
-    /// Worker threads for intra-run channel sharding: 1 ticks channels
-    /// serially, `n > 1` fans the per-channel controller ticks across
-    /// `min(n, channels)` threads each cycle, and 0 (the default)
-    /// reads `MOPAC_SHARD_THREADS` (unset → serial). Results are
-    /// bit-identical at every value (see [`crate::shard`]).
+    /// Channels always tick serially, in channel order; this field
+    /// stays only because existing struct literals set it. 0 and 1 are
+    /// accepted, and [`System::new`] rejects anything larger with
+    /// [`MopacError::Config`] rather than silently running serial.
     pub shard_threads: usize,
 }
 
@@ -379,57 +379,6 @@ impl CoreDriver {
         // progress unconditionally.
         Some(now + 1)
     }
-
-    /// [`CoreDriver::next_wake`] arm-for-arm, but classifying the
-    /// blocked (`None`) arms by unblocking event — the macro-batch
-    /// precondition check. Must mirror `next_wake` exactly: a driver
-    /// this reports [`DriverBlock::Runnable`] vetoes the batch, and a
-    /// misclassified blocked driver would let a batch skip a cycle the
-    /// reference loop acts on.
-    fn block_class(
-        &self,
-        mapper: &AddressMapper,
-        chans: &ChannelSet,
-        line_bytes: u32,
-    ) -> DriverBlock {
-        if self.core.retire_ready() {
-            return DriverBlock::Runnable;
-        }
-        if self.gap_left > 0 {
-            // Blocked mid-gap means a full ROB whose head is an
-            // outstanding load (a retirable head would be
-            // `retire_ready`): delivery-coupled.
-            return if self.core.rob_free() > 0 {
-                DriverBlock::Runnable
-            } else {
-                DriverBlock::Delivery
-            };
-        }
-        if let Some((addr, is_write)) = self.pending {
-            if self.core.rob_free() == 0 {
-                return DriverBlock::Delivery;
-            }
-            if !is_write {
-                if let Some(e) = self.pf_lines.get(addr.line_index(line_bytes)) {
-                    if e.ready || e.rob_waiter.is_none() {
-                        return DriverBlock::Runnable;
-                    }
-                }
-            }
-            let decoded = mapper.decode(addr);
-            let kind = if is_write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            return if chans.can_accept(decoded.bank.channel, decoded.bank.subchannel, kind) {
-                DriverBlock::Runnable
-            } else {
-                DriverBlock::Queue
-            };
-        }
-        DriverBlock::Runnable
-    }
 }
 
 /// Snapshot section tags ([`mopac_types::snapshot`]).
@@ -446,49 +395,15 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
-/// Why a driver cannot make progress on the next cycle — the blocked
-/// arms of [`CoreDriver::next_wake`], split by which external event
-/// unblocks them. The distinction decides which horizon bound applies
-/// ([`System::batch_horizon`]): delivery-blocked drivers couple only to
-/// the in-flight completion heap, queue-blocked drivers couple to the
-/// channels' next command (a column issue frees queue space).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DriverBlock {
-    /// `next_wake` would return `Some`: the driver acts next cycle.
-    Runnable,
-    /// Blocked until a completion delivery (directly, or via the ROB
-    /// head draining after one).
-    Delivery,
-    /// Blocked on memory-controller queue space (`can_accept` false).
-    Queue,
-}
-
-/// Macro-batch controls: always-on defaults for production runs, with
-/// `#[doc(hidden)]` hooks for the equivalence tests and benches to
-/// disable batching, cap horizons, or randomize them adversarially.
-struct BatchCtl {
-    enabled: bool,
-    /// Minimum cycles a batch must cover to be worth taking (a batch of
-    /// 1 is a plain step with extra bookkeeping). Test hooks drop it
-    /// to 1 so H=1 batches are exercised.
-    min_len: Cycle,
-    /// Optional horizon cap (exact, or the `below` bound when `rng` is
-    /// set).
-    cap: Option<Cycle>,
-    /// Randomized-horizon mode: each batch draws its cap from `[1,
-    /// cap]`.
-    rng: Option<DetRng>,
-}
-
-impl Default for BatchCtl {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            min_len: 2,
-            cap: None,
-            rng: None,
-        }
-    }
+/// A time jump the event kernel takes between steps.
+#[derive(Clone, Copy)]
+enum Jump {
+    /// Run the driver-only loop up to this cycle
+    /// ([`System::fast_forward_gaps`]).
+    FastForward(Cycle),
+    /// Jump straight to this cycle after a zero-progress step
+    /// ([`System::skip_to`]).
+    Skip(Cycle),
 }
 
 /// The assembled system.
@@ -510,16 +425,14 @@ pub struct System {
     /// would have.
     last_retired: u64,
     last_progress_at: Cycle,
-    /// Progress-source bitmask of the last step (diagnostics only for
-    /// bits 1/4/8/16; bit 2 alone — DRAM commands with a quiescent CPU
-    /// side — is the macro-batch trigger).
+    /// Progress-source bitmask of the last step, for the
+    /// `MOPAC_TRACE_KERNEL` diagnostic trace: 1 fault event, 2 DRAM
+    /// command, 4 completion delivery, 8 fetch, 16 retire.
     dbg_sources: u32,
-    /// Macro-batch controls (see [`BatchCtl`]).
-    batch: BatchCtl,
-    /// System-level kernel metrics (sync rounds, batch lengths). Kept
-    /// out of [`System::snapshot`] deliberately: kernel bookkeeping is
-    /// not simulation state, and batched vs per-cycle runs must produce
-    /// identical snapshot digests.
+    /// System-level kernel metrics (sync rounds). Kept out of
+    /// [`System::snapshot`] deliberately: kernel bookkeeping is not
+    /// simulation state, and the two kernels take different numbers of
+    /// rounds to reach identical snapshot digests.
     kernel_sink: MetricsSink,
 }
 
@@ -528,10 +441,17 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`MopacError::Config`] if `traces` is empty.
+    /// Returns [`MopacError::Config`] if `traces` is empty or
+    /// [`SystemConfig::shard_threads`] asks for more than one thread.
     pub fn new(cfg: SystemConfig, traces: Vec<Box<dyn TraceSource>>) -> MopacResult<Self> {
         if traces.is_empty() {
             return Err(MopacError::config("need at least one core trace"));
+        }
+        if cfg.shard_threads > 1 {
+            return Err(MopacError::config(format!(
+                "shard_threads = {} is not supported: channels tick serially (use 0 or 1)",
+                cfg.shard_threads
+            )));
         }
         let injector = cfg.fault_plan.as_ref().map(FaultInjector::new);
         let corruption = cfg
@@ -579,7 +499,7 @@ impl System {
                 mc
             })
             .collect();
-        let chans = ChannelSet::new(mcs, resolve_shard_threads(cfg.shard_threads)?);
+        let chans = ChannelSet::new(mcs);
         let drivers = traces
             .into_iter()
             .map(|trace| CoreDriver {
@@ -615,7 +535,6 @@ impl System {
             last_retired: 0,
             last_progress_at: 0,
             dbg_sources: 0,
-            batch: BatchCtl::default(),
             kernel_sink,
         })
     }
@@ -657,8 +576,7 @@ impl System {
         let sink_cfg = self.cfg.metrics?;
         let mut merged = MetricsSink::enabled(sink_cfg);
         // Channel-index order keeps the merged snapshot (counters,
-        // histogram merges, trace-ring interleaving) deterministic and
-        // independent of the shard thread count.
+        // histogram merges, trace-ring interleaving) deterministic.
         for mc in self.chans.iter_mut() {
             mc.export_metrics();
         }
@@ -754,49 +672,35 @@ impl System {
         // equivalence is unaffected — while idle regions still pay only
         // one extra tick before the jump.
         let mut stall_streak = 0u32;
+        // The time jump the last step licensed, taken at the top of the
+        // next iteration, after the pause check.
+        let mut jump: Option<Jump> = None;
         let mut finished = 0usize;
         let trace_kernel = std::env::var("MOPAC_TRACE_KERNEL").is_ok_and(|v| v == "1");
         while finished < n_cores {
             // Pause boundary: between full cycles every invariant the
             // snapshot relies on holds (scratch empty, no half-delivered
             // completion), so this is the only place a pause can land.
+            // It runs before any jump: the step that licensed the jump
+            // may have executed the REF that reaches the boundary, and
+            // the lockstep kernel pauses right after that step.
             if pause_at_refs.is_some_and(|t| self.chans.refreshes() >= t) {
                 return Ok(None);
             }
-            // Macro batch: the last step's only progress was DRAM
-            // commands (bit 2 alone) — the CPU side is quiescent, so if
-            // every driver is verifiably blocked, the channels can tick
-            // a whole horizon in one fork-join round (DESIGN.md §15).
-            // The guards after the batch mirror the per-step guards
-            // below in the same order; the horizon is clamped to their
-            // deadlines so they fire at the exact reference cycle.
-            if event_driven
-                && !paranoid
-                && self.dbg_sources == 2
-                && self.batch.enabled
-                && finished < n_cores
-            {
-                if let Some(end) = self.batch_horizon(pause_at_refs) {
-                    self.run_batch(end)?;
-                    if self.cfg.livelock_window > 0
-                        && self.now - self.last_progress_at >= self.cfg.livelock_window
-                    {
-                        return Err(MopacError::Livelock {
-                            cycle: self.now,
-                            stalled_for: self.now - self.last_progress_at,
-                            retired: self.last_retired,
-                        });
-                    }
-                    if self.now >= self.cfg.max_cycles {
-                        return Err(MopacError::CycleCapExceeded {
-                            cap: self.cfg.max_cycles,
-                            finished_cores: finished,
-                            total_cores: n_cores,
-                        });
-                    }
-                    stall_streak = 0;
+            match jump.take() {
+                Some(Jump::FastForward(end)) => {
+                    self.fast_forward_gaps(end, budget, &mut finished)?;
                     continue;
                 }
+                Some(Jump::Skip(target)) => {
+                    self.skip_to(target);
+                    // The jump is clamped to the watchdog and cycle-cap
+                    // deadlines, so landing on one must trip it at
+                    // exactly the cycle — and with exactly the fields —
+                    // the lockstep kernel would have reported.
+                    self.check_deadlines(finished)?;
+                }
+                None => {}
             }
             let progress = self.step()?;
             if trace_kernel && progress {
@@ -828,26 +732,8 @@ impl System {
                 .iter_mut()
                 .map(|d| usize::from(d.core.check_finished(budget, self.now)))
                 .sum();
-            if self.cfg.livelock_window > 0 {
-                let retired: u64 = self.drivers.iter().map(|d| d.core.retired()).sum();
-                if retired > self.last_retired {
-                    self.last_retired = retired;
-                    self.last_progress_at = self.now;
-                } else if self.now - self.last_progress_at >= self.cfg.livelock_window {
-                    return Err(MopacError::Livelock {
-                        cycle: self.now,
-                        stalled_for: self.now - self.last_progress_at,
-                        retired,
-                    });
-                }
-            }
-            if self.now >= self.cfg.max_cycles {
-                return Err(MopacError::CycleCapExceeded {
-                    cap: self.cfg.max_cycles,
-                    finished_cores: finished,
-                    total_cores: n_cores,
-                });
-            }
+            self.note_retirement();
+            self.check_deadlines(finished)?;
             // Quiescent fast-forward: while every driver is deep inside
             // an instruction gap, the machine's only per-cycle work is
             // driver arithmetic (fetch credit, ROB pushes, retirement).
@@ -868,7 +754,7 @@ impl System {
                         .map_or(self.now + bound, |w| w.min(self.now + bound))
                         .max(self.now);
                     if end > self.now + 8 {
-                        self.fast_forward_gaps(end, budget, &mut finished)?;
+                        jump = Some(Jump::FastForward(end));
                         continue;
                     }
                 }
@@ -878,29 +764,8 @@ impl System {
                 if let Some(target) = self.skip_target(self.last_progress_at) {
                     if paranoid {
                         pending_skip = Some(target);
-                        continue;
-                    }
-                    self.skip_to(target);
-                    // Re-run the guards: the jump is clamped to the
-                    // watchdog and cycle-cap deadlines, so landing on
-                    // one must trip it at exactly the cycle — and with
-                    // exactly the fields — the lockstep kernel would
-                    // have reported.
-                    if self.cfg.livelock_window > 0
-                        && self.now - self.last_progress_at >= self.cfg.livelock_window
-                    {
-                        return Err(MopacError::Livelock {
-                            cycle: self.now,
-                            stalled_for: self.now - self.last_progress_at,
-                            retired: self.last_retired,
-                        });
-                    }
-                    if self.now >= self.cfg.max_cycles {
-                        return Err(MopacError::CycleCapExceeded {
-                            cap: self.cfg.max_cycles,
-                            finished_cores: finished,
-                            total_cores: n_cores,
-                        });
+                    } else {
+                        jump = Some(Jump::Skip(target));
                     }
                 }
             }
@@ -934,6 +799,54 @@ impl System {
                 .map(|d| d.trace.corrupted_records())
                 .sum(),
         }))
+    }
+
+    /// Livelock-watchdog bookkeeping after a step: any newly retired
+    /// instruction resets the stall window.
+    fn note_retirement(&mut self) {
+        if self.cfg.livelock_window > 0 {
+            let retired: u64 = self.drivers.iter().map(|d| d.core.retired()).sum();
+            if retired > self.last_retired {
+                self.last_retired = retired;
+                self.last_progress_at = self.now;
+            }
+        }
+    }
+
+    /// The livelock-watchdog and cycle-cap guards, in the order every
+    /// path of the run loop applies them.
+    ///
+    /// # Errors
+    ///
+    /// [`MopacError::Livelock`] once no instruction has retired for
+    /// `livelock_window` cycles, then [`MopacError::CycleCapExceeded`]
+    /// once `now` reaches `max_cycles`.
+    fn check_deadlines(&self, finished: usize) -> MopacResult<()> {
+        if self.cfg.livelock_window > 0
+            && self.now - self.last_progress_at >= self.cfg.livelock_window
+        {
+            return Err(MopacError::Livelock {
+                cycle: self.now,
+                stalled_for: self.now - self.last_progress_at,
+                retired: self.last_retired,
+            });
+        }
+        if self.now >= self.cfg.max_cycles {
+            return Err(MopacError::CycleCapExceeded {
+                cap: self.cfg.max_cycles,
+                finished_cores: finished,
+                total_cores: self.drivers.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The current cycle: the next cycle [`System::run_until_refs`] or
+    /// [`System::run_to_completion`] will simulate, or the cycle a
+    /// pause landed on.
+    #[must_use]
+    pub fn now(&self) -> Cycle {
+        self.now
     }
 
     /// Test/diagnostic hook: advances one cycle.
@@ -1216,8 +1129,8 @@ impl System {
         if progress {
             self.dbg_sources |= 1;
         }
-        // Every channel's controller issues commands (concurrently when
-        // sharding is on); reads may complete.
+        // Every channel's controller issues commands, in channel order;
+        // reads may complete.
         self.scratch.clear();
         if self.chans.tick_all(now, &mut self.scratch)? > 0 {
             progress = true;
@@ -1418,29 +1331,14 @@ impl System {
                             .iter_mut()
                             .map(|d| usize::from(d.core.check_finished(budget, self.now)))
                             .sum();
-                        if self.cfg.livelock_window > 0 {
-                            if any_plain {
-                                self.last_retired =
-                                    self.drivers.iter().map(|d| d.core.retired()).sum();
-                                self.last_progress_at = self.now;
-                            } else if self.now - self.last_progress_at
-                                >= self.cfg.livelock_window
-                            {
-                                self.chans.note_idle_cycles(start, self.now - start);
-                                return Err(MopacError::Livelock {
-                                    cycle: self.now,
-                                    stalled_for: self.now - self.last_progress_at,
-                                    retired: self.last_retired,
-                                });
-                            }
+                        if self.cfg.livelock_window > 0 && any_plain {
+                            self.last_retired =
+                                self.drivers.iter().map(|d| d.core.retired()).sum();
+                            self.last_progress_at = self.now;
                         }
-                        if self.now >= self.cfg.max_cycles {
+                        if let Err(e) = self.check_deadlines(*finished) {
                             self.chans.note_idle_cycles(start, self.now - start);
-                            return Err(MopacError::CycleCapExceeded {
-                                cap: self.cfg.max_cycles,
-                                finished_cores: *finished,
-                                total_cores: n_cores,
-                            });
+                            return Err(e);
                         }
                         continue;
                     }
@@ -1470,27 +1368,10 @@ impl System {
                 .iter_mut()
                 .map(|d| usize::from(d.core.check_finished(budget, self.now)))
                 .sum();
-            if self.cfg.livelock_window > 0 {
-                let retired: u64 = self.drivers.iter().map(|d| d.core.retired()).sum();
-                if retired > self.last_retired {
-                    self.last_retired = retired;
-                    self.last_progress_at = self.now;
-                } else if self.now - self.last_progress_at >= self.cfg.livelock_window {
-                    self.chans.note_idle_cycles(start, self.now - start);
-                    return Err(MopacError::Livelock {
-                        cycle: self.now,
-                        stalled_for: self.now - self.last_progress_at,
-                        retired,
-                    });
-                }
-            }
-            if self.now >= self.cfg.max_cycles {
+            self.note_retirement();
+            if let Err(e) = self.check_deadlines(*finished) {
                 self.chans.note_idle_cycles(start, self.now - start);
-                return Err(MopacError::CycleCapExceeded {
-                    cap: self.cfg.max_cycles,
-                    finished_cores: *finished,
-                    total_cores: n_cores,
-                });
+                return Err(e);
             }
             if *finished >= n_cores {
                 break;
@@ -1512,21 +1393,6 @@ impl System {
     fn skip_to(&mut self, target: Cycle) {
         let skipped = target - self.now;
         self.chans.note_idle_cycles(self.now, skipped);
-        self.advance_drivers_idle(skipped);
-        self.now = target;
-    }
-
-    /// The driver half of a bulk jump over `skipped` cycles in which no
-    /// driver fetches or retires: per-core fetch-credit accumulation
-    /// (the per-cycle `min(credit + r, 64)` fold, iterated until it
-    /// saturates — at most `ceil(64 / r)` steps — because
-    /// floating-point addition is not associative and a closed form
-    /// would drift) and per-core stall accounting
-    /// ([`Core::skip_idle`]). Shared by [`System::skip_to`] (which also
-    /// compensates the controllers) and [`System::run_batch`] (where
-    /// [`MemoryController::tick_until`] already did its own
-    /// accounting).
-    fn advance_drivers_idle(&mut self, skipped: Cycle) {
         let r = CoreParams::paper_default().retire_per_dram_cycle;
         for d in &mut self.drivers {
             for _ in 0..skipped {
@@ -1538,127 +1404,7 @@ impl System {
             }
             d.core.skip_idle(skipped);
         }
-    }
-
-    /// The macro-batch horizon: the last cycle boundary `end` such that
-    /// ticking every channel through `[now, end)` in one fork-join
-    /// round — with no completion delivery, no fetch, no retire, no
-    /// fault event and no pause observation in between — is
-    /// bit-identical to `end - now` reference steps. Returns `None`
-    /// when no batch of at least `batch.min_len` cycles is safe (the
-    /// loop falls back to a plain step).
-    ///
-    /// Preconditions checked here (the `dbg_sources == 2` trigger is
-    /// only a cheap filter): every driver must be verifiably blocked
-    /// *against current queue state* — the previous step's MC commands
-    /// may have freed queue space, so the progress bitmask alone cannot
-    /// prove the CPU side stays quiescent at `now`.
-    ///
-    /// Each bound maps to a coupling source (DESIGN.md §15):
-    /// - earliest in-flight completion: its delivery unblocks cores;
-    /// - `now + min_read_latency`: reads issued *inside* the batch
-    ///   complete no earlier than this, so they stay undeliverable
-    ///   within it;
-    /// - fault injector's next event: it mutates controller state;
-    /// - channels' `next_wake` (only when a driver is queue-blocked): a
-    ///   column issue frees queue space the same cycle, so the batch
-    ///   must end before the first possible command;
-    /// - `next_ref_floor` (only when pausing at a REF count): the pause
-    ///   check must observe the refresh counter at the same cycle the
-    ///   per-step loop would;
-    /// - watchdog deadline and cycle cap: the guards after the batch
-    ///   must fire at the exact reference cycle with identical fields.
-    fn batch_horizon(&mut self, pause_at_refs: Option<u64>) -> Option<Cycle> {
-        let prev = self.now - 1;
-        let line_bytes = self.cfg.geometry.line_bytes;
-        let mut any_queue_blocked = false;
-        for d in &self.drivers {
-            match d.block_class(&self.mapper, &self.chans, line_bytes) {
-                DriverBlock::Runnable => return None,
-                DriverBlock::Queue => any_queue_blocked = true,
-                DriverBlock::Delivery => {}
-            }
-        }
-        let mut end = self.now + self.chans.min_read_latency();
-        if let Some(at) = self.inflight.peek_at() {
-            end = end.min(at);
-        }
-        if let Some(due) = self.injector.as_ref().and_then(FaultInjector::next_due) {
-            end = end.min(due);
-        }
-        if any_queue_blocked {
-            if let Some(w) = self.chans.next_wake(prev) {
-                end = end.min(w);
-            }
-        }
-        if pause_at_refs.is_some() {
-            end = end.min(self.chans.next_ref_floor());
-        }
-        if self.cfg.livelock_window > 0 {
-            end = end.min(self.last_progress_at + self.cfg.livelock_window);
-        }
-        end = end.min(self.cfg.max_cycles);
-        if let Some(cap) = self.batch.cap {
-            let cap = match self.batch.rng.as_mut() {
-                Some(rng) => 1 + rng.below(cap),
-                None => cap,
-            };
-            end = end.min(self.now + cap);
-        }
-        (end >= self.now + self.batch.min_len).then_some(end)
-    }
-
-    /// Executes one macro batch over `[now, end)`: every channel ticks
-    /// the whole range in one fork-join round
-    /// ([`ChannelSet::tick_range`]), completions land on the in-flight
-    /// heap in reference push order, and the drivers advance through
-    /// their (provably idle) cycles in bulk. The caller computed `end`
-    /// via [`System::batch_horizon`] and re-runs the watchdog/cap
-    /// guards afterwards.
-    fn run_batch(&mut self, end: Cycle) -> MopacResult<()> {
-        let from = self.now;
-        self.scratch.clear();
-        self.chans.tick_range(from, end, &mut self.scratch)?;
-        for c in self.scratch.drain(..) {
-            self.inflight.push(c);
-        }
-        self.advance_drivers_idle(end - from);
-        self.now = end;
-        self.kernel_sink.add(Counter::KernelSyncRounds, 1);
-        self.kernel_sink.record(Hist::KernelBatchLen, 0, end - from);
-        Ok(())
-    }
-
-    /// Test hook: enables/disables macro batching (per-cycle stepping
-    /// when disabled — the reference the batch-equivalence suite and
-    /// the `MOPAC_SHARD_BATCH=0` ci leg compare against).
-    #[doc(hidden)]
-    pub fn debug_set_batching(&mut self, enabled: bool) {
-        self.batch.enabled = enabled;
-    }
-
-    /// Test hook: caps every batch at `cap` cycles and allows H=1
-    /// batches (adversarially short horizons stay bit-identical).
-    #[doc(hidden)]
-    pub fn debug_cap_batch_len(&mut self, cap: Cycle) {
-        self.batch.cap = Some(cap.max(1));
-        self.batch.min_len = 1;
-    }
-
-    /// Test hook: draws every batch's cap from `[1, max]` with a
-    /// deterministic RNG, and allows H=1 batches.
-    #[doc(hidden)]
-    pub fn debug_randomize_batch(&mut self, seed: u64, max: Cycle) {
-        self.batch.cap = Some(max.max(1));
-        self.batch.rng = Some(DetRng::from_seed(seed));
-        self.batch.min_len = 1;
-    }
-
-    /// Test hook: forwards to [`ChannelSet::set_fork_min`] so short
-    /// batches exercise the fork path.
-    #[doc(hidden)]
-    pub fn debug_set_fork_min(&mut self, fork_min: Cycle) {
-        self.chans.set_fork_min(fork_min);
+        self.now = target;
     }
 
     /// Feeds the prefetcher with a demand line and issues any candidate
@@ -1947,6 +1693,24 @@ mod tests {
         .unwrap();
         let r = sys.run().unwrap();
         assert!(r.dram.reads <= 64, "reads {}", r.dram.reads);
+    }
+
+    #[test]
+    fn shard_threads_above_one_is_a_config_error() {
+        for threads in [0, 1] {
+            let mut cfg = tiny_cfg(MitigationConfig::baseline(), 1_000);
+            cfg.shard_threads = threads;
+            assert!(System::new(cfg, vec![stream_trace(64, 10)]).is_ok(), "{threads}");
+        }
+        let mut cfg = tiny_cfg(MitigationConfig::baseline(), 1_000);
+        cfg.shard_threads = 2;
+        match System::new(cfg, vec![stream_trace(64, 10)]) {
+            Err(MopacError::Config { message }) => {
+                assert!(message.contains("shard_threads"), "{message}");
+            }
+            Err(e) => panic!("expected a Config error, got {e}"),
+            Ok(_) => panic!("shard_threads = 2 was accepted"),
+        }
     }
 
     #[test]

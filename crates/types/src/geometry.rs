@@ -9,9 +9,8 @@
 //! The topology generalizes along two axes:
 //!
 //! * **Channels** are architecturally independent DDR5 channels; each
-//!   gets its own memory controller and device instance, which is what
-//!   lets the simulator shard channel simulation across threads within
-//!   one run.
+//!   gets its own memory controller and device instance, ticked
+//!   serially in channel order.
 //! * **Ranks** share a channel's command bus. Inside the per-channel
 //!   device/controller pair, ranks are flattened into the bank
 //!   dimension ([`DramGeometry::channel_view`]): a sub-channel with

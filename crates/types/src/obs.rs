@@ -133,8 +133,7 @@ pub enum Counter {
     PrefetchLateHits,
     /// Trace ring: events dropped because the ring was full.
     TraceEventsDropped,
-    /// Event kernel: channel-tick synchronization rounds (one per
-    /// per-cycle fork-join, one per macro batch).
+    /// Event kernel: channel-tick rounds (one per simulated `step`).
     KernelSyncRounds,
 }
 
@@ -289,8 +288,9 @@ pub enum Hist {
     /// Open time of a row at precharge (cycles); labeled by
     /// sub-channel.
     RowOpenTime,
-    /// Cycles covered per macro batch in the batched channel-shard
-    /// handoff (label 0; the system records one sample per batch).
+    /// Cycles covered per macro batch of the removed batched channel
+    /// handoff. Kept so existing readers still resolve the name;
+    /// nothing records into it.
     KernelBatchLen,
 }
 

@@ -3,22 +3,25 @@
 //! every `RunResult` field (including exact `f64` comparisons), the
 //! controller statistics, and the typed errors from the livelock
 //! watchdog and the cycle cap — across the mitigation × page-policy
-//! matrix and under injected faults.
+//! matrix, under injected faults, and on multi-channel topologies,
+//! where both kernels must also pause at the same cycle at every
+//! `run_until_refs` boundary.
 //!
 //! Skipped cycles are provably no-ops (see DESIGN.md §8), so any
 //! divergence here is a kernel bug, not acceptable noise.
 
 use mopac::config::MitigationConfig;
 use mopac_cpu::trace::{ReplayTrace, TraceRecord, TraceSource};
-use mopac_memctrl::controller::PagePolicy;
+use mopac_memctrl::controller::{McStats, PagePolicy};
 use mopac_sim::experiment::build_traces;
 use mopac_sim::fault::{FaultKind, FaultPlan};
-use mopac_sim::system::{KernelMode, System, SystemConfig};
+use mopac_sim::system::{KernelMode, RunResult, System, SystemConfig};
 use mopac_types::addr::PhysAddr;
 use mopac_types::error::MopacError;
 use mopac_types::geometry::DramGeometry;
 use mopac_types::obs::{Hist, SinkConfig};
 use mopac_types::rng::DetRng;
+use mopac_types::time::Cycle;
 
 fn tiny_cfg(mit: MitigationConfig, instrs: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(mit, instrs);
@@ -348,4 +351,114 @@ fn livelock_identical_under_time_skipping() {
         "expected Livelock, got {fast}"
     );
     assert_eq!(format!("{golden:?}"), format!("{fast:?}"));
+}
+
+/// A seeded random workload: per-core access streams mixing hammer
+/// bursts (gap 0 row ping-pong), short compute gaps, and long idle
+/// stretches, with occasional stores — so one run crosses the
+/// per-cycle, fast-forward, and skip regimes.
+fn random_trace(core: u64, seed: u64, row_bytes: u64) -> Box<dyn TraceSource> {
+    let mut rng = DetRng::from_seed(seed ^ core.wrapping_mul(0x9E37_79B9));
+    let records = (0..400)
+        .map(|_| {
+            let gap = match rng.below(4) {
+                0 => 0,
+                1 => rng.below(8),
+                2 => rng.below(200),
+                _ => rng.below(5_000),
+            } as u32;
+            let row = rng.below(64);
+            let col = rng.below(128);
+            TraceRecord {
+                gap,
+                addr: PhysAddr::new(row * row_bytes * 8 + col * 64),
+                is_write: rng.below(10) == 0,
+            }
+        })
+        .collect();
+    Box::new(ReplayTrace::new("multichannel-rand", records))
+}
+
+fn multichannel_cfg(channels: u32, mit: MitigationConfig, seed: u64) -> SystemConfig {
+    let mut cfg = tiny_cfg(mit, 150_000);
+    cfg.geometry = DramGeometry {
+        channels,
+        ..DramGeometry::tiny()
+    };
+    cfg.seed = seed;
+    cfg
+}
+
+/// Runs one kernel through REF pauses 1, 3 and 5, then to the end;
+/// returns the cycle of each pause, the result and the controller
+/// statistics.
+fn run_with_pauses(
+    mut cfg: SystemConfig,
+    kernel: KernelMode,
+) -> ([Cycle; 3], RunResult, McStats) {
+    cfg.kernel = kernel;
+    let row_bytes = u64::from(cfg.geometry.row_bytes);
+    let traces = (0..8)
+        .map(|c| random_trace(c, cfg.seed, row_bytes))
+        .collect();
+    let mut sys = System::new(cfg, traces).unwrap();
+    let pauses = [1, 3, 5].map(|refs| {
+        let done = sys.run_until_refs(refs).unwrap();
+        assert!(done.is_none(), "run finished before REF {refs}; raise the budget");
+        sys.now()
+    });
+    let (result, mc) = sys.run_with_mc_stats().unwrap();
+    (pauses, result, mc)
+}
+
+/// Runs a multi-channel configuration under both kernels and asserts
+/// each REF pause lands on the same cycle, then that the final
+/// `RunResult` and `McStats` are identical.
+fn assert_multichannel_equivalent(cfg: &SystemConfig, label: &str) {
+    let (golden_pauses, golden, golden_mc) = run_with_pauses(cfg.clone(), KernelMode::Lockstep);
+    let (fast_pauses, fast, fast_mc) = run_with_pauses(cfg.clone(), KernelMode::EventDriven);
+    assert_eq!(golden_pauses, fast_pauses, "pause cycles diverged: {label}");
+    assert_eq!(golden, fast, "RunResult diverged: {label}");
+    assert_eq!(golden_mc, fast_mc, "McStats diverged: {label}");
+}
+
+/// Regression: the step that executes the REF reaching a
+/// `run_until_refs` boundary must end the run there. Before the fix,
+/// the event kernel's quiescent fast-forward ran in the same loop
+/// iteration as that step, so the pause landed later than lockstep's
+/// (cycle 11785 instead of 11762 at REF 3) with identical final
+/// results.
+#[test]
+fn multichannel_pause_cycle_matches_lockstep() {
+    let cfg = multichannel_cfg(2, MitigationConfig::mopac_d(500), 0xB47C_0001);
+    assert_multichannel_equivalent(&cfg, "2ch mopac_d");
+}
+
+#[test]
+fn multichannel_equivalence_mopac_d() {
+    let cfg = multichannel_cfg(4, MitigationConfig::mopac_d(500), 0xB47C_0001);
+    assert_multichannel_equivalent(&cfg, "4ch mopac_d");
+}
+
+#[test]
+fn multichannel_equivalence_qprac_with_alert_storm() {
+    let mut cfg = multichannel_cfg(4, MitigationConfig::qprac(500), 0xB47C_0002);
+    cfg.fault_plan = Some(FaultPlan::new(0xF417).with(
+        1_500,
+        FaultKind::AlertStorm {
+            subchannel: 0,
+            period: 1_100,
+            count: 20,
+        },
+    ));
+    assert_multichannel_equivalent(&cfg, "4ch qprac + AlertStorm");
+}
+
+#[test]
+fn multichannel_equivalence_practical_with_delayed_rfm() {
+    let mut cfg = multichannel_cfg(4, MitigationConfig::practical(500), 0xB47C_0003);
+    cfg.geometry.subarrays_per_bank = 4;
+    cfg.fault_plan =
+        Some(FaultPlan::new(0x51).with(2_000, FaultKind::DelayRfm { extra_cycles: 300 }));
+    assert_multichannel_equivalent(&cfg, "4ch practical + DelayRfm");
 }
