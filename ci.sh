@@ -25,11 +25,12 @@ cargo test -q
 if [[ $fast -eq 0 ]]; then
   # Kernel-equivalence gate: the event-driven time-skipping kernel must
   # produce bit-identical results to the lockstep reference across
-  # mitigations, page policies, and fault plans. Run in release so the
-  # matrix finishes quickly; the debug run above already covers it at
-  # -O0 with debug assertions.
+  # mitigations, page policies, and fault plans, and the skipping
+  # attack driver must match its one-cycle-step loop for every engine
+  # and attack pattern. Run in release so the matrix finishes quickly;
+  # the debug run above already covers it at -O0 with debug assertions.
   step "kernel equivalence suite (release)"
-  cargo test -q -p mopac-sim --test kernel_equivalence --release
+  cargo test -q -p mopac-sim --test kernel_equivalence --test attack_equivalence --release
 
   # Throughput trend line: simulated cycles/sec for both kernels on
   # idle-heavy, saturated and mixed-phase workloads; writes

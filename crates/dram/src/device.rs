@@ -840,65 +840,6 @@ impl DramDevice {
         Some(latest)
     }
 
-    /// Earliest cycle *strictly after* `now` at which a currently-held
-    /// device-side timing gate on sub-channel `sc` releases: per-bank
-    /// ACT/column/PRE gates, tRRD and tFAW windows, the data-bus slot,
-    /// the REF/RFM block (`blocked_until`), and the ALERT recovery
-    /// deadline (`alert_since` + the ABO normal window). Returns `None`
-    /// when every gate has already released — the device is then not
-    /// what is holding the controller back.
-    ///
-    /// This is the device's half of the event-driven kernel contract:
-    /// between `now` and the returned cycle the device state cannot
-    /// change on its own (it is passive with respect to time), so a
-    /// controller that has no issuable command at `now` provably has
-    /// none before this wake either.
-    #[must_use]
-    pub fn next_wake(&self, sc: u32, now: Cycle) -> Option<Cycle> {
-        let s = self.sub(sc);
-        let t = self.timing_default();
-        let mut wake: Option<Cycle> = None;
-        let mut push = |c: Cycle| {
-            if c > now {
-                wake = Some(wake.map_or(c, |w| w.min(c)));
-            }
-        };
-        push(s.blocked_until);
-        if let Some(asserted) = s.alert_since {
-            push(asserted + self.abo.normal_window);
-        }
-        if let Some(last) = s.last_act {
-            push(last + t.t_rrd);
-        }
-        if s.faw_filled >= 4 {
-            push(s.faw[s.faw_idx] + t.t_faw);
-        }
-        push(s.bus_busy_until.saturating_sub(t.cl));
-        for b in &s.banks {
-            match b.open_row() {
-                Some(open) => {
-                    if let Some(c) = b.earliest_column(open.row) {
-                        push(c);
-                    }
-                    if let Some(c) = b.earliest_precharge() {
-                        push(c);
-                    }
-                }
-                None => {
-                    if let Some(c) = b.earliest_activate() {
-                        push(c);
-                    }
-                }
-            }
-            // Subarray deferred-update completions gate row-targeted
-            // ACTs past the bank-level gate above.
-            for c in b.cu_pending(now) {
-                push(c);
-            }
-        }
-        wake
-    }
-
     /// Issues an all-bank REF: refreshes the next group of rows in every
     /// bank, performs MoPAC-D drain-on-REF, and blocks the sub-channel
     /// for tRFC.

@@ -237,6 +237,13 @@ impl<'p> AttackRun<'p> {
 
     /// Runs cycles `[now, end)` (clamped to the configured length).
     ///
+    /// Event-driven: once the window is full the refill is a no-op, so
+    /// after each tick the run jumps to the controller's next wake
+    /// ([`MemoryController::next_wake`], never late) and accounts the
+    /// skipped no-op ticks in bulk. The jump is clamped at `end`, so
+    /// any sequence of calls — `run_until(now + 1)` in lockstep
+    /// included — reaches the same state at every boundary.
+    ///
     /// # Errors
     ///
     /// See [`run_attack`].
@@ -262,6 +269,15 @@ impl<'p> AttackRun<'p> {
             self.done.clear();
             self.mc.tick(now, &mut self.done)?;
             self.now += 1;
+            if self.mc.queued() >= self.cfg.window {
+                if let Some(wake) = self.mc.next_wake(now) {
+                    let target = wake.min(end);
+                    if target > self.now {
+                        self.mc.note_idle_cycles(self.now, target - self.now);
+                        self.now = target;
+                    }
+                }
+            }
         }
         Ok(())
     }
