@@ -47,8 +47,8 @@ if [[ $fast -eq 0 ]]; then
     baseline_cps=$(extract_cps saturated_attack event)
   fi
   cargo bench --bench kernel_throughput
+  new_cps=$(extract_cps saturated_attack event)
   if [[ -n "$baseline_cps" ]]; then
-    new_cps=$(extract_cps saturated_attack event)
     awk -v new="$new_cps" -v old="$baseline_cps" 'BEGIN {
       if (new + 0 < 0.9 * old) {
         printf "FAIL: saturated_attack/event regressed: %.0f < 90%% of committed baseline %.0f cycles/sec\n", new, old
@@ -62,26 +62,23 @@ if [[ $fast -eq 0 ]]; then
 
   # Metrics-overhead gate: the same saturated-attack run with the
   # observability sink enabled (MOPAC_METRICS=1, writes
-  # BENCH_kernel_metrics.json) must stay within 10% of the committed
-  # metrics-off baseline — the sink's enabled cost is bounded, and its
-  # disabled cost is zero by the bit-identity suite above.
+  # BENCH_kernel_metrics.json) must stay within 10% of the metrics-off
+  # number measured just above, in this run on this host — the sink's
+  # enabled cost is bounded, and its disabled cost is zero by the
+  # bit-identity suite above.
   step "kernel throughput bench with metrics sink (overhead gate)"
   extract_metrics_cps() {
     awk -F'"cycles_per_sec": ' "/$1\\/$2/ {gsub(/[^0-9.]/, \"\", \$2); print \$2}" BENCH_kernel_metrics.json
   }
   MOPAC_METRICS=1 cargo bench --bench kernel_throughput
-  if [[ -n "$baseline_cps" ]]; then
-    metrics_cps=$(extract_metrics_cps saturated_attack event)
-    awk -v new="$metrics_cps" -v old="$baseline_cps" 'BEGIN {
-      if (new + 0 < 0.9 * old) {
-        printf "FAIL: saturated_attack/event with metrics enabled: %.0f < 90%% of metrics-off baseline %.0f cycles/sec\n", new, old
-        exit 1
-      }
-      printf "saturated_attack/event with metrics: %.0f cycles/sec (metrics-off baseline %.0f, gate 90%%)\n", new, old
-    }'
-  else
-    echo "no committed BENCH_kernel.json baseline; metrics-overhead gate skipped"
-  fi
+  metrics_cps=$(extract_metrics_cps saturated_attack event)
+  awk -v new="$metrics_cps" -v old="$new_cps" 'BEGIN {
+    if (new + 0 < 0.9 * old) {
+      printf "FAIL: saturated_attack/event with metrics enabled: %.0f < 90%% of metrics-off %.0f cycles/sec (same run)\n", new, old
+      exit 1
+    }
+    printf "saturated_attack/event with metrics: %.0f cycles/sec (metrics-off %.0f in this run, gate 90%%)\n", new, old
+  }'
 
   # Security gate: every engine in the mitigation registry versus the
   # attack battery at a reduced cycle budget; any oracle violation

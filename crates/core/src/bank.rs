@@ -20,7 +20,7 @@
 
 use crate::config::MitigationConfig;
 use crate::engine::{build_engine, MitigationEngine, TimingDemands};
-use mopac_types::obs::{Counter, MetricsRegistry, MetricsSink};
+use mopac_types::obs::MetricsSink;
 use mopac_types::rng::DetRng;
 use std::ops::Range;
 
@@ -47,98 +47,38 @@ pub struct AboService {
     pub counter_updates: u32,
 }
 
-/// Counters exposed for the experiment harness.
-///
-/// The original aggregate fields (`counter_updates`, `mitigations`) are
-/// kept with their historical names and meanings so CSV consumers don't
-/// break; the per-cause fields below them split the same events by
-/// *why* they happened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MitigationStats {
-    /// Total activations observed.
-    pub activations: u64,
-    /// PRAC counter read-modify-writes performed (all paths; equals
-    /// the update precharges plus drained/deferred write-backs).
-    pub counter_updates: u64,
-    /// Deferred-queue insertions (new entries + coalesced), summed
-    /// over chips.
-    pub srq_insertions: u64,
-    /// Insertions refused by a full queue (MoPAC-D drops the sample;
-    /// CnC-PRAC and QPRAC fall back to inline handling).
-    pub srq_overflows: u64,
-    /// Aggressor mitigations performed (all causes; equals
-    /// `abo_mitigations + proactive_mitigations`).
-    pub mitigations: u64,
-    /// Precharges that carried an inline counter update.
-    pub update_precharges: u64,
-    /// Mitigations forced by an ALERT back-off (the reactive path).
-    pub abo_mitigations: u64,
-    /// Mitigations performed proactively inside REF windows (QPRAC).
-    pub proactive_mitigations: u64,
-    /// Deferred counter write-backs drained during REF windows
-    /// (MoPAC-D's SRQ drain, CnC-PRAC's bulk write-back).
-    pub ref_drained_updates: u64,
-}
-
-impl mopac_types::snapshot::Snapshottable for MitigationStats {
-    fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_u64(self.activations);
-        w.put_u64(self.counter_updates);
-        w.put_u64(self.srq_insertions);
-        w.put_u64(self.srq_overflows);
-        w.put_u64(self.mitigations);
-        w.put_u64(self.update_precharges);
-        w.put_u64(self.abo_mitigations);
-        w.put_u64(self.proactive_mitigations);
-        w.put_u64(self.ref_drained_updates);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut mopac_types::snapshot::SnapshotReader<'_>,
-    ) -> mopac_types::MopacResult<()> {
-        self.activations = r.take_u64()?;
-        self.counter_updates = r.take_u64()?;
-        self.srq_insertions = r.take_u64()?;
-        self.srq_overflows = r.take_u64()?;
-        self.mitigations = r.take_u64()?;
-        self.update_precharges = r.take_u64()?;
-        self.abo_mitigations = r.take_u64()?;
-        self.proactive_mitigations = r.take_u64()?;
-        self.ref_drained_updates = r.take_u64()?;
-        Ok(())
-    }
-}
-
-impl MitigationStats {
-    /// Field-wise accumulation: folds another engine set's counters
-    /// into this one (multi-channel totals).
-    pub fn accumulate(&mut self, o: &MitigationStats) {
-        self.activations += o.activations;
-        self.counter_updates += o.counter_updates;
-        self.srq_insertions += o.srq_insertions;
-        self.srq_overflows += o.srq_overflows;
-        self.mitigations += o.mitigations;
-        self.update_precharges += o.update_precharges;
-        self.abo_mitigations += o.abo_mitigations;
-        self.proactive_mitigations += o.proactive_mitigations;
-        self.ref_drained_updates += o.ref_drained_updates;
-    }
-
-    /// Publishes these counters onto a metrics registry under the
-    /// `engine.*` namespace. The struct stays the source of truth; the
-    /// registry copy exists for unified snapshot export (DESIGN.md
-    /// §11), so this overwrites rather than accumulates.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(Counter::EngineActivations, self.activations);
-        reg.set_counter(Counter::EngineCounterUpdates, self.counter_updates);
-        reg.set_counter(Counter::EngineSrqInsertions, self.srq_insertions);
-        reg.set_counter(Counter::EngineSrqOverflows, self.srq_overflows);
-        reg.set_counter(Counter::EngineMitigations, self.mitigations);
-        reg.set_counter(Counter::EngineUpdatePrecharges, self.update_precharges);
-        reg.set_counter(Counter::EngineAboMitigations, self.abo_mitigations);
-        reg.set_counter(Counter::EngineProactiveMitigations, self.proactive_mitigations);
-        reg.set_counter(Counter::EngineRefDrainedUpdates, self.ref_drained_updates);
+mopac_types::counter_struct! {
+    /// Counters exposed for the experiment harness.
+    ///
+    /// The original aggregate fields (`counter_updates`, `mitigations`)
+    /// are kept with their historical names and meanings so CSV
+    /// consumers don't break; the per-cause fields below them split the
+    /// same events by *why* they happened.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MitigationStats {
+        /// Total activations observed.
+        pub activations: u64 => EngineActivations,
+        /// PRAC counter read-modify-writes performed (all paths; equals
+        /// the update precharges plus drained/deferred write-backs).
+        pub counter_updates: u64 => EngineCounterUpdates,
+        /// Deferred-queue insertions (new entries + coalesced), summed
+        /// over chips.
+        pub srq_insertions: u64 => EngineSrqInsertions,
+        /// Insertions refused by a full queue (MoPAC-D drops the sample;
+        /// CnC-PRAC and QPRAC fall back to inline handling).
+        pub srq_overflows: u64 => EngineSrqOverflows,
+        /// Aggressor mitigations performed (all causes; equals
+        /// `abo_mitigations + proactive_mitigations`).
+        pub mitigations: u64 => EngineMitigations,
+        /// Precharges that carried an inline counter update.
+        pub update_precharges: u64 => EngineUpdatePrecharges,
+        /// Mitigations forced by an ALERT back-off (the reactive path).
+        pub abo_mitigations: u64 => EngineAboMitigations,
+        /// Mitigations performed proactively inside REF windows (QPRAC).
+        pub proactive_mitigations: u64 => EngineProactiveMitigations,
+        /// Deferred counter write-backs drained during REF windows
+        /// (MoPAC-D's SRQ drain, CnC-PRAC's bulk write-back).
+        pub ref_drained_updates: u64 => EngineRefDrainedUpdates,
     }
 }
 

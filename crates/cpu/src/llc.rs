@@ -8,7 +8,7 @@
 //! property tests.
 
 use mopac_types::addr::PhysAddr;
-use mopac_types::obs::{Counter, MetricsRegistry};
+use mopac_types::snapshot::Snapshottable;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +38,17 @@ struct Way {
     lru: u32,
 }
 
-/// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LlcStats {
-    /// Total accesses.
-    pub accesses: u64,
-    /// Misses (including those with dirty evictions).
-    pub misses: u64,
-    /// Dirty lines evicted (writebacks generated).
-    pub writebacks: u64,
+mopac_types::counter_struct! {
+    /// Cache statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LlcStats {
+        /// Total accesses.
+        pub accesses: u64 => LlcAccesses,
+        /// Misses (including those with dirty evictions).
+        pub misses: u64 => LlcMisses,
+        /// Dirty lines evicted (writebacks generated).
+        pub writebacks: u64 => LlcWritebacks,
+    }
 }
 
 impl LlcStats {
@@ -58,16 +60,6 @@ impl LlcStats {
         } else {
             self.misses as f64 / self.accesses as f64
         }
-    }
-
-    /// Publishes these counters onto a metrics registry under the
-    /// `llc.*` namespace. The struct stays the source of truth; the
-    /// registry copy exists for unified snapshot export (DESIGN.md
-    /// §11), so this overwrites rather than accumulates.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(Counter::LlcAccesses, self.accesses);
-        reg.set_counter(Counter::LlcMisses, self.misses);
-        reg.set_counter(Counter::LlcWritebacks, self.writebacks);
     }
 }
 
@@ -175,7 +167,7 @@ impl Llc {
     }
 }
 
-impl mopac_types::snapshot::Snapshottable for Llc {
+impl Snapshottable for Llc {
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
         w.put_usize(self.sets.len());
         w.put_usize(self.sets.first().map_or(0, Vec::len));
@@ -187,9 +179,7 @@ impl mopac_types::snapshot::Snapshottable for Llc {
                 w.put_u32(way.lru);
             }
         }
-        w.put_u64(self.stats.accesses);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.writebacks);
+        self.stats.save_state(w);
         w.put_u32(self.tick);
     }
 
@@ -214,9 +204,7 @@ impl mopac_types::snapshot::Snapshottable for Llc {
                 way.lru = r.take_u32()?;
             }
         }
-        self.stats.accesses = r.take_u64()?;
-        self.stats.misses = r.take_u64()?;
-        self.stats.writebacks = r.take_u64()?;
+        self.stats.load_state(r)?;
         self.tick = r.take_u32()?;
         Ok(())
     }

@@ -18,9 +18,7 @@ use mopac::engine::{RecoveryScope, TimingDemands};
 use mopac_types::bankmask::BankMask;
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
-use mopac_types::obs::{
-    Counter, Hist, MetricsRegistry, MetricsSink, SinkConfig, TraceEvent, TraceEventKind,
-};
+use mopac_types::obs::{Counter, Hist, MetricsSink, SinkConfig, TraceEvent, TraceEventKind};
 use mopac_types::rng::DetRng;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::{Cycle, MemClock};
@@ -88,35 +86,37 @@ impl DramConfig {
     }
 }
 
-/// Aggregate device statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Activations issued.
-    pub activates: u64,
-    /// Reads issued.
-    pub reads: u64,
-    /// Writes issued.
-    pub writes: u64,
-    /// Normal precharges.
-    pub precharges: u64,
-    /// Counter-update precharges (PRAC / PREcu).
-    pub precharges_cu: u64,
-    /// REF commands executed.
-    pub refreshes: u64,
-    /// RFM (ABO service) commands executed.
-    pub rfms: u64,
-    /// ALERT assertions caused by mitigation need.
-    pub alerts_mitigation: u64,
-    /// ALERT assertions caused by a full SRQ.
-    pub alerts_srq_full: u64,
-    /// ALERT assertions caused by tardiness.
-    pub alerts_tardiness: u64,
-    /// Aggressor-row mitigations performed.
-    pub mitigations: u64,
-    /// Deferred counter updates performed under ABO / REF.
-    pub deferred_updates: u64,
-    /// Faults applied through the injection hooks.
-    pub injected_faults: u64,
+mopac_types::counter_struct! {
+    /// Aggregate device statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DramStats {
+        /// Activations issued.
+        pub activates: u64 => DramActivates,
+        /// Reads issued.
+        pub reads: u64 => DramReads,
+        /// Writes issued.
+        pub writes: u64 => DramWrites,
+        /// Normal precharges.
+        pub precharges: u64 => DramPrecharges,
+        /// Counter-update precharges (PRAC / PREcu).
+        pub precharges_cu: u64 => DramPrechargesCu,
+        /// REF commands executed.
+        pub refreshes: u64 => DramRefreshes,
+        /// RFM (ABO service) commands executed.
+        pub rfms: u64 => DramRfms,
+        /// ALERT assertions caused by mitigation need.
+        pub alerts_mitigation: u64 => DramAlertsMitigation,
+        /// ALERT assertions caused by a full SRQ.
+        pub alerts_srq_full: u64 => DramAlertsSrqFull,
+        /// ALERT assertions caused by tardiness.
+        pub alerts_tardiness: u64 => DramAlertsTardiness,
+        /// Aggressor-row mitigations performed.
+        pub mitigations: u64 => DramMitigations,
+        /// Deferred counter updates performed under ABO / REF.
+        pub deferred_updates: u64 => DramDeferredUpdates,
+        /// Faults applied through the injection hooks.
+        pub injected_faults: u64 => DramInjectedFaults,
+    }
 }
 
 impl DramStats {
@@ -124,83 +124,6 @@ impl DramStats {
     #[must_use]
     pub fn alerts(&self) -> u64 {
         self.alerts_mitigation + self.alerts_srq_full + self.alerts_tardiness
-    }
-
-    /// Field-wise accumulation: folds another device's counters into
-    /// this one (multi-channel totals).
-    pub fn accumulate(&mut self, o: &DramStats) {
-        self.activates += o.activates;
-        self.reads += o.reads;
-        self.writes += o.writes;
-        self.precharges += o.precharges;
-        self.precharges_cu += o.precharges_cu;
-        self.refreshes += o.refreshes;
-        self.rfms += o.rfms;
-        self.alerts_mitigation += o.alerts_mitigation;
-        self.alerts_srq_full += o.alerts_srq_full;
-        self.alerts_tardiness += o.alerts_tardiness;
-        self.mitigations += o.mitigations;
-        self.deferred_updates += o.deferred_updates;
-        self.injected_faults += o.injected_faults;
-    }
-
-    /// Publishes these counters onto a metrics registry under the
-    /// `dram.*` namespace. The struct stays the source of truth; the
-    /// registry copy exists for unified snapshot export (DESIGN.md
-    /// §11), so this overwrites rather than accumulates.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(Counter::DramActivates, self.activates);
-        reg.set_counter(Counter::DramReads, self.reads);
-        reg.set_counter(Counter::DramWrites, self.writes);
-        reg.set_counter(Counter::DramPrecharges, self.precharges);
-        reg.set_counter(Counter::DramPrechargesCu, self.precharges_cu);
-        reg.set_counter(Counter::DramRefreshes, self.refreshes);
-        reg.set_counter(Counter::DramRfms, self.rfms);
-        reg.set_counter(Counter::DramAlertsMitigation, self.alerts_mitigation);
-        reg.set_counter(Counter::DramAlertsSrqFull, self.alerts_srq_full);
-        reg.set_counter(Counter::DramAlertsTardiness, self.alerts_tardiness);
-        reg.set_counter(Counter::DramMitigations, self.mitigations);
-        reg.set_counter(Counter::DramDeferredUpdates, self.deferred_updates);
-        reg.set_counter(Counter::DramInjectedFaults, self.injected_faults);
-    }
-}
-
-impl Snapshottable for DramStats {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        for v in [
-            self.activates,
-            self.reads,
-            self.writes,
-            self.precharges,
-            self.precharges_cu,
-            self.refreshes,
-            self.rfms,
-            self.alerts_mitigation,
-            self.alerts_srq_full,
-            self.alerts_tardiness,
-            self.mitigations,
-            self.deferred_updates,
-            self.injected_faults,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        self.activates = r.take_u64()?;
-        self.reads = r.take_u64()?;
-        self.writes = r.take_u64()?;
-        self.precharges = r.take_u64()?;
-        self.precharges_cu = r.take_u64()?;
-        self.refreshes = r.take_u64()?;
-        self.rfms = r.take_u64()?;
-        self.alerts_mitigation = r.take_u64()?;
-        self.alerts_srq_full = r.take_u64()?;
-        self.alerts_tardiness = r.take_u64()?;
-        self.mitigations = r.take_u64()?;
-        self.deferred_updates = r.take_u64()?;
-        self.injected_faults = r.take_u64()?;
-        Ok(())
     }
 }
 
@@ -384,35 +307,19 @@ impl DramDevice {
         &self.sink
     }
 
-    /// Exports the device's aggregate statistics ([`DramStats`], the
-    /// summed per-bank [`mopac::bank::MitigationStats`]) onto the sink's
-    /// registry and gives every bank engine its
-    /// [`mopac::engine::MitigationEngine::record_metrics`] hook. Called
-    /// at snapshot time; a no-op while the sink is disabled.
-    pub fn export_metrics(&mut self) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        let stats = self.stats;
-        let mitigation = self.mitigation_stats();
-        let flip = self.flip_stats();
-        if let Some(reg) = self.sink.registry_mut() {
-            stats.export_metrics(reg);
-            mitigation.export_metrics(reg);
-            reg.set_counter(Counter::DramBitFlips, flip.bit_flips);
-            reg.set_counter(Counter::DramEccCorrections, flip.ecc_corrections);
-            reg.set_counter(Counter::DramCorruptedReads, flip.corrupted_reads);
-        }
-        // The engines borrow the sub-channels while recording; move the
-        // sink out for the sweep so the borrows stay disjoint.
-        let mut sink = std::mem::take(&mut self.sink);
+    /// Gives every bank engine its
+    /// [`mopac::engine::MitigationEngine::record_metrics`] hook,
+    /// recording into `sink` (the caller's merged export). The device's
+    /// counters are not exported here: they live in
+    /// [`DramDevice::stats`], [`DramDevice::mitigation_stats`] and
+    /// [`DramDevice::flip_stats`].
+    pub fn record_metrics(&self, sink: &mut MetricsSink) {
         for (sc, sub) in self.subchannels.iter().enumerate() {
             for (bank, b) in sub.banks.iter().enumerate() {
                 let flat = self.cfg.geometry.flat_bank(sc as u32, bank as u32);
-                b.mitigation().record_metrics(flat, &mut sink);
+                b.mitigation().record_metrics(flat, sink);
             }
         }
-        self.sink = sink;
     }
 
     /// Validates a (sub-channel, bank) pair, so command methods return a
@@ -1285,16 +1192,7 @@ impl DramDevice {
     pub fn mitigation_stats(&self) -> mopac::bank::MitigationStats {
         let mut total = mopac::bank::MitigationStats::default();
         for b in self.subchannels.iter().flat_map(|s| &s.banks) {
-            let s = b.mitigation().stats();
-            total.activations += s.activations;
-            total.counter_updates += s.counter_updates;
-            total.srq_insertions += s.srq_insertions;
-            total.srq_overflows += s.srq_overflows;
-            total.mitigations += s.mitigations;
-            total.update_precharges += s.update_precharges;
-            total.abo_mitigations += s.abo_mitigations;
-            total.proactive_mitigations += s.proactive_mitigations;
-            total.ref_drained_updates += s.ref_drained_updates;
+            total.accumulate(&b.mitigation().stats());
         }
         total
     }

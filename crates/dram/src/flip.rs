@@ -153,49 +153,29 @@ impl FlipPlaneConfig {
     }
 }
 
-/// Aggregate flip-plane statistics. Deliberately *not* part of
-/// [`crate::device::DramStats`]: that struct serializes field-by-field
-/// into every legacy snapshot, and the flip plane must cost zero bytes
-/// when disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlipStats {
-    /// Victim-word bits flipped by disturbance (newly set bits only; a
-    /// re-flip of an already-flipped bit is idempotent).
-    pub bit_flips: u64,
-    /// Single-bit flips scrubbed by SEC ECC on read or refresh.
-    pub ecc_corrections: u64,
-    /// Reads (demand or readback sweep) that returned uncorrectable
-    /// victim data.
-    pub corrupted_reads: u64,
+mopac_types::counter_struct! {
+    /// Aggregate flip-plane statistics. Deliberately *not* part of
+    /// [`crate::device::DramStats`]: that struct serializes field-by-field
+    /// into every legacy snapshot, and the flip plane must cost zero bytes
+    /// when disabled.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FlipStats {
+        /// Victim-word bits flipped by disturbance (newly set bits only; a
+        /// re-flip of an already-flipped bit is idempotent).
+        pub bit_flips: u64 => DramBitFlips,
+        /// Single-bit flips scrubbed by SEC ECC on read or refresh.
+        pub ecc_corrections: u64 => DramEccCorrections,
+        /// Reads (demand or readback sweep) that returned uncorrectable
+        /// victim data.
+        pub corrupted_reads: u64 => DramCorruptedReads,
+    }
 }
 
 impl FlipStats {
-    /// Field-wise accumulation (per-bank → device totals).
-    pub fn accumulate(&mut self, o: &FlipStats) {
-        self.bit_flips += o.bit_flips;
-        self.ecc_corrections += o.ecc_corrections;
-        self.corrupted_reads += o.corrupted_reads;
-    }
-
     /// Whether the attack actually corrupted data the host could read.
     #[must_use]
     pub fn attack_success(&self) -> bool {
         self.corrupted_reads > 0
-    }
-}
-
-impl Snapshottable for FlipStats {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.bit_flips);
-        w.put_u64(self.ecc_corrections);
-        w.put_u64(self.corrupted_reads);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        self.bit_flips = r.take_u64()?;
-        self.ecc_corrections = r.take_u64()?;
-        self.corrupted_reads = r.take_u64()?;
-        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@ use mopac_dram::device::DramDevice;
 use mopac_types::addr::{DecodedAddr, PhysAddr};
 use mopac_types::bankmask::BankMask;
 use mopac_types::error::{MopacError, MopacResult};
-use mopac_types::obs::{Counter, Hist, MetricsRegistry, MetricsSink, SinkConfig};
+use mopac_types::obs::{Hist, MetricsSink, SinkConfig};
 use mopac_types::rng::DetRng;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::Cycle;
@@ -93,40 +93,29 @@ impl Default for McConfig {
     }
 }
 
-/// Controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct McStats {
-    /// Reads completed.
-    pub reads_done: u64,
-    /// Writes accepted.
-    pub writes_done: u64,
-    /// Sum of read latencies (enqueue to data completion), in cycles.
-    pub read_latency_sum: u64,
-    /// RFMs issued in response to ALERT.
-    pub rfms_issued: u64,
-    /// Cycles spent with a sub-channel stalled for ABO (across
-    /// sub-channels).
-    pub abo_stall_cycles: u64,
-    /// Cycles a sub-channel had queued work but issued no command.
-    pub idle_with_work: u64,
-    /// Cycles spent in refresh-drain mode (closing banks / waiting).
-    pub refresh_mode_cycles: u64,
+mopac_types::counter_struct! {
+    /// Controller statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct McStats {
+        /// Reads completed.
+        pub reads_done: u64 => McReadsDone,
+        /// Writes accepted.
+        pub writes_done: u64 => McWritesDone,
+        /// Sum of read latencies (enqueue to data completion), in cycles.
+        pub read_latency_sum: u64 => McReadLatencySum,
+        /// RFMs issued in response to ALERT.
+        pub rfms_issued: u64 => McRfmsIssued,
+        /// Cycles spent with a sub-channel stalled for ABO (across
+        /// sub-channels).
+        pub abo_stall_cycles: u64 => McAboStallCycles,
+        /// Cycles a sub-channel had queued work but issued no command.
+        pub idle_with_work: u64 => McIdleWithWork,
+        /// Cycles spent in refresh-drain mode (closing banks / waiting).
+        pub refresh_mode_cycles: u64 => McRefreshModeCycles,
+    }
 }
 
 impl McStats {
-    /// Field-wise accumulation: folds another controller's counters
-    /// into this one (multi-channel totals; `avg_read_latency` on the
-    /// merged struct is then the correctly weighted mean).
-    pub fn accumulate(&mut self, o: &McStats) {
-        self.reads_done += o.reads_done;
-        self.writes_done += o.writes_done;
-        self.read_latency_sum += o.read_latency_sum;
-        self.rfms_issued += o.rfms_issued;
-        self.abo_stall_cycles += o.abo_stall_cycles;
-        self.idle_with_work += o.idle_with_work;
-        self.refresh_mode_cycles += o.refresh_mode_cycles;
-    }
-
     /// Mean read latency in cycles.
     #[must_use]
     pub fn avg_read_latency(&self) -> f64 {
@@ -135,20 +124,6 @@ impl McStats {
         } else {
             self.read_latency_sum as f64 / self.reads_done as f64
         }
-    }
-
-    /// Publishes these counters onto a metrics registry under the
-    /// `mc.*` namespace. The struct stays the source of truth; the
-    /// registry copy exists for unified snapshot export (DESIGN.md
-    /// §11), so this overwrites rather than accumulates.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(Counter::McReadsDone, self.reads_done);
-        reg.set_counter(Counter::McWritesDone, self.writes_done);
-        reg.set_counter(Counter::McReadLatencySum, self.read_latency_sum);
-        reg.set_counter(Counter::McRfmsIssued, self.rfms_issued);
-        reg.set_counter(Counter::McAboStallCycles, self.abo_stall_cycles);
-        reg.set_counter(Counter::McIdleWithWork, self.idle_with_work);
-        reg.set_counter(Counter::McRefreshModeCycles, self.refresh_mode_cycles);
     }
 }
 
@@ -211,10 +186,9 @@ pub struct MemoryController {
     /// stale entries are unreachable by construction). Sized to the
     /// bank count once so the hot path does no allocation.
     row_scratch: Vec<u32>,
-    /// Observability sink: the per-cycle stat increments (including the
-    /// fast-path replication) mirror into its typed counters, and the
-    /// read-latency histogram records here. Disabled by default, which
-    /// keeps uninstrumented runs bit-identical.
+    /// Observability sink: the read-latency histogram records here.
+    /// Counters live in `stats` only. Disabled by default, which keeps
+    /// uninstrumented runs bit-identical.
     sink: MetricsSink,
 }
 
@@ -261,10 +235,9 @@ impl MemoryController {
     }
 
     /// Enables observability on the controller *and* its DRAM device:
-    /// stat increments mirror into typed registry counters, command
-    /// latencies record into histograms, and the device traces protocol
-    /// events. Enabling changes no simulated behaviour — only what gets
-    /// recorded alongside it.
+    /// command latencies record into histograms and the device traces
+    /// protocol events. Enabling changes no simulated behaviour — only
+    /// what gets recorded alongside it.
     pub fn enable_metrics(&mut self, cfg: SinkConfig) {
         self.sink = MetricsSink::enabled(cfg);
         self.dram.enable_metrics(cfg);
@@ -276,62 +249,6 @@ impl MemoryController {
     #[must_use]
     pub fn metrics(&self) -> &MetricsSink {
         &self.sink
-    }
-
-    /// Exports the controller's [`McStats`] onto the sink's registry
-    /// and asks the device to do the same for its side. In debug
-    /// builds, first cross-checks the incrementally maintained registry
-    /// counters against the stats struct — the shadow recount that
-    /// validates the fast-path replication (DESIGN.md §11).
-    pub fn export_metrics(&mut self) {
-        if !self.sink.is_enabled() {
-            return;
-        }
-        #[cfg(debug_assertions)]
-        {
-            if let Some(reg) = self.sink.registry() {
-                debug_assert_eq!(
-                    reg.counter(Counter::McAboStallCycles),
-                    self.stats.abo_stall_cycles,
-                    "registry abo_stall_cycles diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McRefreshModeCycles),
-                    self.stats.refresh_mode_cycles,
-                    "registry refresh_mode_cycles diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McIdleWithWork),
-                    self.stats.idle_with_work,
-                    "registry idle_with_work diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McReadsDone),
-                    self.stats.reads_done,
-                    "registry reads_done diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McReadLatencySum),
-                    self.stats.read_latency_sum,
-                    "registry read_latency_sum diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McWritesDone),
-                    self.stats.writes_done,
-                    "registry writes_done diverged from McStats"
-                );
-                debug_assert_eq!(
-                    reg.counter(Counter::McRfmsIssued),
-                    self.stats.rfms_issued,
-                    "registry rfms_issued diverged from McStats"
-                );
-            }
-        }
-        let stats = self.stats;
-        if let Some(reg) = self.sink.registry_mut() {
-            stats.export_metrics(reg);
-        }
-        self.dram.export_metrics();
     }
 
     /// The DRAM device (for stats and oracle queries).
@@ -398,7 +315,6 @@ impl MemoryController {
                 s.writes.push_back(p);
                 idx.writes.on_enqueue(bank, hit);
                 self.stats.writes_done += 1;
-                self.sink.add(Counter::McWritesDone, 1);
             }
         }
         idx.invalidate();
@@ -487,25 +403,13 @@ impl MemoryController {
             let abo_stalled = self.abo_stalled(sc, now);
             let in_refresh = !abo_stalled && now >= s.next_ref;
             let has_work = !s.reads.is_empty() || !s.writes.is_empty();
-            // Shadow recount (debug builds): re-derive the same
-            // classification by walking `tick_subchannel_inner`'s mode
-            // ladder, so any drift between the replication above and
-            // the sequential tick's accounting trips immediately.
-            debug_assert_eq!(
-                (abo_stalled, in_refresh, has_work),
-                self.shadow_noop_class(sc, now),
-                "fast-path stat classification diverged from the sequential tick (sc{sc} @ {now})"
-            );
             if abo_stalled {
                 self.stats.abo_stall_cycles += 1;
-                self.sink.add(Counter::McAboStallCycles, 1);
             } else if in_refresh {
                 self.stats.refresh_mode_cycles += 1;
-                self.sink.add(Counter::McRefreshModeCycles, 1);
             }
             if has_work {
                 self.stats.idle_with_work += 1;
-                self.sink.add(Counter::McIdleWithWork, 1);
             }
             return Ok(false);
         }
@@ -516,7 +420,6 @@ impl MemoryController {
         let issued = self.tick_subchannel_inner(sc, now, completions)?;
         if had_work && !issued {
             self.stats.idle_with_work += 1;
-            self.sink.add(Counter::McIdleWithWork, 1);
         }
         if !issued {
             // A full tick found nothing to do: cache when something
@@ -526,24 +429,6 @@ impl MemoryController {
             self.idx[sc as usize].store_wake(wake, now);
         }
         Ok(issued)
-    }
-
-    /// Re-derives the fast path's per-cycle stat classification by
-    /// walking [`MemoryController::tick_subchannel_inner`]'s sequential
-    /// mode ladder (ABO stall first, then refresh drain; work presence
-    /// is independent), without consulting the scheduler index. Only
-    /// invoked from a `debug_assert!` — the shadow recount that
-    /// validates the fast-path replication (DESIGN.md §11); release
-    /// builds optimize it away.
-    fn shadow_noop_class(&self, sc: u32, now: Cycle) -> (bool, bool, bool) {
-        let s = &self.subs[sc as usize];
-        // Ladder step 1: past the ABO normal window the tick stalls —
-        // but only when recovery stalls the whole sub-channel.
-        let abo = self.abo_stalled(sc, now);
-        // Step 2: refresh drain, reached only when not ABO-stalled.
-        let refresh = !abo && now >= s.next_ref;
-        let work = !(s.reads.is_empty() && s.writes.is_empty());
-        (abo, refresh, work)
     }
 
     /// Whether `sc` sits in the sub-channel-wide ABO stall at `now`:
@@ -824,14 +709,11 @@ impl MemoryController {
             let abo_stalled = self.abo_stalled(sc as u32, from);
             if abo_stalled {
                 self.stats.abo_stall_cycles += cycles;
-                self.sink.add(Counter::McAboStallCycles, cycles);
             } else if from >= s.next_ref {
                 self.stats.refresh_mode_cycles += cycles;
-                self.sink.add(Counter::McRefreshModeCycles, cycles);
             }
             if had_work {
                 self.stats.idle_with_work += cycles;
-                self.sink.add(Counter::McIdleWithWork, cycles);
             }
         }
     }
@@ -859,7 +741,6 @@ impl MemoryController {
                     // Sub-channel scope — or an injected ALERT naming
                     // no bank, which only a full-width RFM can clear.
                     self.stats.abo_stall_cycles += 1;
-                    self.sink.add(Counter::McAboStallCycles, 1);
                     if self.close_one_open_bank(sc, now)? {
                         return Ok(true);
                     }
@@ -873,7 +754,6 @@ impl MemoryController {
                         self.dram.rfm(sc, now)?;
                         self.idx[sc as usize].invalidate();
                         self.stats.rfms_issued += 1;
-                        self.sink.add(Counter::McRfmsIssued, 1);
                         return Ok(true);
                     }
                     return Ok(false);
@@ -896,7 +776,6 @@ impl MemoryController {
                     self.dram.rfm_banks(sc, targets, now)?;
                     self.idx[sc as usize].invalidate();
                     self.stats.rfms_issued += 1;
-                    self.sink.add(Counter::McRfmsIssued, 1);
                     return Ok(true);
                 }
                 // Recovery is waiting on a timing gate: keep the
@@ -907,7 +786,6 @@ impl MemoryController {
         // 2. Refresh, when due.
         if now >= self.subs[sc as usize].next_ref {
             self.stats.refresh_mode_cycles += 1;
-            self.sink.add(Counter::McRefreshModeCycles, 1);
             if self.close_one_open_bank(sc, now)? {
                 return Ok(true);
             }
@@ -1271,7 +1149,6 @@ impl MemoryController {
         } else {
             let done = self.dram.read(sc, p.addr.bank.bank, now)?;
             self.stats.reads_done += 1;
-            self.sink.add(Counter::McReadsDone, 1);
             // A completion earlier than the request's arrival is an
             // ordering bug (a scheduler or device regression); clamping
             // it to zero latency would silently poison the latency
@@ -1289,7 +1166,6 @@ impl MemoryController {
                 )));
             };
             self.stats.read_latency_sum += latency;
-            self.sink.add(Counter::McReadLatencySum, latency);
             self.sink.record(Hist::ReadLatency, sc, latency);
             completions.push(Completion { id: p.id, at: done });
         }
@@ -1427,17 +1303,7 @@ impl Snapshottable for MemoryController {
     fn save_state(&self, w: &mut SnapshotWriter) {
         self.dram.save_state(w);
         self.rng.save_state(w);
-        for v in [
-            self.stats.reads_done,
-            self.stats.writes_done,
-            self.stats.read_latency_sum,
-            self.stats.rfms_issued,
-            self.stats.abo_stall_cycles,
-            self.stats.idle_with_work,
-            self.stats.refresh_mode_cycles,
-        ] {
-            w.put_u64(v);
-        }
+        self.stats.save_state(w);
         w.put_usize(self.subs.len());
         let save_queue = |q: &VecDeque<Pending>, w: &mut SnapshotWriter| {
             w.put_usize(q.len());
@@ -1469,13 +1335,7 @@ impl Snapshottable for MemoryController {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
         self.dram.load_state(r)?;
         self.rng.load_state(r)?;
-        self.stats.reads_done = r.take_u64()?;
-        self.stats.writes_done = r.take_u64()?;
-        self.stats.read_latency_sum = r.take_u64()?;
-        self.stats.rfms_issued = r.take_u64()?;
-        self.stats.abo_stall_cycles = r.take_u64()?;
-        self.stats.idle_with_work = r.take_u64()?;
-        self.stats.refresh_mode_cycles = r.take_u64()?;
+        self.stats.load_state(r)?;
         let n = r.take_usize()?;
         if n != self.subs.len() {
             return Err(MopacError::snapshot(format!(

@@ -11,7 +11,7 @@ use mopac_dram::flip::{FlipPlaneConfig, FlipStats};
 use mopac_memctrl::controller::{AccessKind, McConfig, MemRequest, MemoryController, PagePolicy};
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
-use mopac_types::obs::{Gauge, Hist, MetricsSink, MetricsSnapshot, SinkConfig};
+use mopac_types::obs::{MetricsSink, MetricsSnapshot, SinkConfig};
 use mopac_types::time::Cycle;
 use mopac_workloads::attack::AttackPattern;
 
@@ -321,19 +321,15 @@ impl<'p> AttackRun<'p> {
 
     /// Drains the metrics sink into a merged [`MetricsSnapshot`] (see
     /// [`run_attack_instrumented`]); `None` when metrics are disabled.
-    pub fn metrics_snapshot(&mut self, sink_cfg: SinkConfig) -> Option<MetricsSnapshot> {
-        self.mc.export_metrics();
-        let mut merged = MetricsSink::enabled(sink_cfg);
-        merged.absorb(self.mc.metrics());
-        merged.absorb(self.mc.dram().metrics());
-        merged.set_gauge(Gauge::Cycles, self.now);
-        merged.set_gauge(Gauge::McQueued, self.mc.queued() as u64);
-        merged.set_gauge(Gauge::OracleViolations, self.mc.dram().violations());
-        let srq_max = merged
-            .registry()
-            .map_or(0, |r| r.hist_merged(Hist::SrqOccupancy).max());
-        merged.set_gauge(Gauge::EngineSrqOccupancyMax, srq_max);
-        merged.snapshot()
+    pub fn metrics_snapshot(&self, sink_cfg: SinkConfig) -> Option<MetricsSnapshot> {
+        if !self.mc.metrics().is_enabled() {
+            return None;
+        }
+        crate::shard::metrics_snapshot(
+            std::slice::from_ref(&self.mc),
+            MetricsSink::enabled(sink_cfg),
+            self.now,
+        )
     }
 
     /// Serializes the full run state at the current step boundary.

@@ -14,8 +14,12 @@
 //!
 //! [`DramDevice`]: mopac_dram::device::DramDevice
 
+use mopac::bank::MitigationStats;
+use mopac_dram::device::DramStats;
+use mopac_dram::flip::FlipStats;
 use mopac_memctrl::controller::{AccessKind, Completion, McStats, MemRequest, MemoryController};
 use mopac_types::error::MopacResult;
+use mopac_types::obs::{Gauge, Hist, MetricsSink, MetricsSnapshot};
 use mopac_types::time::Cycle;
 
 /// The per-channel memory controllers of one system, ticked serially
@@ -48,6 +52,12 @@ impl ChannelSet {
     /// restore).
     pub fn channel_mut(&mut self, ch: u32) -> &mut MemoryController {
         &mut self.mcs[ch as usize]
+    }
+
+    /// The controllers in channel order.
+    #[must_use]
+    pub fn controllers(&self) -> &[MemoryController] {
+        &self.mcs
     }
 
     /// Iterates the controllers in channel order.
@@ -150,6 +160,50 @@ impl ChannelSet {
     pub fn refreshes(&self) -> u64 {
         self.mcs.iter().map(|mc| mc.dram().stats().refreshes).sum()
     }
+}
+
+/// The one metrics export of a set of channels at cycle `now`, onto
+/// `merged` (which may already hold the caller's own counters and
+/// sinks). In channel order it absorbs each controller's and device's
+/// sink (histograms, trace events, sink-only counters) and runs the
+/// engines' `record_metrics` hooks; then it writes the channel-summed
+/// stats structs and the snapshot-time gauges. Shared by
+/// [`crate::System::metrics_snapshot`] and
+/// [`crate::AttackRun::metrics_snapshot`].
+pub(crate) fn metrics_snapshot(
+    mcs: &[MemoryController],
+    mut merged: MetricsSink,
+    now: Cycle,
+) -> Option<MetricsSnapshot> {
+    let mut mc = McStats::default();
+    let mut dram = DramStats::default();
+    let mut mitigation = MitigationStats::default();
+    let mut flip = FlipStats::default();
+    for m in mcs {
+        merged.absorb(m.metrics());
+        merged.absorb(m.dram().metrics());
+        m.dram().record_metrics(&mut merged);
+        mc.accumulate(&m.stats());
+        dram.accumulate(&m.dram().stats());
+        mitigation.accumulate(&m.dram().mitigation_stats());
+        flip.accumulate(&m.dram().flip_stats());
+    }
+    merged.set_counters(mc.counters());
+    merged.set_counters(dram.counters());
+    merged.set_counters(mitigation.counters());
+    merged.set_counters(flip.counters());
+    let queued: usize = mcs.iter().map(MemoryController::queued).sum();
+    merged.set_gauge(Gauge::Cycles, now);
+    merged.set_gauge(Gauge::McQueued, queued as u64);
+    merged.set_gauge(
+        Gauge::OracleViolations,
+        mcs.iter().map(|m| m.dram().violations()).sum(),
+    );
+    let srq_max = merged
+        .registry()
+        .map_or(0, |r| r.hist_merged(Hist::SrqOccupancy).max());
+    merged.set_gauge(Gauge::EngineSrqOccupancyMax, srq_max);
+    merged.snapshot()
 }
 
 #[cfg(test)]

@@ -19,19 +19,19 @@ use crate::fault::{CorruptingTrace, FaultInjector, FaultPlan};
 use crate::shard::ChannelSet;
 use mopac::config::MitigationConfig;
 use mopac_cpu::core::{Core, CoreParams};
-use mopac_cpu::llc::{CacheAccess, Llc};
+use mopac_cpu::llc::{CacheAccess, Llc, LlcStats};
 use mopac_cpu::prefetch::StreamPrefetcher;
 use mopac_cpu::trace::TraceSource;
 use mopac_dram::device::{DramConfig, DramDevice, DramStats};
-use mopac_memctrl::controller::{AccessKind, Completion, McConfig, MemRequest, MemoryController};
+use mopac_memctrl::controller::{
+    AccessKind, Completion, McConfig, McStats, MemRequest, MemoryController,
+};
 use mopac_memctrl::mapping::{AddressMapper, Mapping};
 use mopac_types::addr::PhysAddr;
 use mopac_types::collections::DetMap;
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
-use mopac_types::obs::{
-    Counter, Gauge, Hist, MetricsRegistry, MetricsSink, MetricsSnapshot, SinkConfig,
-};
+use mopac_types::obs::{Counter, MetricsSink, MetricsSnapshot, SinkConfig};
 use mopac_types::snapshot::{expect_exhausted, SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::Cycle;
 use std::cmp::Reverse;
@@ -130,26 +130,16 @@ pub struct CoreResult {
     pub ipc: f64,
 }
 
-/// Prefetcher effectiveness counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Prefetch requests sent to memory.
-    pub issued: u64,
-    /// Demand reads fully absorbed by a completed prefetch.
-    pub hits: u64,
-    /// Demand reads that piggybacked on an in-flight prefetch.
-    pub late_hits: u64,
-}
-
-impl PrefetchStats {
-    /// Publishes these counters onto a metrics registry under the
-    /// `prefetch.*` namespace. The struct stays the source of truth;
-    /// this overwrites the registry copies at export time (DESIGN.md
-    /// §11).
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(Counter::PrefetchIssued, self.issued);
-        reg.set_counter(Counter::PrefetchHits, self.hits);
-        reg.set_counter(Counter::PrefetchLateHits, self.late_hits);
+mopac_types::counter_struct! {
+    /// Prefetcher effectiveness counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PrefetchStats {
+        /// Prefetch requests sent to memory.
+        pub issued: u64 => PrefetchIssued,
+        /// Demand reads fully absorbed by a completed prefetch.
+        pub hits: u64 => PrefetchHits,
+        /// Demand reads that piggybacked on an in-flight prefetch.
+        pub late_hits: u64 => PrefetchLateHits,
     }
 }
 
@@ -425,10 +415,6 @@ pub struct System {
     /// would have.
     last_retired: u64,
     last_progress_at: Cycle,
-    /// Progress-source bitmask of the last step, for the
-    /// `MOPAC_TRACE_KERNEL` diagnostic trace: 1 fault event, 2 DRAM
-    /// command, 4 completion delivery, 8 fetch, 16 retire.
-    dbg_sources: u32,
     /// System-level kernel metrics (sync rounds). Kept out of
     /// [`System::snapshot`] deliberately: kernel bookkeeping is not
     /// simulation state, and the two kernels take different numbers of
@@ -534,7 +520,6 @@ impl System {
             injector,
             last_retired: 0,
             last_progress_at: 0,
-            dbg_sources: 0,
             kernel_sink,
         })
     }
@@ -545,13 +530,22 @@ impl System {
     /// # Errors
     ///
     /// See [`System::run`].
-    pub fn run_with_mc_stats(
-        self,
-    ) -> MopacResult<(RunResult, mopac_memctrl::controller::McStats)> {
+    pub fn run_with_mc_stats(self) -> MopacResult<(RunResult, McStats)> {
         let mut me = self;
         let result = me.run_inner()?;
-        let stats = me.chans.stats();
-        Ok((result, stats))
+        Ok((result, me.mc_stats()))
+    }
+
+    /// Channel-summed controller statistics.
+    #[must_use]
+    pub fn mc_stats(&self) -> McStats {
+        self.chans.stats()
+    }
+
+    /// LLC statistics (`None` when [`SystemConfig::use_llc`] is off).
+    #[must_use]
+    pub fn llc_stats(&self) -> Option<LlcStats> {
+        self.llc.as_ref().map(Llc::stats)
     }
 
     /// Like [`System::run`] but also returns the merged metrics
@@ -567,40 +561,20 @@ impl System {
         Ok((result, snapshot))
     }
 
-    /// Exports every subsystem's statistics onto the sinks and returns
-    /// one merged [`MetricsSnapshot`]: controller counters + latency
-    /// histograms, device counters + protocol trace events + per-bank
-    /// engine histograms, LLC and prefetcher counters, and the
-    /// system-level gauges. Returns `None` when metrics are disabled.
-    pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
-        let sink_cfg = self.cfg.metrics?;
-        let mut merged = MetricsSink::enabled(sink_cfg);
-        // Channel-index order keeps the merged snapshot (counters,
-        // histogram merges, trace-ring interleaving) deterministic.
-        for mc in self.chans.iter_mut() {
-            mc.export_metrics();
-        }
-        for mc in self.chans.iter() {
-            merged.absorb(mc.metrics());
-            merged.absorb(mc.dram().metrics());
-        }
+    /// Returns one merged [`MetricsSnapshot`]: every channel's
+    /// controller and device sinks (latency histograms, protocol trace
+    /// events, per-bank engine histograms), the channel-summed stats
+    /// structs, the LLC and prefetcher counters, the kernel's sync
+    /// rounds and the system-level gauges. Returns `None` when metrics
+    /// are disabled.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let mut merged = MetricsSink::enabled(self.cfg.metrics?);
         merged.absorb(&self.kernel_sink);
-        let pf = self.pf_stats;
-        let llc = self.llc.as_ref().map(Llc::stats);
-        if let Some(reg) = merged.registry_mut() {
-            pf.export_metrics(reg);
-            if let Some(stats) = llc {
-                stats.export_metrics(reg);
-            }
+        merged.set_counters(self.pf_stats.counters());
+        if let Some(llc) = self.llc_stats() {
+            merged.set_counters(llc.counters());
         }
-        merged.set_gauge(Gauge::Cycles, self.now);
-        merged.set_gauge(Gauge::McQueued, self.chans.queued() as u64);
-        merged.set_gauge(Gauge::OracleViolations, self.chans.violations());
-        let srq_max = merged
-            .registry()
-            .map_or(0, |r| r.hist_merged(Hist::SrqOccupancy).max());
-        merged.set_gauge(Gauge::EngineSrqOccupancyMax, srq_max);
-        merged.snapshot()
+        crate::shard::metrics_snapshot(self.chans.controllers(), merged, self.now)
     }
 
     /// Runs to completion (all cores reach the instruction budget) and
@@ -654,14 +628,6 @@ impl System {
         let budget = self.cfg.instrs_per_core;
         let n_cores = self.drivers.len();
         let event_driven = self.cfg.kernel == KernelMode::EventDriven;
-        // Diagnostic mode (`MOPAC_PARANOID_SKIP=1`): instead of jumping
-        // over a skip region, tick through it and panic on the first
-        // cycle that makes progress — i.e. on any wake the event kernel
-        // would have computed too late. Used by the equivalence suite's
-        // failure triage; costs lockstep speed.
-        let paranoid = event_driven
-            && std::env::var("MOPAC_PARANOID_SKIP").is_ok_and(|v| v == "1");
-        let mut pending_skip: Option<Cycle> = None;
         // Consecutive zero-progress steps. The wake computation
         // (`skip_target`) scans both sub-channel queues, which costs
         // more than a lockstep tick; under a saturated bus most stalls
@@ -676,7 +642,6 @@ impl System {
         // next iteration, after the pause check.
         let mut jump: Option<Jump> = None;
         let mut finished = 0usize;
-        let trace_kernel = std::env::var("MOPAC_TRACE_KERNEL").is_ok_and(|v| v == "1");
         while finished < n_cores {
             // Pause boundary: between full cycles every invariant the
             // snapshot relies on holds (scratch empty, no half-delivered
@@ -703,30 +668,6 @@ impl System {
                 None => {}
             }
             let progress = self.step()?;
-            if trace_kernel && progress {
-                let retired: u64 = self.drivers.iter().map(|d| d.core.retired()).sum();
-                let credit: f64 = self.drivers.iter().map(|d| d.fetch_credit).sum();
-                eprintln!(
-                    "K {} s={:02b} r={retired} q={} i={} fc={credit:.3}",
-                    self.now - 1,
-                    self.dbg_sources,
-                    self.chans.queued(),
-                    self.inflight.len(),
-                );
-            }
-            if let Some(t) = pending_skip {
-                assert!(
-                    !(progress && self.now - 1 < t),
-                    "late wake: progress at cycle {} inside skip region ending at {t} \
-                     (queued {}, inflight {})",
-                    self.now - 1,
-                    self.chans.queued(),
-                    self.inflight.len(),
-                );
-                if self.now >= t {
-                    pending_skip = None;
-                }
-            }
             finished = self
                 .drivers
                 .iter_mut()
@@ -741,7 +682,7 @@ impl System {
             // controller tick, the completion heap, and the fault
             // injector — all provably idle until the earliest external
             // wake — instead of full `step`s.
-            if event_driven && !paranoid && progress && finished < n_cores {
+            if event_driven && progress && finished < n_cores {
                 let bound = self.quiescent_bound();
                 if bound >= 16 {
                     let prev = self.now - 1;
@@ -761,13 +702,7 @@ impl System {
             }
             stall_streak = if progress { 0 } else { stall_streak + 1 };
             if event_driven && !progress && stall_streak >= 2 {
-                if let Some(target) = self.skip_target(self.last_progress_at) {
-                    if paranoid {
-                        pending_skip = Some(target);
-                    } else {
-                        jump = Some(Jump::Skip(target));
-                    }
-                }
+                jump = self.skip_target(self.last_progress_at).map(Jump::Skip);
             }
         }
         let cores = self
@@ -902,9 +837,7 @@ impl System {
         w.put_u64(self.now);
         w.put_u64(self.last_retired);
         w.put_u64(self.last_progress_at);
-        w.put_u64(self.pf_stats.issued);
-        w.put_u64(self.pf_stats.hits);
-        w.put_u64(self.pf_stats.late_hits);
+        self.pf_stats.save_state(&mut w);
         w.put_usize(self.drivers.len());
         for d in &self.drivers {
             w.begin_section(SNAP_DRIVER);
@@ -1021,9 +954,7 @@ impl System {
         self.now = r.take_u64()?;
         self.last_retired = r.take_u64()?;
         self.last_progress_at = r.take_u64()?;
-        self.pf_stats.issued = r.take_u64()?;
-        self.pf_stats.hits = r.take_u64()?;
-        self.pf_stats.late_hits = r.take_u64()?;
+        self.pf_stats.load_state(&mut r)?;
         let cores = r.take_usize()?;
         if cores != self.drivers.len() {
             return Err(MopacError::snapshot(format!(
@@ -1116,7 +1047,6 @@ impl System {
     fn step(&mut self) -> MopacResult<bool> {
         let now = self.now;
         let mut progress = false;
-        self.dbg_sources = 0;
         // Scheduled faults fire before the controllers see the cycle.
         // The injector's addressing predates the channel dimension, so
         // its events land on channel 0 (which is the whole machine in a
@@ -1126,15 +1056,11 @@ impl System {
             inj.apply(now, self.chans.channel_mut(0))?;
             progress |= inj.applied() != before;
         }
-        if progress {
-            self.dbg_sources |= 1;
-        }
         // Every channel's controller issues commands, in channel order;
         // reads may complete.
         self.scratch.clear();
         if self.chans.tick_all(now, &mut self.scratch)? > 0 {
             progress = true;
-            self.dbg_sources |= 2;
         }
         self.kernel_sink.add(Counter::KernelSyncRounds, 1);
         for c in self.scratch.drain(..) {
@@ -1143,7 +1069,6 @@ impl System {
         // Deliver due completions (demand loads and prefetches).
         while let Some(c) = self.inflight.pop_due(now) {
             progress = true;
-            self.dbg_sources |= 4;
             let d = &mut self.drivers[(c.id >> 48) as usize];
             if let Some(line) = d.pf_by_id.remove(c.id) {
                 if let Some(entry) = d.pf_lines.get_mut(line) {
@@ -1165,13 +1090,11 @@ impl System {
         for k in 0..n {
             if self.fetch_core((start + k) % n, now) {
                 progress = true;
-                self.dbg_sources |= 8;
             }
         }
         for d in &mut self.drivers {
             if d.core.retire() > 0 {
                 progress = true;
-                self.dbg_sources |= 16;
             }
         }
         self.now += 1;

@@ -3,8 +3,8 @@
 //! This crate holds the vocabulary used by every other crate in the
 //! workspace: DRAM geometry and component identifiers ([`geometry`]),
 //! physical addresses ([`addr`]), simulation time ([`time`]), deterministic
-//! random-number generation ([`rng`]), and lightweight statistics
-//! ([`stats`]).
+//! random-number generation ([`rng`]), and the metrics registry and
+//! stats-struct declarations ([`obs`]).
 //!
 //! # Examples
 //!
@@ -30,7 +30,6 @@ pub mod obs;
 pub mod persist;
 pub mod rng;
 pub mod snapshot;
-pub mod stats;
 pub mod time;
 
 pub use addr::{DecodedAddr, PhysAddr};

@@ -27,10 +27,15 @@
 //!   (counters, gauges, histogram percentiles, trace events) that can
 //!   cross campaign threads and serialize to CSV or JSONL.
 //!
-//! The legacy stats structs (`McStats`, `DramStats`, …) remain the
-//! source of truth for their public fields — which is what makes the
-//! disabled-mode bit-identity invariant trivial — and export themselves
-//! onto a registry via `Counter` entries when a snapshot is taken. See
+//! The stats structs (`McStats`, `DramStats`, `MitigationStats`,
+//! `FlipStats`, `LlcStats`, `PrefetchStats`) are the only store for
+//! their counters — which is what makes the disabled-mode bit-identity
+//! invariant trivial. Each is declared through
+//! [`counter_struct!`](crate::counter_struct), whose one
+//! `field => Counter` list derives `accumulate`, the registry export
+//! ([`MetricsSink::set_counters`]) and the snapshot encoding. The
+//! registry holds only the counters no struct owns (blocked-bank
+//! cycles, subarray-parallel updates, sync rounds, trace drops). See
 //! DESIGN.md §11.
 
 use crate::error::{MopacError, MopacResult};
@@ -232,6 +237,81 @@ impl Counter {
             Counter::KernelSyncRounds => "kernel.sync_rounds",
         }
     }
+}
+
+/// Declares a stats struct whose fields are all `u64` [`Counter`]s.
+///
+/// Each field is written `pub name: u64 => CounterVariant,` — the one
+/// place that pairs it with its registry counter. From that list the
+/// macro derives the struct, an inherent `accumulate` (field-wise sum),
+/// an inherent `counters` (every `(Counter, value)` pair in declaration
+/// order, for [`MetricsSink::set_counters`]) and a
+/// [`Snapshottable`](crate::snapshot::Snapshottable) impl that encodes
+/// the fields as `u64`s in declaration order.
+///
+/// ```
+/// mopac_types::counter_struct! {
+///     /// Two LLC counters.
+///     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///     pub struct Demo {
+///         /// Accesses.
+///         pub accesses: u64 => LlcAccesses,
+///         /// Misses.
+///         pub misses: u64 => LlcMisses,
+///     }
+/// }
+/// let mut a = Demo { accesses: 3, misses: 1 };
+/// a.accumulate(&Demo { accesses: 2, misses: 2 });
+/// let pairs: Vec<_> = a.counters().map(|(c, v)| (c.name(), v)).collect();
+/// assert_eq!(pairs, [("llc.accesses", 5), ("llc.misses", 3)]);
+/// ```
+#[macro_export]
+macro_rules! counter_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                pub $field:ident: u64 => $counter:ident,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $(
+                $(#[$field_meta])*
+                pub $field: u64,
+            )*
+        }
+
+        impl $name {
+            /// Field-wise accumulation: folds another instance's
+            /// counters into this one (per-bank or per-channel totals).
+            pub fn accumulate(&mut self, o: &Self) {
+                $(self.$field += o.$field;)*
+            }
+
+            /// Every field paired with its registry counter, in
+            /// declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = ($crate::obs::Counter, u64)> {
+                [$(($crate::obs::Counter::$counter, self.$field)),*].into_iter()
+            }
+        }
+
+        impl $crate::snapshot::Snapshottable for $name {
+            fn save_state(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $(w.put_u64(self.$field);)*
+            }
+
+            fn load_state(
+                &mut self,
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> $crate::error::MopacResult<()> {
+                $(self.$field = r.take_u64()?;)*
+                Ok(())
+            }
+        }
+    };
 }
 
 /// Typed gauges (point-in-time values, overwritten on set).
@@ -854,10 +934,15 @@ impl MetricsSink {
         self.0.as_deref().map(|i| &i.registry)
     }
 
-    /// Mutable access to the live registry, if enabled (stats-struct
-    /// export at snapshot time).
-    pub fn registry_mut(&mut self) -> Option<&mut MetricsRegistry> {
-        self.0.as_deref_mut().map(|i| &mut i.registry)
+    /// Overwrites counters with the given values: the export of a
+    /// [`counter_struct!`](crate::counter_struct) (its `counters()`)
+    /// onto the registry.
+    pub fn set_counters(&mut self, counters: impl IntoIterator<Item = (Counter, u64)>) {
+        if let Some(inner) = self.0.as_deref_mut() {
+            for (c, v) in counters {
+                inner.registry.set_counter(c, v);
+            }
+        }
     }
 
     /// The live trace ring, if enabled.

@@ -4,7 +4,6 @@ use mopac_types::addr::PhysAddr;
 use mopac_types::check::prop_check;
 use mopac_types::prop_ensure;
 use mopac_types::rng::DetRng;
-use mopac_types::stats::Histogram;
 use mopac_types::time::MemClock;
 
 #[test]
@@ -58,30 +57,6 @@ fn cycles_cover_duration() {
         prop_ensure!(
             clk.cycles_to_ns(cycles) + 1e-6 >= ns,
             "{cycles} cycles under-provision {ns}ns"
-        );
-        Ok(())
-    });
-}
-
-#[test]
-fn histogram_totals_conserved() {
-    prop_check("histogram_totals_conserved", 128, |rng| {
-        let n = 1 + rng.below(199) as usize;
-        let values: Vec<u64> = (0..n).map(|_| rng.below(10_000)).collect();
-        let mut h = Histogram::new(64, 16);
-        for &v in &values {
-            h.record(v);
-        }
-        let bucket_sum: u64 = (0..h.num_buckets()).map(|i| h.bucket_count(i)).sum();
-        prop_ensure!(
-            bucket_sum + h.overflow() == values.len() as u64,
-            "bucket sum {bucket_sum} + overflow {} != {}",
-            h.overflow(),
-            values.len()
-        );
-        prop_ensure!(
-            h.count_at_or_above(0) == values.len() as u64,
-            "count_at_or_above(0) mismatch"
         );
         Ok(())
     });

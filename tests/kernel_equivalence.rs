@@ -12,16 +12,19 @@
 
 use mopac::config::MitigationConfig;
 use mopac_cpu::trace::{ReplayTrace, TraceRecord, TraceSource};
+use mopac_dram::flip::{FlipPlaneConfig, FlipStats, TrhDistribution};
 use mopac_memctrl::controller::{McStats, PagePolicy};
+use mopac_sim::attack::{AttackConfig, AttackRun};
 use mopac_sim::experiment::build_traces;
 use mopac_sim::fault::{FaultKind, FaultPlan};
 use mopac_sim::system::{KernelMode, RunResult, System, SystemConfig};
 use mopac_types::addr::PhysAddr;
 use mopac_types::error::MopacError;
-use mopac_types::geometry::DramGeometry;
-use mopac_types::obs::{Hist, SinkConfig};
+use mopac_types::geometry::{BankRef, DramGeometry};
+use mopac_types::obs::{Counter, Hist, MetricsSnapshot, SinkConfig};
 use mopac_types::rng::DetRng;
 use mopac_types::time::Cycle;
+use mopac_workloads::attack::DoubleSidedHammer;
 
 fn tiny_cfg(mit: MitigationConfig, instrs: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(mit, instrs);
@@ -225,13 +228,31 @@ fn stats_equivalence_under_random_fault_plans() {
 /// The observability invariant (DESIGN.md §11): enabling the metrics
 /// sink changes *nothing* about the simulation — same `RunResult` bit
 /// for bit (RNG streams included), under both kernels, with an ABO
-/// storm active. And the exported registry copies must mirror the
-/// stats structs exactly, including the read-latency histogram whose
-/// count/sum replicate the controller's latency accounting.
+/// storm active, on two channels. And the one export must equal the
+/// stats structs: every counter every struct declares (iterated through
+/// the structs' own `counters()` lists) matches the metrics-off run's
+/// channel-summed struct, as do the read-latency histogram's count and
+/// sum. A flip-plane attack cell covers `FlipStats` through
+/// `AttackRun::metrics_snapshot`.
 #[test]
 fn metrics_sink_does_not_perturb_the_simulation() {
+    fn assert_exported(snapshot: &MetricsSnapshot, expected: Vec<(Counter, u64)>, label: &str) {
+        for (c, v) in expected {
+            assert_eq!(
+                snapshot.counter(c.name()),
+                Some(v),
+                "{} ({label})",
+                c.name()
+            );
+        }
+    }
     for kernel in [KernelMode::Lockstep, KernelMode::EventDriven] {
         let mut cfg = tiny_cfg(MitigationConfig::mopac_d(500), 20_000);
+        cfg.geometry = DramGeometry {
+            channels: 2,
+            ..DramGeometry::tiny()
+        };
+        cfg.use_llc = true;
         cfg.kernel = kernel;
         cfg.fault_plan = Some(FaultPlan::new(0xAB0).with(
             1_000,
@@ -242,10 +263,10 @@ fn metrics_sink_does_not_perturb_the_simulation() {
             },
         ));
         let traces = build_traces("xz", &cfg).unwrap();
-        let (off, off_mc) = System::new(cfg.clone(), traces)
-            .unwrap()
-            .run_with_mc_stats()
-            .unwrap();
+        let mut off_sys = System::new(cfg.clone(), traces).unwrap();
+        let off = off_sys.run_to_completion().unwrap();
+        let off_mc = off_sys.mc_stats();
+        let off_llc = off_sys.llc_stats().expect("the LLC is on");
 
         let mut on_cfg = cfg.clone();
         on_cfg.metrics = Some(SinkConfig::default());
@@ -257,28 +278,67 @@ fn metrics_sink_does_not_perturb_the_simulation() {
         let snapshot = snapshot.expect("metrics were enabled");
 
         assert_eq!(off, on, "metrics sink changed the simulation ({kernel:?})");
-        assert_eq!(snapshot.counter("mc.reads_done"), Some(off_mc.reads_done));
-        assert_eq!(snapshot.counter("mc.writes_done"), Some(off_mc.writes_done));
-        assert_eq!(
-            snapshot.counter("mc.read_latency_sum"),
-            Some(off_mc.read_latency_sum)
+        assert!(
+            snapshot.events.iter().any(|e| e.channel == 1),
+            "channel 1 saw no traffic; the cross-channel sum went untested"
         );
-        assert_eq!(
-            snapshot.counter("mc.abo_stall_cycles"),
-            Some(off_mc.abo_stall_cycles)
-        );
-        assert_eq!(snapshot.counter("dram.activates"), Some(off.dram.activates));
-        assert_eq!(snapshot.counter("dram.rfms"), Some(off.dram.rfms));
-        assert_eq!(
-            snapshot.counter("engine.mitigations"),
-            Some(off.mitigation.mitigations)
-        );
+        let expected = off_mc
+            .counters()
+            .chain(off.dram.counters())
+            .chain(off.mitigation.counters())
+            .chain(FlipStats::default().counters())
+            .chain(off_llc.counters())
+            .chain(off.prefetch.counters())
+            .collect();
+        assert_exported(&snapshot, expected, &format!("{kernel:?}"));
         let lat = snapshot
             .hist_merged(Hist::ReadLatency)
             .expect("reads were recorded");
-        assert_eq!(lat.count, off_mc.reads_done, "latency hist count ({kernel:?})");
-        assert_eq!(lat.sum, off_mc.read_latency_sum, "latency hist sum ({kernel:?})");
+        assert_eq!(
+            lat.count, off_mc.reads_done,
+            "latency hist count ({kernel:?})"
+        );
+        assert_eq!(
+            lat.sum, off_mc.read_latency_sum,
+            "latency hist sum ({kernel:?})"
+        );
     }
+
+    let cfg = AttackConfig {
+        geometry: DramGeometry::tiny(),
+        flip: Some(
+            FlipPlaneConfig::new(TrhDistribution::Uniform { lo: 20, hi: 120 })
+                .with_flip_probability(0.5),
+        ),
+        ..AttackConfig::new(MitigationConfig::prac(500), 200_000)
+    };
+    let attack = |sink: Option<SinkConfig>| {
+        let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
+        let mut run = AttackRun::new(&cfg, &mut pattern);
+        if let Some(s) = sink {
+            run.enable_metrics(s);
+        }
+        run.run_until(run.end()).unwrap();
+        run.verify_readback();
+        let snapshot = sink.and_then(|s| run.metrics_snapshot(s));
+        (run.result(), run.dram().mitigation_stats(), snapshot)
+    };
+    let (off, off_mitigation, _) = attack(None);
+    let (on, _, snapshot) = attack(Some(SinkConfig::default()));
+    let snapshot = snapshot.expect("metrics were enabled");
+    assert_eq!((off.dram, off.flip), (on.dram, on.flip), "metrics sink changed the attack");
+    assert!(
+        off.flip.bit_flips > 0 && off.flip.corrupted_reads > 0,
+        "the flip cell corrupted nothing: {:?}",
+        off.flip
+    );
+    let expected = off
+        .dram
+        .counters()
+        .chain(off_mitigation.counters())
+        .chain(off.flip.counters())
+        .collect();
+    assert_exported(&snapshot, expected, "prac/double-sided/flip");
 }
 
 /// A single-core, long-gap workload is almost entirely idle — the
