@@ -9,6 +9,11 @@
 //! stream — device, controller, engines, RNGs and all) plus the final
 //! run statistics, per pre-existing engine × kernel.
 //!
+//! A second golden file, `flip_bit_identity.txt`, pins the same kind of
+//! digest for attack runs with the victim-data flip plane enabled, with
+//! and without the checker, so the `FLP1` snapshot section and the flip
+//! verdicts are fixed too.
+//!
 //! Regenerate (only legitimate when a PR intentionally changes the
 //! snapshot format or simulation behavior) with:
 //!
@@ -16,12 +21,16 @@
 //! MOPAC_WRITE_GOLDENS=1 cargo test -p mopac-sim --test bit_identity_goldens
 //! ```
 
+use mopac::config::MitigationConfig;
+use mopac_dram::flip::{EccMode, FlipPlaneConfig, TrhDistribution};
+use mopac_sim::attack::{AttackConfig, AttackRun};
 use mopac_sim::experiment::{build_traces, mitigation_preset};
 use mopac_sim::system::{KernelMode, System, SystemConfig};
-use mopac_types::geometry::DramGeometry;
+use mopac_types::geometry::{BankRef, DramGeometry};
 use mopac_types::snapshot::fnv1a64;
+use mopac_workloads::attack::DoubleSidedHammer;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The engines that existed before the subarray refactor. `practical`
 /// is deliberately absent: it is the engine the refactor introduces,
@@ -40,6 +49,10 @@ fn golden_path() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/sim; the goldens live next to the
     // workspace-level tests.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/bit_identity.txt")
+}
+
+fn flip_golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/flip_bit_identity.txt")
 }
 
 /// One golden line: mid-run snapshot digest + end-of-run statistics.
@@ -87,22 +100,28 @@ fn pre_refactor_engines_match_goldens() {
             lines.push(golden_line(engine, kernel));
         }
     }
-    let mut rendered = String::from(
+    check_goldens(
+        &golden_path(),
         "# engine,kernel,snapshot_fnv1a64,cycles,activates,reads,rfms,refreshes,\
-         mitigations,violations,avg_read_latency_bits\n",
+         mitigations,violations,avg_read_latency_bits",
+        &lines,
     );
-    for l in &lines {
+}
+
+/// Renders `lines` under `header` and compares them with the golden file
+/// at `path`, or rewrites the file under `MOPAC_WRITE_GOLDENS=1`.
+fn check_goldens(path: &Path, header: &str, lines: &[String]) {
+    let mut rendered = format!("{header}\n");
+    for l in lines {
         let _ = writeln!(rendered, "{l}");
     }
-
-    let path = golden_path();
     if std::env::var("MOPAC_WRITE_GOLDENS").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
+        std::fs::write(path, &rendered).unwrap();
         eprintln!("wrote {}", path.display());
         return;
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing goldens at {} ({e}); generate with MOPAC_WRITE_GOLDENS=1",
             path.display()
@@ -115,16 +134,84 @@ fn pre_refactor_engines_match_goldens() {
     assert_eq!(
         golden_lines.len(),
         lines.len(),
-        "golden file has {} rows, expected {}",
+        "golden file {} has {} rows, expected {}",
+        path.display(),
         golden_lines.len(),
         lines.len()
     );
     for (got, want) in lines.iter().zip(&golden_lines) {
-        assert_eq!(
-            got, want,
-            "bit-identity regression vs pre-refactor golden \
-             (format: engine,kernel,digest,cycles,activates,reads,rfms,refreshes,\
-             mitigations,violations,latency_bits)"
-        );
+        assert_eq!(got, want, "bit-identity regression vs golden ({header})");
     }
+}
+
+/// One flip-plane golden line: an attack run on the tiny geometry with
+/// the victim-data plane on, hammering double-sided around `victim`.
+/// Records the FNV-1a-64 digest of a mid-run [`AttackRun::snapshot`]
+/// (device, checker section and `FLP1` flip section included), the
+/// digest of the final snapshot after the readback pass, and the final
+/// oracle and flip-plane verdicts.
+fn flip_golden_line(label: &str, mitigation: MitigationConfig, victim: u32) -> String {
+    const CYCLES: u64 = 200_000;
+    let cfg = AttackConfig {
+        geometry: DramGeometry::tiny(),
+        flip: Some(
+            FlipPlaneConfig::new(TrhDistribution::Uniform { lo: 20, hi: 120 })
+                .with_flip_probability(0.5)
+                .with_ecc(EccMode::Sec),
+        ),
+        ..AttackConfig::new(mitigation, CYCLES)
+    };
+    let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), victim);
+    let mut run = AttackRun::new(&cfg, &mut pattern);
+    run.run_until(CYCLES / 2).unwrap();
+    let mid = fnv1a64(&run.snapshot());
+    run.run_until(CYCLES).unwrap();
+    run.verify_readback();
+    let end = fnv1a64(&run.snapshot());
+    let r = run.result();
+    let records = run
+        .dram()
+        .violation_records()
+        .iter()
+        .fold(String::new(), |mut s, v| {
+            let _ = write!(s, "{}>{}@{};", v.row, v.victim, v.count);
+            s
+        });
+    format!(
+        "{label},{victim},{mid:016x},{end:016x},{},{},{},{},{},{records}",
+        r.activations,
+        r.violations,
+        r.flip.bit_flips,
+        r.flip.ecc_corrections,
+        r.flip.corrupted_reads,
+    )
+}
+
+/// Pins the flip-plane snapshot bytes (`FLP1`) and verdicts. `prac`
+/// tracks, so its snapshots carry both the checker section and `FLP1`;
+/// `baseline` does not, so its snapshots carry `FLP1` alone.
+/// `prac-noalert` (T_RH 200, alert threshold out of reach) never
+/// mitigates, so the oracle records violations. Victim 1
+/// makes row 0 an aggressor (the bottom edge slot), victim 100 is
+/// interior, and the victim below the top row makes row 1023 an
+/// aggressor (the top edge slot).
+#[test]
+fn flip_plane_cells_match_goldens() {
+    let cells = [
+        ("prac", MitigationConfig::prac(500)),
+        ("baseline", MitigationConfig::baseline()),
+        ("prac-noalert", MitigationConfig::prac(200).with_alert_threshold(100_000)),
+    ];
+    let mut lines = Vec::new();
+    for (label, mitigation) in cells {
+        for victim in [1, 100, DramGeometry::tiny().rows_per_bank - 2] {
+            lines.push(flip_golden_line(label, mitigation, victim));
+        }
+    }
+    check_goldens(
+        &flip_golden_path(),
+        "# engine,victim,mid_snapshot_fnv1a64,final_snapshot_fnv1a64,activations,\
+         violations,bit_flips,ecc_corrections,corrupted_reads,violation_records",
+        &lines,
+    );
 }
