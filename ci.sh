@@ -121,12 +121,15 @@ if [[ $fast -eq 0 ]]; then
     exit 1
   fi
 
-  # Flip-plane zero-cost gate: with the victim-data plane disabled
-  # (every committed config), all engines × both kernels must stay
-  # byte-identical to the committed goldens in
-  # tests/goldens/bit_identity.txt — snapshot bytes included, so the
-  # plane's disabled cost is provably zero.
-  step "flip-disabled bit-identity goldens (release)"
+  # Bit-identity goldens. With the victim-data plane disabled (every
+  # committed config), all engines × both kernels must stay
+  # byte-identical to tests/goldens/bit_identity.txt — snapshot bytes
+  # included, so the plane's disabled cost is provably zero. With the
+  # plane enabled, attack runs with and without the checker must match
+  # tests/goldens/flip_bit_identity.txt: the checker and FLP1 snapshot
+  # sections, both written from the one disturbance store, plus the
+  # oracle and flip verdicts.
+  step "bit-identity goldens, flip plane off and on (release)"
   cargo test -q -p mopac-sim --test bit_identity_goldens --release
 
   # Crash-safety gate 1: kill-and-resume. Run the checkpointed fault

@@ -1,23 +1,29 @@
-//! The Rowhammer security oracle.
+//! The Rowhammer security oracle and the per-bank disturbance store it
+//! reads.
 //!
 //! Per the paper's threat model (Section 2.1): *"We declare an attack to
 //! be successful when any row receives more than the threshold number of
 //! activations without any intervening mitigation or refresh."*
 //!
 //! We make the oracle rigorous by tracking, for every row `R`, the
-//! damage it has inflicted on each adjacent victim separately:
+//! damage it has inflicted on each adjacent victim separately, in one
+//! [`Disturbance`] store per bank:
 //!
 //! * `up[R]` — activations of `R` since the row above (`R+1`) was last
 //!   refreshed;
 //! * `dn[R]` — activations of `R` since the row below (`R-1`) was last
 //!   refreshed.
 //!
-//! A violation is recorded when either counter exceeds `T_RH`. Refreshing
-//! a row `V` (periodic REF or a victim refresh during mitigation) resets
-//! `up[V-1]` and `dn[V+1]`, because `V`'s accumulated disturbance is
-//! restored. This oracle is independent of the mitigation engines — it
-//! observes the same event stream and cross-checks them.
+//! Refreshing a row `V` (periodic REF or a victim refresh during
+//! mitigation) resets `up[V-1]` and `dn[V+1]`, because `V`'s accumulated
+//! disturbance is restored. The store reports every count it raises to a
+//! [`DisturbanceView`]. The [`Oracle`] view records a violation when a
+//! count exceeds `T_RH`; it is independent of the mitigation engines —
+//! it observes the same event stream and cross-checks them. The
+//! victim-data flip plane (`mopac_dram::flip`) is the second view.
 
+use mopac_types::snapshot::{SnapshotReader, SnapshotWriter};
+use mopac_types::{MopacError, MopacResult};
 use std::ops::Range;
 
 /// A recorded security violation.
@@ -31,7 +37,309 @@ pub struct Violation {
     pub count: u32,
 }
 
-/// Security oracle for one bank.
+/// Which neighbour of a victim a unit of disturbance came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// From the lower neighbour (`victim - 1`).
+    Lo = 0,
+    /// From the upper neighbour (`victim + 1`).
+    Hi = 1,
+}
+
+/// A reader of the [`Disturbance`] store's reports.
+pub trait DisturbanceView {
+    /// An activation raised `victim`'s disturbance from `side` to
+    /// `count`. Only victims that physically exist are reported.
+    fn disturbed(&mut self, victim: u32, side: Side, count: u32);
+
+    /// `row` itself was refreshed.
+    fn refreshed(&mut self, _row: u32) {}
+}
+
+/// A bank's two optional views, each fed every report in turn.
+impl<A: DisturbanceView, B: DisturbanceView> DisturbanceView
+    for (Option<&mut A>, Option<&mut B>)
+{
+    fn disturbed(&mut self, victim: u32, side: Side, count: u32) {
+        if let Some(a) = &mut self.0 {
+            a.disturbed(victim, side, count);
+        }
+        if let Some(b) = &mut self.1 {
+            b.disturbed(victim, side, count);
+        }
+    }
+
+    fn refreshed(&mut self, row: u32) {
+        if let Some(a) = &mut self.0 {
+            a.refreshed(row);
+        }
+        if let Some(b) = &mut self.1 {
+            b.refreshed(row);
+        }
+    }
+}
+
+/// How a snapshot section indexes the store's two sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Indexing {
+    /// By aggressor: `up`, then `dn`, edge slots included.
+    Aggressor,
+    /// By victim: counts from the lower, then from the upper neighbour;
+    /// the edge slots toward nonexistent rows are dropped.
+    Victim,
+}
+
+/// The per-bank disturbance store (see the module docs).
+#[derive(Debug, Clone)]
+pub struct Disturbance {
+    up: Box<[u32]>,
+    dn: Box<[u32]>,
+}
+
+impl Disturbance {
+    /// A clean store for a bank with `rows` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is zero.
+    #[must_use]
+    pub fn new(rows: u32) -> Self {
+        assert!(rows > 0, "a bank needs at least one row");
+        Self {
+            up: vec![0; rows as usize].into_boxed_slice(),
+            dn: vec![0; rows as usize].into_boxed_slice(),
+        }
+    }
+
+    /// Rows in the bank.
+    #[must_use]
+    pub fn rows(&self) -> u32 {
+        self.up.len() as u32
+    }
+
+    /// Records an activation of `row` (including victim-refresh
+    /// activations, which disturb *their* neighbours too) and reports
+    /// the victim above, then the one below.
+    ///
+    /// This is the one place the bank-edge rule lives: the top row has
+    /// no `row + 1` victim and row 0 no `row - 1`. (The edge slots still
+    /// accumulate — keeping the counter stream identical across
+    /// configurations — but never reach a view.) Increments saturate so
+    /// a multi-billion-activation soak can't wrap a `u32` and silently
+    /// reset a victim's budget.
+    pub fn activate(&mut self, row: u32, view: &mut impl DisturbanceView) {
+        let i = row as usize;
+        self.up[i] = self.up[i].saturating_add(1);
+        self.dn[i] = self.dn[i].saturating_add(1);
+        if i + 1 < self.up.len() {
+            view.disturbed(row + 1, Side::Lo, self.up[i]);
+        }
+        if row > 0 {
+            view.disturbed(row - 1, Side::Hi, self.dn[i]);
+        }
+    }
+
+    /// Records that `row` itself was refreshed (periodic REF or victim
+    /// refresh): its neighbours' budgets toward it reset.
+    pub fn refresh_row(&mut self, row: u32, view: &mut impl DisturbanceView) {
+        if row > 0 {
+            self.up[row as usize - 1] = 0;
+        }
+        if (row as usize) + 1 < self.dn.len() {
+            self.dn[row as usize + 1] = 0;
+        }
+        view.refreshed(row);
+    }
+
+    /// Records a periodic REF covering `rows`.
+    pub fn refresh_range(&mut self, rows: Range<u32>, view: &mut impl DisturbanceView) {
+        for r in rows {
+            self.refresh_row(r, view);
+        }
+    }
+
+    /// Records a mitigation of aggressor `row` with the given blast
+    /// radius: victims on both sides are refreshed. The victim-refresh
+    /// activations themselves are counted as activations of the victims.
+    pub fn mitigate(&mut self, row: u32, blast_radius: u32, view: &mut impl DisturbanceView) {
+        for d in 1..=blast_radius {
+            if row >= d {
+                self.refresh_row(row - d, view);
+                self.activate(row - d, view);
+            }
+            if ((row + d) as usize) < self.up.len() {
+                self.refresh_row(row + d, view);
+                self.activate(row + d, view);
+            }
+        }
+    }
+
+    /// The maximum per-victim exposure currently accumulated anywhere in
+    /// the bank. The edge slots are excluded: they point at rows that
+    /// don't exist, so whatever they accumulated exposes no real victim.
+    #[must_use]
+    pub fn max_exposure(&self) -> u32 {
+        let [(_, up), (_, dn)] = self.sides(Indexing::Victim);
+        up.iter().chain(dn).copied().max().unwrap_or(0)
+    }
+
+    /// Each side's slots, with the row index its first slot is written
+    /// under. By victim, `up[a]` disturbs row `a + 1` and `dn[a + 1]`
+    /// row `a`.
+    #[must_use]
+    pub fn sides(&self, ix: Indexing) -> [(u32, &[u32]); 2] {
+        let last = self.up.len() - 1;
+        match ix {
+            Indexing::Aggressor => [(0, &self.up[..]), (0, &self.dn[..])],
+            Indexing::Victim => [(1, &self.up[..last]), (0, &self.dn[1..])],
+        }
+    }
+
+    /// Writes both sides sparsely: per side, the count of non-zero
+    /// slots, then `(row, count)` pairs in row order.
+    pub fn save_sides(&self, w: &mut SnapshotWriter, ix: Indexing) {
+        for (first, side) in self.sides(ix) {
+            w.put_usize(side.iter().filter(|&&c| c != 0).count());
+            for (i, &c) in (first..).zip(side) {
+                if c != 0 {
+                    w.put_u32(i);
+                    w.put_u32(c);
+                }
+            }
+        }
+    }
+
+    /// Replaces the store with sides written by [`Self::save_sides`].
+    /// Slots a [`Indexing::Victim`] section cannot hold come back 0.
+    ///
+    /// # Errors
+    ///
+    /// [`MopacError::Snapshot`] on a row outside the bank or truncated
+    /// input.
+    pub fn load_sides(&mut self, r: &mut SnapshotReader<'_>, ix: Indexing) -> MopacResult<()> {
+        self.up.fill(0);
+        self.dn.fill(0);
+        let last = self.up.len() - 1;
+        let sides: [(u32, &mut [u32]); 2] = match ix {
+            Indexing::Aggressor => [(0, &mut self.up[..]), (0, &mut self.dn[..])],
+            Indexing::Victim => [(1, &mut self.up[..last]), (0, &mut self.dn[1..])],
+        };
+        for (first, side) in sides {
+            for _ in 0..r.take_usize()? {
+                let i = r.take_u32()?;
+                let slot = i.checked_sub(first).and_then(|j| side.get_mut(j as usize));
+                let err = || MopacError::snapshot(format!("disturbance row {i} out of range"));
+                *slot.ok_or_else(err)? = r.take_u32()?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// How many distinct violation records to keep for diagnostics.
+const MAX_RECORDED: usize = 16;
+
+/// The oracle's view of the store: violations of one `T_RH`.
+#[derive(Debug, Clone)]
+pub struct Oracle {
+    t_rh: u32,
+    violations: u64,
+    first_violations: Vec<Violation>,
+}
+
+impl Oracle {
+    /// An oracle enforcing `t_rh`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_rh` is zero.
+    #[must_use]
+    pub fn new(t_rh: u32) -> Self {
+        assert!(t_rh > 0, "threshold must be positive");
+        Self { t_rh, violations: 0, first_violations: Vec::new() }
+    }
+
+    /// Number of violation events recorded so far.
+    #[must_use]
+    pub fn violations(&self) -> u64 {
+        self.violations
+    }
+
+    /// The first few distinct violations, for diagnostics.
+    #[must_use]
+    pub fn violation_records(&self) -> &[Violation] {
+        &self.first_violations
+    }
+
+    /// Writes the checker snapshot section: threshold, rows, `store` by
+    /// aggressor, then the violations.
+    pub fn save_section(&self, store: &Disturbance, w: &mut SnapshotWriter) {
+        w.put_u32(self.t_rh);
+        w.put_usize(store.up.len());
+        store.save_sides(w, Indexing::Aggressor);
+        w.put_u64(self.violations);
+        w.put_usize(self.first_violations.len());
+        for v in &self.first_violations {
+            w.put_u32(v.row);
+            w.put_u32(v.victim);
+            w.put_u32(v.count);
+        }
+    }
+
+    /// Reads a [`Self::save_section`] section into this oracle and
+    /// `store`.
+    ///
+    /// # Errors
+    ///
+    /// [`MopacError::Snapshot`] on a shape mismatch or corrupt input.
+    pub fn load_section(
+        &mut self,
+        store: &mut Disturbance,
+        r: &mut SnapshotReader<'_>,
+    ) -> MopacResult<()> {
+        let err = MopacError::snapshot;
+        let t_rh = r.take_u32()?;
+        let rows = r.take_usize()?;
+        if t_rh != self.t_rh || rows != store.up.len() {
+            return Err(err(format!(
+                "checker shape mismatch: snapshot t_rh={t_rh}/rows={rows}, \
+                 configured t_rh={}/rows={}",
+                self.t_rh,
+                store.up.len()
+            )));
+        }
+        store.load_sides(r, Indexing::Aggressor)?;
+        self.violations = r.take_u64()?;
+        let n = r.take_usize()?;
+        if n > MAX_RECORDED {
+            return Err(err(format!("checker holds {n} violation records, max {MAX_RECORDED}")));
+        }
+        self.first_violations.clear();
+        for _ in 0..n {
+            self.first_violations.push(Violation {
+                row: r.take_u32()?,
+                victim: r.take_u32()?,
+                count: r.take_u32()?,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl DisturbanceView for Oracle {
+    fn disturbed(&mut self, victim: u32, side: Side, count: u32) {
+        if count > self.t_rh {
+            self.violations += 1;
+            if self.first_violations.len() < MAX_RECORDED {
+                let row = if side == Side::Lo { victim - 1 } else { victim + 1 };
+                self.first_violations.push(Violation { row, victim, count });
+            }
+        }
+    }
+}
+
+/// Security oracle for one bank: a [`Disturbance`] store read by an
+/// [`Oracle`].
 ///
 /// # Examples
 ///
@@ -48,15 +356,9 @@ pub struct Violation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RowhammerChecker {
-    t_rh: u32,
-    up: Box<[u32]>,
-    dn: Box<[u32]>,
-    violations: u64,
-    first_violations: Vec<Violation>,
+    store: Disturbance,
+    oracle: Oracle,
 }
-
-/// How many distinct violation records to keep for diagnostics.
-const MAX_RECORDED: usize = 16;
 
 impl RowhammerChecker {
     /// Creates a checker for a bank with `rows` rows and threshold
@@ -67,184 +369,45 @@ impl RowhammerChecker {
     /// Panics if `rows` or `t_rh` is zero.
     #[must_use]
     pub fn new(rows: u32, t_rh: u32) -> Self {
-        assert!(rows > 0 && t_rh > 0, "rows and threshold must be positive");
-        Self {
-            t_rh,
-            up: vec![0; rows as usize].into_boxed_slice(),
-            dn: vec![0; rows as usize].into_boxed_slice(),
-            violations: 0,
-            first_violations: Vec::new(),
-        }
+        Self { store: Disturbance::new(rows), oracle: Oracle::new(t_rh) }
     }
 
-    /// The threshold being enforced.
-    #[must_use]
-    pub fn t_rh(&self) -> u32 {
-        self.t_rh
-    }
-
-    /// Records an activation of `row` (including victim-refresh
-    /// activations, which disturb *their* neighbours too).
-    ///
-    /// Both sides are recorded only when the victim physically exists:
-    /// the top row has no `row + 1` neighbour and row 0 has no
-    /// `row - 1`. (The edge slots still accumulate — keeping the
-    /// counter stream identical across configurations — but they can
-    /// never produce a violation or exposure report.) Increments
-    /// saturate so a multi-billion-activation soak can't wrap a `u32`
-    /// and silently reset a victim's budget.
+    /// See [`Disturbance::activate`].
     pub fn on_activate(&mut self, row: u32) {
-        let i = row as usize;
-        self.up[i] = self.up[i].saturating_add(1);
-        self.dn[i] = self.dn[i].saturating_add(1);
-        if self.up[i] > self.t_rh && i + 1 < self.up.len() {
-            self.record(row, row + 1, self.up[i]);
-        }
-        if self.dn[i] > self.t_rh && row > 0 {
-            self.record(row, row - 1, self.dn[i]);
-        }
+        self.store.activate(row, &mut self.oracle);
     }
 
-    /// Records that `row` itself was refreshed (periodic REF or victim
-    /// refresh): its accumulated disturbance is restored, so its
-    /// neighbours' budgets toward it reset.
+    /// See [`Disturbance::refresh_row`].
     pub fn on_refresh_row(&mut self, row: u32) {
-        if row > 0 {
-            self.up[row as usize - 1] = 0;
-        }
-        if (row as usize) + 1 < self.dn.len() {
-            self.dn[row as usize + 1] = 0;
-        }
+        self.store.refresh_row(row, &mut self.oracle);
     }
 
-    /// Records a periodic REF covering `rows`.
+    /// See [`Disturbance::refresh_range`].
     pub fn on_refresh_range(&mut self, rows: Range<u32>) {
-        for r in rows {
-            self.on_refresh_row(r);
-        }
+        self.store.refresh_range(rows, &mut self.oracle);
     }
 
-    /// Records a mitigation of aggressor `row` with the given blast
-    /// radius: victims on both sides are refreshed. The victim-refresh
-    /// activations themselves are counted as activations of the victims.
+    /// See [`Disturbance::mitigate`].
     pub fn on_mitigate(&mut self, row: u32, blast_radius: u32) {
-        for d in 1..=blast_radius {
-            if row >= d {
-                let v = row - d;
-                self.on_refresh_row(v);
-                self.on_activate(v);
-            }
-            let v = row + d;
-            if (v as usize) < self.up.len() {
-                self.on_refresh_row(v);
-                self.on_activate(v);
-            }
-        }
+        self.store.mitigate(row, blast_radius, &mut self.oracle);
     }
 
-    /// Number of violation events recorded so far.
+    /// See [`Oracle::violations`].
     #[must_use]
     pub fn violations(&self) -> u64 {
-        self.violations
+        self.oracle.violations
     }
 
-    /// The first few distinct violations, for diagnostics.
+    /// See [`Oracle::violation_records`].
     #[must_use]
     pub fn violation_records(&self) -> &[Violation] {
-        &self.first_violations
+        &self.oracle.first_violations
     }
 
-    /// The maximum per-victim exposure currently accumulated anywhere in
-    /// the bank.
-    ///
-    /// Excludes the top row's `up` slot and row 0's `dn` slot: those
-    /// point at rows that don't exist, so whatever they accumulated is
-    /// not exposure of any real victim.
+    /// See [`Disturbance::max_exposure`].
     #[must_use]
     pub fn max_exposure(&self) -> u32 {
-        let last = self.up.len() - 1;
-        self.up[..last]
-            .iter()
-            .chain(self.dn[1..].iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn record(&mut self, row: u32, victim: u32, count: u32) {
-        self.violations += 1;
-        if self.first_violations.len() < MAX_RECORDED {
-            self.first_violations.push(Violation { row, victim, count });
-        }
-    }
-}
-
-impl mopac_types::snapshot::Snapshottable for RowhammerChecker {
-    /// The exposure arrays serialize sparsely (non-zero entries only),
-    /// like the PRAC counters they mirror.
-    fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_u32(self.t_rh);
-        w.put_usize(self.up.len());
-        for side in [&self.up, &self.dn] {
-            let nonzero = side.iter().filter(|&&c| c != 0).count();
-            w.put_usize(nonzero);
-            for (i, &c) in side.iter().enumerate() {
-                if c != 0 {
-                    w.put_u32(i as u32);
-                    w.put_u32(c);
-                }
-            }
-        }
-        w.put_u64(self.violations);
-        w.put_usize(self.first_violations.len());
-        for v in &self.first_violations {
-            w.put_u32(v.row);
-            w.put_u32(v.victim);
-            w.put_u32(v.count);
-        }
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut mopac_types::snapshot::SnapshotReader<'_>,
-    ) -> mopac_types::MopacResult<()> {
-        let err = mopac_types::MopacError::snapshot;
-        let t_rh = r.take_u32()?;
-        let rows = r.take_usize()?;
-        if t_rh != self.t_rh || rows != self.up.len() {
-            return Err(err(format!(
-                "checker shape mismatch: snapshot t_rh={t_rh}/rows={rows}, \
-                 configured t_rh={}/rows={}",
-                self.t_rh,
-                self.up.len()
-            )));
-        }
-        for side in [&mut self.up, &mut self.dn] {
-            side.fill(0);
-            let n = r.take_usize()?;
-            for _ in 0..n {
-                let i = r.take_u32()? as usize;
-                let c = r.take_u32()?;
-                let slot = side
-                    .get_mut(i)
-                    .ok_or_else(|| err(format!("checker row {i} out of range")))?;
-                *slot = c;
-            }
-        }
-        self.violations = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n > MAX_RECORDED {
-            return Err(err(format!("checker holds {n} violation records, max {MAX_RECORDED}")));
-        }
-        self.first_violations.clear();
-        for _ in 0..n {
-            self.first_violations.push(Violation {
-                row: r.take_u32()?,
-                victim: r.take_u32()?,
-                count: r.take_u32()?,
-            });
-        }
-        Ok(())
+        self.store.max_exposure()
     }
 }
 
@@ -412,7 +575,7 @@ mod tests {
 
     #[test]
     fn exposure_saturates_instead_of_wrapping() {
-        use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
+        use mopac_types::snapshot::{SnapshotReader, SnapshotWriter};
         // Preload a near-wrap exposure via the snapshot seam (activating
         // u32::MAX times for real is infeasible in a test).
         let mut ck = RowhammerChecker::new(4, u32::MAX - 10);
@@ -427,7 +590,7 @@ mod tests {
         w.put_usize(0); // records
         let bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes).unwrap();
-        ck.load_state(&mut r).unwrap();
+        ck.oracle.load_section(&mut ck.store, &mut r).unwrap();
         for _ in 0..8 {
             ck.on_activate(1);
         }

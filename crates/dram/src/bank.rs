@@ -1,11 +1,13 @@
-//! One DRAM bank: row state machine, per-command timing gates, and the
-//! embedded mitigation engine + security oracle.
+//! One DRAM bank: row state machine, per-command timing gates, the
+//! embedded mitigation engine, and the disturbance ledger read by the
+//! security oracle and the flip plane.
 
-use crate::flip::FlipPlane;
+use crate::flip::VictimWords;
 use crate::timing::TimingSet;
 use mopac::bank::BankMitigation;
-use mopac::checker::RowhammerChecker;
+use mopac::checker::{Disturbance, Oracle};
 use mopac_types::time::Cycle;
+use std::ops::Range;
 
 /// Which flavour of precharge closes the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,19 +47,23 @@ pub struct Bank {
     /// Earliest cycle a column command may issue (tRCD / tCCD gate).
     col_allowed: Cycle,
     mitigation: BankMitigation,
-    checker: Option<RowhammerChecker>,
+    /// The one per-side disturbance store, present when either view
+    /// below is on. Both views read its reports of every ACT, refresh
+    /// and mitigation.
+    disturbance: Option<Disturbance>,
+    /// Security-oracle view of `disturbance`.
+    checker: Option<Oracle>,
     /// Per-subarray deferred counter-update completion times, indexed
     /// by subarray. Empty for designs without subarray-deferred updates
     /// (the historical flat-bank model — zero bytes of snapshot state).
     cu_ready: Vec<Cycle>,
-    /// Victim-data bit-flip plane, fed the same event stream as the
-    /// checker. `None` (the default) costs zero state and zero
-    /// snapshot bytes.
-    flip: Option<FlipPlane>,
+    /// Victim-data bit-flip view of `disturbance`. `None` (the
+    /// default) costs zero state and zero snapshot bytes.
+    flip: Option<VictimWords>,
 }
 
 impl Bank {
-    /// Creates a closed, idle bank.
+    /// Creates a closed, idle bank of `rows` rows.
     ///
     /// `cu_slots` — number of subarray deferred-update slots to track
     /// (the geometry's `subarrays_per_bank` for engines demanding
@@ -65,11 +71,13 @@ impl Bank {
     #[must_use]
     pub fn new(
         mitigation: BankMitigation,
-        checker: Option<RowhammerChecker>,
+        rows: u32,
+        checker: Option<Oracle>,
         cu_slots: u32,
-        flip: Option<FlipPlane>,
+        flip: Option<VictimWords>,
     ) -> Self {
         Self {
+            disturbance: (checker.is_some() || flip.is_some()).then(|| Disturbance::new(rows)),
             open: None,
             pending_update: false,
             act_allowed: 0,
@@ -169,7 +177,7 @@ impl Bank {
         update_selected: bool,
         base: &TimingSet,
         prac: &TimingSet,
-    ) -> u32 {
+    ) -> u64 {
         debug_assert!(self.open.is_none(), "ACT to open bank");
         debug_assert!(now >= self.act_allowed, "ACT violates tRP/tRFC");
         let t = if update_selected { prac } else { base };
@@ -181,10 +189,26 @@ impl Bank {
         self.col_allowed = now + t.t_rcd;
         self.pre_allowed = now + t.t_ras;
         self.mitigation.on_activate(row, 0.0);
-        if let Some(ck) = self.checker.as_mut() {
-            ck.on_activate(row);
+        let flips = |b: &Self| b.flip.as_ref().map_or(0, |f| f.stats().bit_flips);
+        let before = flips(self);
+        if let Some(d) = self.disturbance.as_mut() {
+            d.activate(row, &mut (self.checker.as_mut(), self.flip.as_mut()));
         }
-        self.flip.as_mut().map_or(0, |f| f.on_activate(row))
+        flips(self) - before
+    }
+
+    /// Cures the disturbance ledger after a REF or RFM: each
+    /// `mitigated` aggressor's victims within `blast` rows are refreshed
+    /// (and their victim-refresh activations counted), then the
+    /// `refreshed` rows are. No-op when both views are off.
+    pub fn cure(&mut self, mitigated: &[u32], blast: u32, refreshed: Range<u32>) {
+        if let Some(d) = self.disturbance.as_mut() {
+            let views = &mut (self.checker.as_mut(), self.flip.as_mut());
+            for &row in mitigated {
+                d.mitigate(row, blast, views);
+            }
+            d.refresh_range(refreshed, views);
+        }
     }
 
     /// Issues a column read; returns the cycle at which data finishes.
@@ -272,26 +296,26 @@ impl Bank {
         &mut self.mitigation
     }
 
-    /// Access to the security oracle, if enabled.
+    /// The disturbance store both views read; `None` when both are off.
     #[must_use]
-    pub fn checker(&self) -> Option<&RowhammerChecker> {
-        self.checker.as_ref()
+    pub fn disturbance(&self) -> Option<&Disturbance> {
+        self.disturbance.as_ref()
     }
 
-    /// Mutable access to the security oracle.
-    pub fn checker_mut(&mut self) -> Option<&mut RowhammerChecker> {
-        self.checker.as_mut()
+    /// Access to the security oracle, if enabled.
+    #[must_use]
+    pub fn checker(&self) -> Option<&Oracle> {
+        self.checker.as_ref()
     }
 
     /// Access to the flip plane, if enabled.
     #[must_use]
-    pub fn flip(&self) -> Option<&FlipPlane> {
+    pub fn flip(&self) -> Option<&VictimWords> {
         self.flip.as_ref()
     }
 
-    /// Mutable access to the flip plane (REF scrubs, read checks,
-    /// mitigation mirroring).
-    pub fn flip_mut(&mut self) -> Option<&mut FlipPlane> {
+    /// Mutable access to the flip plane (read checks, readback sweep).
+    pub fn flip_mut(&mut self) -> Option<&mut VictimWords> {
         self.flip.as_mut()
     }
 }
@@ -312,8 +336,8 @@ impl mopac_types::snapshot::Snapshottable for Bank {
         w.put_u64(self.col_allowed);
         self.mitigation.save_state(w);
         w.put_bool(self.checker.is_some());
-        if let Some(ck) = &self.checker {
-            ck.save_state(w);
+        if let (Some(ck), Some(d)) = (&self.checker, &self.disturbance) {
+            ck.save_section(d, w);
         }
         // Subarray slots are configuration-derived shape: when present,
         // a sentinel guards the section so a cross-shape restore fails
@@ -329,10 +353,12 @@ impl mopac_types::snapshot::Snapshottable for Bank {
         }
         // Flip-plane section: same shape-gated sentinel pattern. A
         // plane-less bank writes nothing, keeping disabled-mode
-        // snapshots byte-identical to the pre-flip-plane format.
-        if let Some(f) = &self.flip {
+        // snapshots byte-identical to the pre-flip-plane format. With
+        // the checker on too, the store is written twice, once per
+        // section layout.
+        if let (Some(f), Some(d)) = (&self.flip, &self.disturbance) {
             w.put_u32(FLIP_SECTION_SENTINEL);
-            f.save_state(w);
+            f.save_section(d, w);
         }
     }
 
@@ -361,8 +387,8 @@ impl mopac_types::snapshot::Snapshottable for Bank {
                 if self.checker.is_some() { "enabled" } else { "disabled" },
             )));
         }
-        if let Some(ck) = self.checker.as_mut() {
-            ck.load_state(r)?;
+        if let (Some(ck), Some(d)) = (self.checker.as_mut(), self.disturbance.as_mut()) {
+            ck.load_section(d, r)?;
         }
         if !self.cu_ready.is_empty() {
             let sentinel = r.take_u32()?;
@@ -383,7 +409,7 @@ impl mopac_types::snapshot::Snapshottable for Bank {
                 *c = r.take_u64()?;
             }
         }
-        if let Some(f) = self.flip.as_mut() {
+        if let (Some(f), Some(d)) = (self.flip.as_mut(), self.disturbance.as_mut()) {
             let sentinel = r.take_u32()?;
             if sentinel != FLIP_SECTION_SENTINEL {
                 return Err(mopac_types::MopacError::snapshot(format!(
@@ -391,7 +417,9 @@ impl mopac_types::snapshot::Snapshottable for Bank {
                      was taken on a flip-plane-disabled configuration"
                 )));
             }
-            f.load_state(r)?;
+            // The checker section already loaded the store; `FLP1` must
+            // then agree with it rather than overwrite it.
+            f.load_section(d, self.checker.is_some(), r)?;
         }
         Ok(())
     }
@@ -406,14 +434,19 @@ const FLIP_SECTION_SENTINEL: u32 = 0x464C_5031; // "FLP1"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flip::{EccMode, FlipPlane, FlipPlaneConfig, TrhDistribution};
+    use mopac::checker::RowhammerChecker;
     use mopac::config::MitigationConfig;
-    use mopac_types::rng::DetRng;
+    use mopac_types::rng::{mix64, DetRng};
+    use mopac_types::snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, Snapshottable};
+    use mopac_types::{MopacError, MopacResult};
 
     fn bank() -> Bank {
         let cfg = MitigationConfig::baseline();
         Bank::new(
             BankMitigation::new(&cfg, 1024, DetRng::from_seed(1)),
-            Some(RowhammerChecker::new(1024, 500)),
+            1024,
+            Some(Oracle::new(500)),
             0,
             None,
         )
@@ -467,6 +500,7 @@ mod tests {
         let cfg = MitigationConfig::practical(500);
         let mut b = Bank::new(
             BankMitigation::new(&cfg, 1024, DetRng::from_seed(1)),
+            1024,
             None,
             4,
             None,
@@ -497,5 +531,139 @@ mod tests {
         b.activate(1, 0, false, &base, &prac);
         let open_cycles = b.precharge(PrechargeKind::Normal, 96, &base, &prac, 1.0 / 3.0);
         assert_eq!(open_cycles, Some(96));
+    }
+
+    const LEDGER_ROWS: u32 = 16;
+
+    fn flip_config() -> FlipPlaneConfig {
+        FlipPlaneConfig::new(TrhDistribution::Uniform { lo: 2, hi: 12 })
+            .with_flip_probability(0.5)
+            .with_ecc(EccMode::Sec)
+    }
+
+    /// A baseline bank with the flip plane on, and the checker when
+    /// `checker` is set.
+    fn ledger_bank(checker: bool) -> Bank {
+        let cfg = MitigationConfig::baseline();
+        Bank::new(
+            BankMitigation::new(&cfg, LEDGER_ROWS, DetRng::from_seed(1)),
+            LEDGER_ROWS,
+            checker.then(|| Oracle::new(6)),
+            0,
+            Some(VictimWords::new(flip_config(), 7)),
+        )
+    }
+
+    /// Opens and closes each row in turn at the earliest legal cycles.
+    fn hammer(b: &mut Bank, rows: &[u32]) {
+        let (base, prac) = (TimingSet::ddr5_base(), TimingSet::ddr5_prac());
+        for &row in rows {
+            let at = b.earliest_activate().unwrap();
+            b.activate(row, at, false, &base, &prac);
+            let pre = b.earliest_precharge().unwrap();
+            b.precharge(PrechargeKind::Normal, pre, &base, &prac, 1.0 / 3.0);
+        }
+    }
+
+    fn save(b: &Bank) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        b.save_state(&mut w);
+        w.finish()
+    }
+
+    fn load(b: &mut Bank, bytes: &[u8]) -> MopacResult<()> {
+        b.load_state(&mut SnapshotReader::new(bytes)?)
+    }
+
+    /// One mixed ACT / REF / mitigate / read stream, biased toward the
+    /// bank's edge rows, drives a bank whose checker and flip plane
+    /// share one store and a standalone checker plus a standalone flip
+    /// plane, each with its own store. Every verdict must agree.
+    #[test]
+    fn shared_store_changes_neither_view() {
+        let mut bank = ledger_bank(true);
+        let mut ck = RowhammerChecker::new(LEDGER_ROWS, 6);
+        let mut fp = FlipPlane::new(flip_config(), LEDGER_ROWS, 7);
+        for i in 0..6_000u64 {
+            let h = mix64(i ^ 0x5EED);
+            let row = match h % 4 {
+                0 => 0,
+                1 => LEDGER_ROWS - 1,
+                _ => ((h >> 8) % u64::from(LEDGER_ROWS)) as u32,
+            };
+            match (h >> 16) % 16 {
+                0 => {
+                    let start = ((h >> 24) % u64::from(LEDGER_ROWS)) as u32;
+                    let end = (start + 4).min(LEDGER_ROWS);
+                    bank.cure(&[], 0, start..end);
+                    ck.on_refresh_range(start..end);
+                    fp.on_refresh_range(start..end);
+                }
+                1 => {
+                    let blast = 1 + ((h >> 24) % 2) as u32;
+                    bank.cure(&[row], blast, 0..0);
+                    ck.on_mitigate(row, blast);
+                    fp.on_mitigate(row, blast);
+                }
+                2 | 3 => {
+                    let shared = bank.flip_mut().unwrap().on_read(row);
+                    assert_eq!(shared, fp.words_mut().on_read(row), "read of row {row} at step {i}");
+                }
+                _ => {
+                    hammer(&mut bank, &[row]);
+                    ck.on_activate(row);
+                    fp.on_activate(row);
+                }
+            }
+        }
+        let oracle = bank.checker().unwrap();
+        assert_eq!(oracle.violations(), ck.violations());
+        assert_eq!(oracle.violation_records(), ck.violation_records());
+        assert_eq!(bank.disturbance().unwrap().max_exposure(), ck.max_exposure());
+        let stats = bank.flip().unwrap().stats();
+        assert_eq!(stats, fp.words().stats());
+        assert!(ck.violations() > 0 && stats.bit_flips > 0 && stats.ecc_corrections > 0);
+        for row in 0..LEDGER_ROWS {
+            let shared = bank.flip_mut().unwrap().on_read(row);
+            assert_eq!(shared, fp.words_mut().on_read(row), "final read of row {row}");
+        }
+    }
+
+    /// With both views on, the store is in the snapshot twice; a `FLP1`
+    /// section whose counts disagree with the checker section's is
+    /// refused with a typed error instead of silently overriding it.
+    #[test]
+    fn flip_section_must_agree_with_checker_section() {
+        let mut b = ledger_bank(true);
+        hammer(&mut b, &[5; 20]);
+        let mut bytes = save(&b);
+        load(&mut ledger_bank(true), &bytes).unwrap();
+        // After the FLP1 sentinel: dist, ecc and rows (u32 each), the
+        // lower side's entry count (u64), then its first (row, count)
+        // pair — victim 6, count 20.
+        let sentinel = FLIP_SECTION_SENTINEL.to_le_bytes();
+        let at = bytes.windows(4).position(|w| w == sentinel).unwrap();
+        let count_at = at + 4 + 12 + 8 + 4;
+        assert_eq!(bytes[count_at], 20);
+        bytes[count_at] ^= 1;
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = load(&mut ledger_bank(true), &bytes).unwrap_err();
+        assert!(matches!(err, MopacError::Snapshot { .. }), "{err:?}");
+        assert!(err.to_string().contains("disagree"), "{err}");
+    }
+
+    /// Without the checker, `FLP1` alone carries the store.
+    #[test]
+    fn flip_only_bank_restores_its_store_from_the_flip_section() {
+        let mut a = ledger_bank(false);
+        hammer(&mut a, &[5; 20]);
+        let mut b = ledger_bank(false);
+        load(&mut b, &save(&a)).unwrap();
+        assert_eq!(b.disturbance().unwrap().max_exposure(), 20);
+        hammer(&mut a, &[5, 6, 0, 15, 5]);
+        hammer(&mut b, &[5, 6, 0, 15, 5]);
+        assert_eq!(save(&a), save(&b));
     }
 }

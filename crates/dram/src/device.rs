@@ -9,10 +9,10 @@
 //! ALERT when a bank needs ABO.
 
 use crate::bank::{Bank, OpenRow, PrechargeKind};
-use crate::flip::{FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome};
+use crate::flip::{FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome, VictimWords};
 use crate::timing::{AboTiming, TimingSet};
 use mopac::bank::AlertCause;
-use mopac::checker::Violation;
+use mopac::checker::{Oracle, Violation};
 use mopac::config::MitigationConfig;
 use mopac::engine::{RecoveryScope, TimingDemands};
 use mopac_types::bankmask::BankMask;
@@ -239,20 +239,15 @@ impl DramDevice {
                         let checker = (cfg.enable_checker && cfg.mitigation.tracks())
                             .then(|| {
                                 // The min() clamp guarantees the cast fits.
-                                let t_rh = cfg.mitigation.t_rh.min(u64::from(u32::MAX)) as u32;
-                                mopac::checker::RowhammerChecker::new(geom.rows_per_bank, t_rh)
+                                Oracle::new(cfg.mitigation.t_rh.min(u64::from(u32::MAX)) as u32)
                             });
                         // Per-bank salts are pure hashes of (seed,
                         // flat bank) — independent of thread count and
                         // construction order.
                         let flip = cfg.flip.map(|fc| {
-                            FlipPlane::new(
-                                fc,
-                                geom.rows_per_bank,
-                                FlipPlane::bank_salt(cfg.seed, flat),
-                            )
+                            VictimWords::new(fc, FlipPlane::bank_salt(cfg.seed, flat))
                         });
-                        Bank::new(mitigation, checker, cu_slots, flip)
+                        Bank::new(mitigation, geom.rows_per_bank, checker, cu_slots, flip)
                     })
                     .collect();
                 SubChannel {
@@ -495,16 +490,7 @@ impl DramDevice {
         update_selected: bool,
     ) -> MopacResult<()> {
         self.check_bank(sc, bank)?;
-        let earliest = self.earliest_activate_row(sc, bank, row);
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command: "ACT",
-                subchannel: sc,
-                bank: Some(bank),
-                at: now,
-                earliest,
-            });
-        }
+        gate("ACT", sc, Some(bank), now, self.earliest_activate_row(sc, bank, row))?;
         // Engines on full PRAC timings update on every close; a PREcu
         // coin engine (MoPAC-C) honors the controller's per-ACT draw.
         let selected = self.demands.always_prac_timings
@@ -552,7 +538,7 @@ impl DramDevice {
                 kind: TraceEventKind::BitFlip,
                 subchannel: sc,
                 bank,
-                value: u64::from(flips),
+                value: flips,
                 subarray: self.cfg.geometry.subarray_of(row),
             });
         }
@@ -584,16 +570,7 @@ impl DramDevice {
         let earliest = self
             .open_row(sc, bank)
             .and_then(|o| self.earliest_column(sc, bank, o.row));
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command,
-                subchannel: sc,
-                bank: Some(bank),
-                at: now,
-                earliest,
-            });
-        }
-        Ok(())
+        gate(command, sc, Some(bank), now, earliest)
     }
 
     /// Issues a read; returns the data-completion cycle.
@@ -655,16 +632,7 @@ impl DramDevice {
     /// the PRE is issued before its timing gate.
     pub fn precharge(&mut self, sc: u32, bank: u32, now: Cycle) -> MopacResult<()> {
         self.check_bank(sc, bank)?;
-        let earliest = self.earliest_precharge(sc, bank);
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command: "PRE",
-                subchannel: sc,
-                bank: Some(bank),
-                at: now,
-                earliest,
-            });
-        }
+        gate("PRE", sc, Some(bank), now, self.earliest_precharge(sc, bank))?;
         let kind = if self.demands.always_prac_timings || self.pending_update(sc, bank) {
             PrechargeKind::CounterUpdate
         } else if self.demands.subarray_parallel_updates {
@@ -757,16 +725,7 @@ impl DramDevice {
     /// open row or a bank's tRP has not elapsed.
     pub fn refresh(&mut self, sc: u32, now: Cycle) -> MopacResult<()> {
         self.check_bank(sc, 0)?;
-        let earliest = self.earliest_refresh(sc);
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command: "REF",
-                subchannel: sc,
-                bank: None,
-                at: now,
-                earliest,
-            });
-        }
+        gate("REF", sc, None, now, self.earliest_refresh(sc))?;
         let t_rfc = self.timing_default().t_rfc;
         let rows_per_group = self.cfg.geometry.rows_per_bank.div_ceil(REFRESH_GROUPS).max(1);
         let rows_per_bank = self.cfg.geometry.rows_per_bank;
@@ -783,47 +742,24 @@ impl DramDevice {
             let svc = b.mitigation_mut().on_ref(start..end);
             deferred += u64::from(svc.counter_updates);
             mitigations += svc.mitigated_rows.len() as u64;
-            if let Some(ck) = b.checker_mut() {
-                // Proactive (REF-piggybacked) mitigations, e.g. QPRAC
-                // draining its priority queue, cure victims just like
-                // ABO-forced ones.
-                for &row in &svc.mitigated_rows {
-                    ck.on_mitigate(row, blast);
-                }
-                ck.on_refresh_range(start..end);
-            }
-            if let Some(f) = b.flip_mut() {
-                for &row in &svc.mitigated_rows {
-                    f.on_mitigate(row, blast);
-                }
-                f.on_refresh_range(start..end);
-            }
+            // Proactive (REF-piggybacked) mitigations, e.g. QPRAC
+            // draining its priority queue, cure victims just like
+            // ABO-forced ones.
+            b.cure(&svc.mitigated_rows, blast, start..end);
         }
         self.stats.refreshes += 1;
         self.stats.deferred_updates += deferred;
         self.stats.mitigations += mitigations;
-        if self.sink.is_enabled() {
-            self.sink.event(TraceEvent {
-                cycle: now,
-                channel: self.cfg.channel,
-                kind: TraceEventKind::Ref,
-                subchannel: sc,
-                bank: 0,
-                value: u64::from(start),
-                subarray: 0,
-            });
-            if mitigations > 0 {
-                self.sink.event(TraceEvent {
-                    cycle: now,
-                    channel: self.cfg.channel,
-                    kind: TraceEventKind::Mitigation,
-                    subchannel: sc,
-                    bank: 0,
-                    value: mitigations,
-                    subarray: 0,
-                });
-            }
-        }
+        self.sink.event(TraceEvent {
+            cycle: now,
+            channel: self.cfg.channel,
+            kind: TraceEventKind::Ref,
+            subchannel: sc,
+            bank: 0,
+            value: u64::from(start),
+            subarray: 0,
+        });
+        self.mitigation_event(now, sc, 0, mitigations);
         self.poll_demands_all(sc);
         self.refresh_alert_line(sc, now);
         Ok(())
@@ -842,100 +778,29 @@ impl DramDevice {
     /// row.
     pub fn rfm(&mut self, sc: u32, now: Cycle) -> MopacResult<()> {
         self.check_bank(sc, 0)?;
-        let earliest = self.earliest_refresh(sc);
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command: "RFM",
-                subchannel: sc,
-                bank: None,
-                at: now,
-                earliest,
-            });
-        }
-        let stall = self.abo.stall + self.rfm_extra_stall;
+        gate("RFM", sc, None, now, self.earliest_refresh(sc))?;
         // Sub-channel-scope recovery stalls every bank, alerting or not.
-        let blocked_bank_cycles = stall * self.sub(sc).banks.len() as u64;
-        // ALERT-to-service latency: how long the pending ABO waited for
-        // this RFM (0 when no ALERT was asserted, e.g. a speculative or
-        // dropped-fault retry).
-        let service_time = self
-            .sub(sc)
-            .alert_since
-            .map_or(0, |a| now.saturating_sub(a));
-        if self.sink.is_enabled() {
-            self.sink.record(Hist::AboServiceTime, sc, service_time);
-            self.sink.event(TraceEvent {
-                cycle: now,
-                channel: self.cfg.channel,
-                kind: TraceEventKind::Rfm,
-                subchannel: sc,
-                bank: 0,
-                value: service_time,
-                subarray: 0,
-            });
+        let mut all = BankMask::empty();
+        for bank in 0..self.sub(sc).banks.len() as u32 {
+            all.set(bank);
         }
-        if self.drop_rfms > 0 {
-            // Dropped-RFM fault: the command occupies the bus and stalls
-            // the sub-channel but never reaches the mitigation engines.
-            self.drop_rfms -= 1;
-            self.stats.injected_faults += 1;
-            self.stats.rfms += 1;
-            let s = self.sub_mut(sc);
-            for b in &mut s.banks {
-                b.block_until(now + stall);
-            }
-            s.blocked_until = now + stall;
-            // ALERT stays asserted: the device never serviced the ABO.
-            // Allow a later RFM to retry without requiring a new ACT.
-            s.alert_since = None;
-            s.acts_since_alert = 1;
-            self.sink.add(Counter::DramBlockedBankCycles, blocked_bank_cycles);
-            self.refresh_alert_line(sc, now);
-            return Ok(());
-        }
-        let blast = self.cfg.mitigation.blast_radius;
-        let s = self.sub_mut(sc);
-        let mut mitigations = 0u64;
-        let mut updates = 0u64;
-        for b in &mut s.banks {
-            b.block_until(now + stall);
-            let svc = b.mitigation_mut().service_abo();
-            updates += u64::from(svc.counter_updates);
-            mitigations += svc.mitigated_rows.len() as u64;
-            if let Some(ck) = b.checker_mut() {
-                for &row in &svc.mitigated_rows {
-                    ck.on_mitigate(row, blast);
-                }
-            }
-            if let Some(f) = b.flip_mut() {
-                for &row in &svc.mitigated_rows {
-                    f.on_mitigate(row, blast);
-                }
-            }
-        }
-        s.blocked_until = now + stall;
-        s.alert_since = None;
-        s.acts_since_alert = 0;
-        self.sink.add(Counter::DramBlockedBankCycles, blocked_bank_cycles);
-        self.stats.rfms += 1;
-        self.stats.mitigations += mitigations;
-        self.stats.deferred_updates += updates;
+        self.service_rfm(sc, all, true, now);
+        Ok(())
+    }
+
+    /// Traces the `mitigations` a REF or RFM performed, if any.
+    fn mitigation_event(&mut self, cycle: Cycle, sc: u32, bank: u32, mitigations: u64) {
         if mitigations > 0 {
             self.sink.event(TraceEvent {
-                cycle: now,
+                cycle,
                 channel: self.cfg.channel,
                 kind: TraceEventKind::Mitigation,
                 subchannel: sc,
-                bank: 0,
+                bank,
                 value: mitigations,
                 subarray: 0,
             });
         }
-        self.poll_demands_all(sc);
-        // A bank may *still* need service (e.g. more SRQ entries than one
-        // ABO drains); it may re-assert after the next activation.
-        self.refresh_alert_line(sc, now);
-        Ok(())
     }
 
     /// Banks of `sc` whose mitigation engine currently demands ABO
@@ -994,22 +859,27 @@ impl DramDevice {
                 self.sub(sc).banks.len()
             )));
         }
-        let earliest = self.earliest_rfm_banks(sc, mask);
-        if earliest.is_none_or(|e| now < e) {
-            return Err(MopacError::TimingProtocol {
-                command: "RFMpb",
-                subchannel: sc,
-                bank: mask.first_set(),
-                at: now,
-                earliest,
-            });
-        }
+        gate("RFMpb", sc, mask.first_set(), now, self.earliest_rfm_banks(sc, mask))?;
+        self.service_rfm(sc, mask, false, now);
+        Ok(())
+    }
+
+    /// The RFM both scopes share, past its timing gate: services the
+    /// pending ABO on the banks in `mask` and blocks them for the ABO
+    /// stall (the whole sub-channel too when `whole`). Under an active
+    /// `inject_rfm_drop` fault the masked banks pay the stall but the ABO
+    /// is never serviced; `inject_rfm_delay` lengthens the stall.
+    fn service_rfm(&mut self, sc: u32, mask: BankMask, whole: bool, now: Cycle) {
         let stall = self.abo.stall + self.rfm_extra_stall;
         let blocked_bank_cycles = stall * u64::from(mask.count());
+        // ALERT-to-service latency: how long the pending ABO waited for
+        // this RFM (0 when no ALERT was asserted, e.g. a speculative or
+        // dropped-fault retry).
         let service_time = self
             .sub(sc)
             .alert_since
             .map_or(0, |a| now.saturating_sub(a));
+        let bank = mask.first_set().unwrap_or(0);
         if self.sink.is_enabled() {
             self.sink.record(Hist::AboServiceTime, sc, service_time);
             self.sink.event(TraceEvent {
@@ -1017,70 +887,48 @@ impl DramDevice {
                 channel: self.cfg.channel,
                 kind: TraceEventKind::Rfm,
                 subchannel: sc,
-                bank: mask.first_set().unwrap_or(0),
+                bank,
                 value: service_time,
                 subarray: 0,
             });
         }
-        if self.drop_rfms > 0 {
-            // Dropped-RFM fault: the masked banks pay the stall but the
-            // ABO is never serviced (fault parity with `rfm`).
-            self.drop_rfms -= 1;
-            self.stats.injected_faults += 1;
-            self.stats.rfms += 1;
-            let s = self.sub_mut(sc);
-            for bit in mask.ones() {
-                s.banks[bit as usize].block_until(now + stall);
-            }
-            s.alert_since = None;
-            s.acts_since_alert = 1;
-            self.sink.add(Counter::DramBlockedBankCycles, blocked_bank_cycles);
-            self.refresh_alert_line(sc, now);
-            return Ok(());
-        }
         let blast = self.cfg.mitigation.blast_radius;
+        let dropped = self.drop_rfms > 0;
         let s = self.sub_mut(sc);
         let mut mitigations = 0u64;
         let mut updates = 0u64;
         for bit in mask.ones() {
             let b = &mut s.banks[bit as usize];
             b.block_until(now + stall);
-            let svc = b.mitigation_mut().service_abo();
-            updates += u64::from(svc.counter_updates);
-            mitigations += svc.mitigated_rows.len() as u64;
-            if let Some(ck) = b.checker_mut() {
-                for &row in &svc.mitigated_rows {
-                    ck.on_mitigate(row, blast);
-                }
+            if !dropped {
+                let svc = b.mitigation_mut().service_abo();
+                updates += u64::from(svc.counter_updates);
+                mitigations += svc.mitigated_rows.len() as u64;
+                b.cure(&svc.mitigated_rows, blast, 0..0);
             }
-            if let Some(f) = b.flip_mut() {
-                for &row in &svc.mitigated_rows {
-                    f.on_mitigate(row, blast);
-                }
-            }
+        }
+        if whole {
+            s.blocked_until = now + stall;
         }
         s.alert_since = None;
-        s.acts_since_alert = 0;
+        // A dropped RFM never reaches the engines and ALERT stays
+        // asserted; this lets a later RFM retry without a new ACT.
+        s.acts_since_alert = u64::from(dropped);
         self.sink.add(Counter::DramBlockedBankCycles, blocked_bank_cycles);
         self.stats.rfms += 1;
+        if dropped {
+            self.drop_rfms -= 1;
+            self.stats.injected_faults += 1;
+            self.refresh_alert_line(sc, now);
+            return;
+        }
         self.stats.mitigations += mitigations;
         self.stats.deferred_updates += updates;
-        if mitigations > 0 {
-            self.sink.event(TraceEvent {
-                cycle: now,
-                channel: self.cfg.channel,
-                kind: TraceEventKind::Mitigation,
-                subchannel: sc,
-                bank: mask.first_set().unwrap_or(0),
-                value: mitigations,
-                subarray: 0,
-            });
-        }
+        self.mitigation_event(now, sc, bank, mitigations);
         self.poll_demands_all(sc);
-        // An unmasked bank (or a masked one with more pending service)
-        // may still demand ABO; let ALERT re-assert.
+        // A bank may *still* need service (e.g. more SRQ entries than one
+        // ABO drains, or an unmasked bank); let ALERT re-assert.
         self.refresh_alert_line(sc, now);
-        Ok(())
     }
 
     /// Fault hook: asserts ALERT on a sub-channel as if a bank demanded
@@ -1222,12 +1070,6 @@ impl DramDevice {
                 f.readback_sweep();
             }
         }
-    }
-
-    /// The flip plane of one bank (testing / diagnostics).
-    #[must_use]
-    pub fn flip_plane(&self, sc: u32, bank: u32) -> Option<&FlipPlane> {
-        self.sub(sc).banks[bank as usize].flip()
     }
 
     /// Whether this configuration serializes the subarray/bank-scope
@@ -1444,6 +1286,21 @@ impl Snapshottable for DramDevice {
         }
         self.sink.load_state(r)
     }
+}
+
+/// Refuses `command` at `now` unless its gate `earliest` is open
+/// (`None`: the command is not legal in the current state at all).
+fn gate(
+    command: &'static str,
+    subchannel: u32,
+    bank: Option<u32>,
+    at: Cycle,
+    earliest: Option<Cycle>,
+) -> MopacResult<()> {
+    if earliest.is_none_or(|e| at < e) {
+        return Err(MopacError::TimingProtocol { command, subchannel, bank, at, earliest });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

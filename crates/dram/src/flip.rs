@@ -2,17 +2,16 @@
 //! reads.
 //!
 //! The [`crate::device::DramDevice`]'s oracle
-//! ([`mopac::checker::RowhammerChecker`]) answers "did any row exceed
-//! T_RH activations without an intervening refresh?" — a *counter*
-//! verdict. This module models what the counter breach is a proxy for:
-//! actual victim-data corruption. It observes the same ACT / REF /
-//! mitigation event stream the checker sees and maintains, per row,
+//! ([`mopac::checker::Oracle`]) answers "did any row exceed T_RH
+//! activations without an intervening refresh?" — a *counter* verdict.
+//! This module models what the counter breach is a proxy for: actual
+//! victim-data corruption. It is a second view of the same per-bank
+//! [`Disturbance`] store the oracle reads — disturbance accumulated on
+//! each row from each neighbour *separately* since the row was last
+//! refreshed — so a threshold of `Constant(T_RH)` means "cells exactly
+//! as strong as the oracle assumes" and an oracle-clean run is
+//! structurally flip-free. On top of the store, [`VictimWords`] keeps
 //!
-//! * disturbance accumulated from each neighbour *separately* since
-//!   the row was last refreshed — the same per-aggressor-side
-//!   accounting as the checker's `up`/`dn` slots, so a threshold of
-//!   `Constant(T_RH)` means "cells exactly as strong as the oracle
-//!   assumes" and an oracle-clean run is structurally flip-free,
 //! * a per-row T_RH drawn from a seeded distribution (real DRAM cells
 //!   vary; MOAT's security analysis sweeps exactly this), and
 //! * one modeled 64-bit victim word whose bits flip probabilistically
@@ -42,6 +41,7 @@
 //!   instant, which makes ECC-on corruption ≤ ECC-off corruption a
 //!   structural guarantee rather than a statistical tendency.
 
+use mopac::checker::{Disturbance, DisturbanceView, Indexing, Side};
 use mopac_types::rng::mix64;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::{MopacError, MopacResult};
@@ -179,16 +179,6 @@ impl FlipStats {
     }
 }
 
-/// Which neighbour a unit of disturbance came from (hash-key domain
-/// separation between the two sides of the same victim).
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    /// From the lower neighbour (`row - 1`).
-    Lo = 0,
-    /// From the upper neighbour (`row + 1`).
-    Hi = 1,
-}
-
 /// Outcome of reading a row through the flip plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -200,22 +190,16 @@ pub enum ReadOutcome {
     Corrupted,
 }
 
-/// Per-bank victim-data plane. Lives inside [`crate::bank::Bank`]
-/// parallel to the checker and sees the same event stream.
+/// The flip plane's view of a bank's [`Disturbance`] store: per-row
+/// thresholds, victim words, ECC and [`FlipStats`]. Lives inside
+/// [`crate::bank::Bank`] next to the checker's [`mopac::checker::Oracle`],
+/// both reading the bank's one store.
 #[derive(Debug, Clone)]
-pub struct FlipPlane {
+pub struct VictimWords {
     cfg: FlipPlaneConfig,
     /// Per-bank salt (derived from the device seed and flat bank
     /// index); every hash draw mixes it in.
     salt: u64,
-    rows: u32,
-    /// Disturbance accumulated on each row from its *lower* neighbour
-    /// (`row - 1`) since the row was last refreshed. Mirrors the
-    /// checker's `up[row - 1]` slot.
-    acc_lo: Box<[u32]>,
-    /// Disturbance from the *upper* neighbour (`row + 1`); mirrors the
-    /// checker's `dn[row + 1]` slot.
-    acc_hi: Box<[u32]>,
     /// Flipped bits of each row's modeled victim word, sparse: absent
     /// means clean. One 64-bit ECC-word sample stands in for the whole
     /// row (DESIGN.md §16).
@@ -223,16 +207,15 @@ pub struct FlipPlane {
     stats: FlipStats,
 }
 
-impl FlipPlane {
-    /// Builds the plane for a bank with `rows` rows.
+impl VictimWords {
+    /// Clean victim words for the bank with salt `salt`
+    /// ([`FlipPlane::bank_salt`]).
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or the flip probability is outside
-    /// `[0, 1]`.
+    /// Panics if the flip probability is outside `[0, 1]`.
     #[must_use]
-    pub fn new(cfg: FlipPlaneConfig, rows: u32, salt: u64) -> Self {
-        assert!(rows > 0, "flip plane needs at least one row");
+    pub fn new(cfg: FlipPlaneConfig, salt: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.flip_probability),
             "flip probability {} out of range",
@@ -241,26 +224,9 @@ impl FlipPlane {
         Self {
             cfg,
             salt,
-            rows,
-            acc_lo: vec![0; rows as usize].into_boxed_slice(),
-            acc_hi: vec![0; rows as usize].into_boxed_slice(),
             flips: BTreeMap::new(),
             stats: FlipStats::default(),
         }
-    }
-
-    /// Derives a per-bank salt from the device seed. Depends only on
-    /// the identifiers, so any thread interleaving or construction
-    /// order yields the same plane.
-    #[must_use]
-    pub fn bank_salt(device_seed: u64, flat_bank: u32) -> u64 {
-        mix64(mix64(device_seed ^ SALT_TAG) ^ u64::from(flat_bank))
-    }
-
-    /// The configuration this plane was built with.
-    #[must_use]
-    pub fn config(&self) -> &FlipPlaneConfig {
-        &self.cfg
     }
 
     /// This row's Rowhammer threshold, drawn deterministically from
@@ -288,108 +254,12 @@ impl FlipPlane {
         }
     }
 
-    /// Records an activation of aggressor `row`: both physically
-    /// existing neighbours accumulate disturbance on the side facing
-    /// the aggressor, and each draws for a bit flip once that side is
-    /// past their own threshold. Returns the number of *newly* flipped
-    /// bits (for the device's trace event).
-    pub fn on_activate(&mut self, row: u32) -> u32 {
-        let mut injected = 0;
-        if row > 0 {
-            // The victim below sees `row` as its upper neighbour.
-            injected += self.disturb(row - 1, Side::Hi);
-        }
-        if row + 1 < self.rows {
-            injected += self.disturb(row + 1, Side::Lo);
-        }
-        injected
-    }
-
-    /// One unit of disturbance on victim `v` from the given side; draws
-    /// a flip when that side is past `v`'s threshold.
-    fn disturb(&mut self, v: u32, side: Side) -> u32 {
-        let i = v as usize;
-        let acc = match side {
-            Side::Lo => &mut self.acc_lo,
-            Side::Hi => &mut self.acc_hi,
-        };
-        acc[i] = acc[i].saturating_add(1);
-        let count = acc[i];
-        if count <= self.threshold_of(v) {
-            return 0;
-        }
-        // Stateless draw keyed on (bank salt, victim, side, disturbance
-        // count): identical across thread counts, restores, and ECC
-        // modes. The shifts keep the three identifiers in disjoint
-        // bit ranges (count < 2^32, victim < 2^30).
-        let key = mix64(
-            self.salt
-                ^ FLIP_TAG
-                ^ (u64::from(v) << 34)
-                ^ ((side as u64) << 33)
-                ^ u64::from(count),
-        );
-        if unit(key) >= self.cfg.flip_probability {
-            return 0;
-        }
-        let bit = mix64(key ^ BIT_TAG) % 64;
-        let word = self.flips.entry(v).or_insert(0);
-        let mask = 1u64 << bit;
-        if *word & mask == 0 {
-            *word |= mask;
-            self.stats.bit_flips += 1;
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Records that `row` itself was refreshed: its disturbance resets
-    /// (both sides) and SEC ECC (when configured) scrubs a single-bit
-    /// flip as part of the refresh read-restore.
-    pub fn on_refresh_row(&mut self, row: u32) {
-        self.acc_lo[row as usize] = 0;
-        self.acc_hi[row as usize] = 0;
-        self.scrub(row);
-    }
-
-    /// Records a periodic REF covering `rows`.
-    pub fn on_refresh_range(&mut self, rows: std::ops::Range<u32>) {
-        for r in rows {
-            self.on_refresh_row(r);
-        }
-    }
-
-    /// Records a mitigation of aggressor `row` with the given blast
-    /// radius, mirroring the checker: victims on both sides are
-    /// refreshed, and the victim-refresh activations disturb *their*
-    /// neighbours. Returns newly flipped bits (a mitigation storm can
-    /// itself flip cells — the Half-Double effect).
-    pub fn on_mitigate(&mut self, row: u32, blast_radius: u32) -> u32 {
-        let mut injected = 0;
-        for d in 1..=blast_radius {
-            if row >= d {
-                let v = row - d;
-                self.on_refresh_row(v);
-                injected += self.on_activate(v);
-            }
-            let v = row + d;
-            if v < self.rows {
-                self.on_refresh_row(v);
-                injected += self.on_activate(v);
-            }
-        }
-        injected
-    }
-
     /// Reads `row` through the flip plane: reports (and counts)
     /// whether the host observed clean, corrected, or corrupted data.
     /// SEC ECC scrubs the single-bit case; uncorrectable words persist
     /// (every subsequent read of them is another corrupted read).
     pub fn on_read(&mut self, row: u32) -> ReadOutcome {
-        let Some(&word) = self.flips.get(&row) else {
-            return ReadOutcome::Clean;
-        };
+        let word = self.flips.get(&row).copied().unwrap_or(0);
         if word == 0 {
             return ReadOutcome::Clean;
         }
@@ -417,9 +287,109 @@ impl FlipPlane {
         }
     }
 
-    /// SEC refresh scrub of one row (no read outcome: refresh restores
-    /// the cell internally).
-    fn scrub(&mut self, row: u32) {
+    /// Aggregate statistics so far.
+    #[must_use]
+    pub fn stats(&self) -> FlipStats {
+        self.stats
+    }
+
+    /// Writes the `FLP1` section: config tags and shape, the store by
+    /// victim, the victim words and the stats.
+    pub fn save_section(&self, store: &Disturbance, w: &mut SnapshotWriter) {
+        w.put_u32(self.cfg.t_rh.tag());
+        w.put_u32(self.cfg.ecc.tag());
+        w.put_u32(store.rows());
+        store.save_sides(w, Indexing::Victim);
+        w.put_usize(self.flips.len());
+        for (&row, &word) in &self.flips {
+            w.put_u32(row);
+            w.put_u64(word);
+        }
+        self.stats.save_state(w);
+    }
+
+    /// Reads a [`Self::save_section`] section. With `shared` the checker
+    /// section has already loaded `store`, and this section's counts
+    /// must agree with it; otherwise they load it.
+    ///
+    /// # Errors
+    ///
+    /// [`MopacError::Snapshot`] on a shape mismatch, counts that
+    /// disagree with a shared store, or corrupt input.
+    pub fn load_section(
+        &mut self,
+        store: &mut Disturbance,
+        shared: bool,
+        r: &mut SnapshotReader<'_>,
+    ) -> MopacResult<()> {
+        let err = MopacError::snapshot;
+        let dist = r.take_u32()?;
+        let ecc = r.take_u32()?;
+        let rows = r.take_u32()?;
+        if dist != self.cfg.t_rh.tag() || ecc != self.cfg.ecc.tag() || rows != store.rows() {
+            return Err(err(format!(
+                "flip-plane shape mismatch: snapshot dist={dist}/ecc={ecc}/rows={rows}, \
+                 configured dist={}/ecc={}/rows={}",
+                self.cfg.t_rh.tag(),
+                self.cfg.ecc.tag(),
+                store.rows()
+            )));
+        }
+        if shared {
+            let mut copy = Disturbance::new(rows);
+            copy.load_sides(r, Indexing::Victim)?;
+            if copy.sides(Indexing::Victim) != store.sides(Indexing::Victim) {
+                return Err(err("flip-plane counts disagree with the checker section".into()));
+            }
+        } else {
+            store.load_sides(r, Indexing::Victim)?;
+        }
+        self.flips.clear();
+        for _ in 0..r.take_usize()? {
+            let row = r.take_u32()?;
+            if row >= rows {
+                return Err(err(format!("flip-plane flipped row {row} out of range")));
+            }
+            let word = r.take_u64()?;
+            self.flips.insert(row, word);
+        }
+        self.stats.load_state(r)
+    }
+}
+
+impl DisturbanceView for VictimWords {
+    /// Draws for a bit flip once `victim`'s disturbance from `side` is
+    /// past the row's own threshold.
+    fn disturbed(&mut self, victim: u32, side: Side, count: u32) {
+        if count <= self.threshold_of(victim) {
+            return;
+        }
+        // Stateless draw keyed on (bank salt, victim, side, disturbance
+        // count): identical across thread counts, restores, and ECC
+        // modes. The shifts keep the three identifiers in disjoint
+        // bit ranges (count < 2^32, victim < 2^30).
+        let key = mix64(
+            self.salt
+                ^ FLIP_TAG
+                ^ (u64::from(victim) << 34)
+                ^ ((side as u64) << 33)
+                ^ u64::from(count),
+        );
+        if unit(key) >= self.cfg.flip_probability {
+            return;
+        }
+        let bit = mix64(key ^ BIT_TAG) % 64;
+        let word = self.flips.entry(victim).or_insert(0);
+        let mask = 1u64 << bit;
+        if *word & mask == 0 {
+            *word |= mask;
+            self.stats.bit_flips += 1;
+        }
+    }
+
+    /// A refresh's read-restore lets SEC ECC (when configured) scrub a
+    /// single-bit flip.
+    fn refreshed(&mut self, row: u32) {
         if self.cfg.ecc != EccMode::Sec {
             return;
         }
@@ -432,27 +402,67 @@ impl FlipPlane {
             }
         }
     }
+}
 
-    /// Aggregate statistics so far.
+/// A standalone flip plane for one bank: a [`Disturbance`] store read
+/// by [`VictimWords`].
+#[derive(Debug, Clone)]
+pub struct FlipPlane {
+    store: Disturbance,
+    words: VictimWords,
+}
+
+impl FlipPlane {
+    /// Builds the plane for a bank with `rows` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is zero or the flip probability is outside
+    /// `[0, 1]`.
     #[must_use]
-    pub fn stats(&self) -> FlipStats {
-        self.stats
+    pub fn new(cfg: FlipPlaneConfig, rows: u32, salt: u64) -> Self {
+        Self {
+            store: Disturbance::new(rows),
+            words: VictimWords::new(cfg, salt),
+        }
     }
 
-    /// Rows whose victim word currently holds at least one flipped bit.
+    /// Derives a per-bank salt from the device seed. Depends only on
+    /// the identifiers, so any thread interleaving or construction
+    /// order yields the same plane.
     #[must_use]
-    pub fn flipped_rows(&self) -> usize {
-        self.flips.values().filter(|&&w| w != 0).count()
+    pub fn bank_salt(device_seed: u64, flat_bank: u32) -> u64 {
+        mix64(mix64(device_seed ^ SALT_TAG) ^ u64::from(flat_bank))
     }
 
-    /// Current disturbance accumulated on `row`, both sides summed
-    /// (test introspection).
+    /// Records an activation of aggressor `row`
+    /// ([`Disturbance::activate`]). Returns the number of *newly*
+    /// flipped bits.
+    pub fn on_activate(&mut self, row: u32) -> u64 {
+        let before = self.words.stats.bit_flips;
+        self.store.activate(row, &mut self.words);
+        self.words.stats.bit_flips - before
+    }
+
+    /// Records a periodic REF covering `rows`.
+    pub fn on_refresh_range(&mut self, rows: std::ops::Range<u32>) {
+        self.store.refresh_range(rows, &mut self.words);
+    }
+
+    /// Records a mitigation of aggressor `row` ([`Disturbance::mitigate`]).
+    pub fn on_mitigate(&mut self, row: u32, blast_radius: u32) {
+        self.store.mitigate(row, blast_radius, &mut self.words);
+    }
+
+    /// The victim words and their statistics.
     #[must_use]
-    pub fn disturbance(&self, row: u32) -> u32 {
-        let i = row as usize;
-        let lo = self.acc_lo.get(i).copied().unwrap_or(0);
-        let hi = self.acc_hi.get(i).copied().unwrap_or(0);
-        lo.saturating_add(hi)
+    pub fn words(&self) -> &VictimWords {
+        &self.words
+    }
+
+    /// Mutable victim words (reads and the readback sweep).
+    pub fn words_mut(&mut self) -> &mut VictimWords {
+        &mut self.words
     }
 }
 
@@ -460,72 +470,6 @@ impl FlipPlane {
 /// `ln()` is safe).
 fn unit(h: u64) -> f64 {
     (((h >> 11) as f64) + 0.5) * (1.0 / (1u64 << 53) as f64)
-}
-
-impl Snapshottable for FlipPlane {
-    /// Config (distribution/ECC tags) and shape are serialized for
-    /// cross-shape detection; disturbance serializes sparsely like the
-    /// checker's exposure arrays.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.cfg.t_rh.tag());
-        w.put_u32(self.cfg.ecc.tag());
-        w.put_u32(self.rows);
-        for side in [&self.acc_lo, &self.acc_hi] {
-            let nonzero = side.iter().filter(|&&c| c != 0).count();
-            w.put_usize(nonzero);
-            for (i, &c) in side.iter().enumerate() {
-                if c != 0 {
-                    w.put_u32(i as u32);
-                    w.put_u32(c);
-                }
-            }
-        }
-        w.put_usize(self.flips.len());
-        for (&row, &word) in &self.flips {
-            w.put_u32(row);
-            w.put_u64(word);
-        }
-        self.stats.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        let err = MopacError::snapshot;
-        let dist = r.take_u32()?;
-        let ecc = r.take_u32()?;
-        let rows = r.take_u32()?;
-        if dist != self.cfg.t_rh.tag() || ecc != self.cfg.ecc.tag() || rows != self.rows {
-            return Err(err(format!(
-                "flip-plane shape mismatch: snapshot dist={dist}/ecc={ecc}/rows={rows}, \
-                 configured dist={}/ecc={}/rows={}",
-                self.cfg.t_rh.tag(),
-                self.cfg.ecc.tag(),
-                self.rows
-            )));
-        }
-        for side in [&mut self.acc_lo, &mut self.acc_hi] {
-            side.fill(0);
-            let n = r.take_usize()?;
-            for _ in 0..n {
-                let i = r.take_u32()? as usize;
-                let c = r.take_u32()?;
-                let slot = side
-                    .get_mut(i)
-                    .ok_or_else(|| err(format!("flip-plane row {i} out of range")))?;
-                *slot = c;
-            }
-        }
-        self.flips.clear();
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let row = r.take_u32()?;
-            if row >= self.rows {
-                return Err(err(format!("flip-plane flipped row {row} out of range")));
-            }
-            let word = r.take_u64()?;
-            self.flips.insert(row, word);
-        }
-        self.stats.load_state(r)
-    }
 }
 
 #[cfg(test)]
@@ -536,13 +480,22 @@ mod tests {
         FlipPlane::new(cfg, 64, FlipPlane::bank_salt(0xD0_5E_ED, 0))
     }
 
+    /// Disturbance accumulated on `row` from both neighbours.
+    fn disturbance(p: &FlipPlane, row: u32) -> u32 {
+        let count = |(first, side): (u32, &[u32])| {
+            let slot = row.checked_sub(first).and_then(|j| side.get(j as usize));
+            slot.copied().unwrap_or(0)
+        };
+        p.store.sides(Indexing::Victim).into_iter().map(count).sum()
+    }
+
     #[test]
     fn thresholds_deterministic_and_in_range() {
         let p = plane(FlipPlaneConfig::new(TrhDistribution::Uniform { lo: 100, hi: 400 }));
         let q = plane(FlipPlaneConfig::new(TrhDistribution::Uniform { lo: 100, hi: 400 }));
         for row in 0..64 {
-            let t = p.threshold_of(row);
-            assert_eq!(t, q.threshold_of(row));
+            let t = p.words().threshold_of(row);
+            assert_eq!(t, q.words().threshold_of(row));
             assert!((100..=400).contains(&t), "row {row} threshold {t}");
         }
     }
@@ -554,7 +507,7 @@ mod tests {
             4096,
             7,
         );
-        let below = (0..4096).filter(|&r| p.threshold_of(r) < 400).count();
+        let below = (0..4096).filter(|&r| p.words().threshold_of(r) < 400).count();
         let frac = below as f64 / 4096.0;
         assert!((0.4..0.6).contains(&frac), "below-median fraction {frac}");
     }
@@ -570,7 +523,7 @@ mod tests {
         // 11th disturbance exceeds the threshold; p=1 guarantees a flip
         // on each side the first time past.
         assert!(p.on_activate(5) > 0);
-        assert!(p.stats().bit_flips > 0);
+        assert!(p.words().stats().bit_flips > 0);
     }
 
     #[test]
@@ -581,9 +534,9 @@ mod tests {
         for _ in 0..10 {
             p.on_activate(5);
         }
-        p.on_refresh_row(4);
-        p.on_refresh_row(6);
-        assert_eq!(p.disturbance(4), 0);
+        p.on_refresh_range(4..5);
+        p.on_refresh_range(6..7);
+        assert_eq!(disturbance(&p, 4), 0);
         for _ in 0..10 {
             assert_eq!(p.on_activate(5), 0);
         }
@@ -601,10 +554,10 @@ mod tests {
             p.on_activate(3);
         }
         // Rows 1 and 2 disturbed; no panic, no phantom row 4.
-        assert!(p.disturbance(1) > 0);
-        assert!(p.disturbance(2) > 0);
-        assert_eq!(p.disturbance(0), 0);
-        assert_eq!(p.disturbance(3), 0);
+        assert!(disturbance(&p, 1) > 0);
+        assert!(disturbance(&p, 2) > 0);
+        assert_eq!(disturbance(&p, 0), 0);
+        assert_eq!(disturbance(&p, 3), 0);
     }
 
     #[test]
@@ -620,23 +573,23 @@ mod tests {
             let a = ecc.on_activate(5);
             let b = raw.on_activate(5);
             assert_eq!(a, b);
-            if ecc.stats().bit_flips >= 1 {
+            if ecc.words().stats().bit_flips >= 1 {
                 break;
             }
         }
         // Whichever side flipped, read it on both planes: SEC corrects
         // the single bit, the raw plane reports corruption.
         for row in [4u32, 6] {
-            let e = ecc.on_read(row);
-            let r = raw.on_read(row);
+            let e = ecc.words_mut().on_read(row);
+            let r = raw.words_mut().on_read(row);
             assert_ne!(e, ReadOutcome::Corrupted);
             if r == ReadOutcome::Corrupted {
                 assert_eq!(e, ReadOutcome::Corrected);
             }
         }
-        assert!(ecc.stats().ecc_corrections >= 1);
-        assert_eq!(ecc.stats().corrupted_reads, 0);
-        assert!(raw.stats().corrupted_reads >= 1);
+        assert!(ecc.words().stats().ecc_corrections >= 1);
+        assert_eq!(ecc.words().stats().corrupted_reads, 0);
+        assert!(raw.words().stats().corrupted_reads >= 1);
     }
 
     #[test]
@@ -655,18 +608,18 @@ mod tests {
                 raw.on_refresh_range(0..64);
             }
             if i % 13 == 0 {
-                ecc.on_read(row.saturating_sub(1));
-                raw.on_read(row.saturating_sub(1));
+                ecc.words_mut().on_read(row.saturating_sub(1));
+                raw.words_mut().on_read(row.saturating_sub(1));
             }
         }
-        ecc.readback_sweep();
-        raw.readback_sweep();
+        ecc.words_mut().readback_sweep();
+        raw.words_mut().readback_sweep();
         // The ECC plane's flip mask is a subset of the raw plane's at
         // every instant (same draws, OR-only sets, ECC only clears),
         // so every read that corrupts under ECC corrupts without it.
-        assert!(raw.stats().bit_flips > 0, "test never flipped anything");
-        assert!(ecc.stats().corrupted_reads <= raw.stats().corrupted_reads);
-        assert_eq!(raw.stats().ecc_corrections, 0);
+        assert!(raw.words().stats().bit_flips > 0, "test never flipped anything");
+        assert!(ecc.words().stats().corrupted_reads <= raw.words().stats().corrupted_reads);
+        assert_eq!(raw.words().stats().ecc_corrections, 0);
     }
 
     #[test]
@@ -677,10 +630,10 @@ mod tests {
         for _ in 0..50 {
             p.on_activate(5);
         }
-        assert!(p.stats().bit_flips > 0);
-        assert_eq!(p.stats().corrupted_reads, 0, "nothing read the victims yet");
-        p.readback_sweep();
-        assert!(p.stats().corrupted_reads > 0);
+        assert!(p.words().stats().bit_flips > 0);
+        assert_eq!(p.words().stats().corrupted_reads, 0, "nothing read the victims yet");
+        p.words_mut().readback_sweep();
+        assert!(p.words().stats().corrupted_reads > 0);
     }
 
     #[test]
@@ -693,30 +646,31 @@ mod tests {
             a.on_activate(i % 60);
         }
         let mut w = SnapshotWriter::new();
-        a.save_state(&mut w);
+        a.words.save_section(&a.store, &mut w);
         let bytes = w.finish();
         let mut b = plane(cfg);
         let mut r = SnapshotReader::new(&bytes).unwrap();
-        b.load_state(&mut r).unwrap();
+        b.words.load_section(&mut b.store, false, &mut r).unwrap();
         // Continue both identically.
         for i in 0..200u32 {
             assert_eq!(a.on_activate(i % 60), b.on_activate(i % 60));
         }
-        a.readback_sweep();
-        b.readback_sweep();
-        assert_eq!(a.stats(), b.stats());
+        a.words_mut().readback_sweep();
+        b.words_mut().readback_sweep();
+        assert_eq!(a.words().stats(), b.words().stats());
     }
 
     #[test]
     fn snapshot_rejects_cross_shape() {
         let mut w = SnapshotWriter::new();
-        plane(FlipPlaneConfig::new(TrhDistribution::Constant(100))).save_state(&mut w);
+        let p = plane(FlipPlaneConfig::new(TrhDistribution::Constant(100)));
+        p.words.save_section(&p.store, &mut w);
         let bytes = w.finish();
         let mut other = plane(
             FlipPlaneConfig::new(TrhDistribution::Constant(100)).with_ecc(EccMode::Sec),
         );
         let mut r = SnapshotReader::new(&bytes).unwrap();
-        let e = other.load_state(&mut r).unwrap_err();
+        let e = other.words.load_section(&mut other.store, false, &mut r).unwrap_err();
         assert!(matches!(e, MopacError::Snapshot { .. }), "{e:?}");
     }
 }

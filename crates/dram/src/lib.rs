@@ -6,10 +6,11 @@
 //! device-level shared resources, refresh machinery and ALERT/RFM (ABO)
 //! protocol ([`device`]).
 //!
-//! The device embeds a [`mopac::bank::BankMitigation`] engine and a
-//! [`mopac::checker::RowhammerChecker`] oracle in every bank, so any
-//! command stream driven through it is simultaneously timed, protected
-//! and security-checked.
+//! The device embeds a [`mopac::bank::BankMitigation`] engine in every
+//! bank, plus one [`mopac::checker::Disturbance`] store read by two
+//! optional views: the [`mopac::checker::Oracle`] and the victim-data
+//! flip plane ([`flip`]). Any command stream driven through it is
+//! simultaneously timed, protected and security-checked.
 //!
 //! # Examples
 //!
@@ -46,5 +47,7 @@ pub mod timing;
 
 pub use bank::PrechargeKind;
 pub use device::{DramConfig, DramDevice, DramStats};
-pub use flip::{EccMode, FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome, TrhDistribution};
+pub use flip::{
+    EccMode, FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome, TrhDistribution, VictimWords,
+};
 pub use timing::{AboTiming, TimingSet};
