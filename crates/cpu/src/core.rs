@@ -215,143 +215,7 @@ impl Core {
         )
     }
 
-    /// Whether the ROB holds no loads — only plain-instruction runs.
-    /// Run boundaries are invisible to retirement (it consumes by
-    /// credit, stopping at loads, not at run edges), so a plain ROB's
-    /// observable state is fully described by its instruction total.
-    /// This is the entry condition for [`Core::run_plain`].
-    #[must_use]
-    pub fn is_plain(&self) -> bool {
-        self.rob.iter().all(|s| matches!(s, Slot::Instrs(_)))
-    }
-
-    /// Whether the ROB head is an outstanding load: retirement cannot
-    /// make progress until its completion is delivered, though fetch
-    /// can still append plain instructions behind it
-    /// ([`Core::run_stalled_fetch`]).
-    #[must_use]
-    pub fn head_stalled(&self) -> bool {
-        matches!(self.rob.front(), Some(Slot::Read { done: false, .. }))
-    }
-
-    /// Bulk-advances `cycles` DRAM cycles while the ROB head is an
-    /// outstanding load: nothing retires, the stall counter ticks, the
-    /// retire credit pins at its per-cycle cap, and fetch keeps
-    /// appending gap instructions behind the load until the ROB fills.
-    /// Cycle-for-cycle identical to the driver's gap-push branch
-    /// followed by [`Core::retire`] hitting the stalled head; the
-    /// appended instructions land as a single run, which is
-    /// unobservable (see [`Core::is_plain`]). The caller guarantees
-    /// `gap_left` cannot reach zero within the region, no completion is
-    /// delivered during it, and the retire rate is at least one
-    /// instruction per cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the ROB head is not an outstanding load.
-    pub fn run_stalled_fetch(&mut self, cycles: u64, gap_left: &mut u32, fetch_credit: &mut f64) {
-        debug_assert!(self.head_stalled(), "run_stalled_fetch without a stalled head");
-        debug_assert!(self.params.retire_per_dram_cycle >= 1.0);
-        let r = self.params.retire_per_dram_cycle;
-        let rob_size = self.params.rob_size;
-        let mut appended: u64 = 0;
-        for _ in 0..cycles {
-            *fetch_credit = (*fetch_credit + r).min(64.0);
-            loop {
-                if *fetch_credit < 1.0 {
-                    break;
-                }
-                let free = rob_size.saturating_sub(self.rob_instrs) as u32;
-                let n = (*gap_left).min(*fetch_credit as u32).min(free);
-                if n == 0 {
-                    break;
-                }
-                appended += u64::from(n);
-                self.rob_instrs += n as usize;
-                *gap_left -= n;
-                *fetch_credit -= f64::from(n);
-            }
-            // `retire` with an outstanding head: stall accounting and
-            // the credit cap, no retirement.
-            self.credit = (self.credit + r).min(r);
-            self.stall_cycles += 1;
-        }
-        if appended > 0 {
-            self.rob.push_back(Slot::Instrs(appended as u32));
-        }
-    }
-
-    /// Bulk-advances `cycles` DRAM cycles of pure plain-instruction
-    /// flow — per-cycle fetch-credit accrual, gap pushes, and
-    /// retirement — using only scalar state. The arithmetic is
-    /// cycle-for-cycle identical to the driver's gap-push branch
-    /// followed by [`Core::retire`]; the ROB deque is collapsed to its
-    /// instruction total for the region and rematerialized as a single
-    /// run afterwards, which is unobservable (see [`Core::is_plain`]).
-    /// Latches `finished_at` at the exact cycle the retired count
-    /// crosses `budget`, as per-cycle [`Core::check_finished`] calls
-    /// with `now + k + 1` would.
-    ///
-    /// The caller guarantees `gap_left` cannot reach zero within the
-    /// region (so the fetch stream never needs a new trace record) and
-    /// that no load completes during it.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the ROB holds an outstanding or completed
-    /// load.
-    pub fn run_plain(
-        &mut self,
-        cycles: u64,
-        gap_left: &mut u32,
-        fetch_credit: &mut f64,
-        budget: u64,
-        now: Cycle,
-    ) {
-        debug_assert!(self.is_plain(), "run_plain with loads in the ROB");
-        self.rob.clear();
-        let r = self.params.retire_per_dram_cycle;
-        let rob_size = self.params.rob_size;
-        for k in 0..cycles {
-            // Fetch: the driver's gap-push branch.
-            *fetch_credit = (*fetch_credit + r).min(64.0);
-            loop {
-                if *fetch_credit < 1.0 {
-                    break;
-                }
-                let free = rob_size.saturating_sub(self.rob_instrs) as u32;
-                let n = (*gap_left).min(*fetch_credit as u32).min(free);
-                if n == 0 {
-                    break;
-                }
-                self.rob_instrs += n as usize;
-                *gap_left -= n;
-                *fetch_credit -= f64::from(n);
-            }
-            // Retire over the collapsed run: `retire`'s loop consumes
-            // `credit as u32` instructions per pass regardless of run
-            // boundaries (integer subtractions keep the fractional
-            // part), and zeroes leftover credit >= 1 on an emptied ROB.
-            self.credit += r;
-            if self.credit >= 1.0 {
-                let take = (self.rob_instrs as u64).min(self.credit as u64) as u32;
-                self.rob_instrs -= take as usize;
-                self.credit -= f64::from(take);
-                self.retired += u64::from(take);
-                if self.rob_instrs == 0 && self.credit >= 1.0 {
-                    self.credit = 0.0;
-                }
-            }
-            if self.finished_at.is_none() && self.retired >= budget {
-                self.finished_at = Some(now + k + 1);
-            }
-        }
-        if self.rob_instrs > 0 {
-            self.rob.push_back(Slot::Instrs(self.rob_instrs as u32));
-        }
-    }
-
-    /// Fast-forwards `cycles` idle cycles in one step, producing exactly
+    /// Advances `cycles` idle cycles in one step, producing exactly
     /// the state `cycles` consecutive [`Core::retire`] calls would have
     /// left behind on a core that cannot retire. Callers must only use
     /// this when [`Core::retire_ready`] is false (debug-asserted):

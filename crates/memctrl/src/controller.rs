@@ -496,8 +496,12 @@ impl MemoryController {
         // bank closes and the final RFM can happen. Bank scope: the
         // targeted banks' close gates and the bank-scoped RFM's
         // legality are extra candidates on top of normal scheduling
-        // (the untargeted banks keep working below).
+        // (the untargeted banks keep working below). The tick holds the
+        // targets out of normal scheduling until the RFM, so they are
+        // `held` out of its candidates too: their only commands are the
+        // recovery PREs and the RFM.
         let mut recovery: Option<Cycle> = None;
+        let mut held = BankMask::empty();
         if let Some(asserted) = self.dram.alert_since(sc) {
             let deadline = asserted + self.dram.abo_timing().normal_window;
             if now < deadline {
@@ -519,6 +523,7 @@ impl MemoryController {
                     recovery = min_opt(recovery, self.dram.earliest_rfm_banks(sc, targets));
                 }
                 recovery = recovery.map(clamp);
+                held = targets;
             }
         }
         // Refresh drain mode.
@@ -528,9 +533,10 @@ impl MemoryController {
         // Normal mode: the refresh deadline is always pending, plus the
         // ALERT deadline or bank-scoped recovery candidates.
         let mut wake = min_opt(Some(clamp(s.next_ref)), recovery);
+        let open_banks = self.dram.open_banks_mask(sc).and_not(held);
         // Row-Press force close.
         if let Some(cap) = self.row_press_cap {
-            for b in self.dram.open_banks_mask(sc).ones() {
+            for b in open_banks.ones() {
                 if let Some(open) = self.dram.open_row(sc, b) {
                     if let Some(ep) = self.dram.earliest_precharge(sc, b) {
                         wake = min_opt(wake, Some(clamp(ep.max(open.opened_at + cap))));
@@ -540,7 +546,7 @@ impl MemoryController {
         }
         // Strict close-page: a used bank closes as soon as tRTP allows.
         if self.cfg.page_policy == PagePolicy::Closed {
-            for b in self.dram.open_banks_mask(sc).ones() {
+            for b in open_banks.ones() {
                 if s.cols_since_act[b as usize] >= 1 {
                     if let Some(ep) = self.dram.earliest_precharge(sc, b) {
                         wake = min_opt(wake, Some(clamp(ep)));
@@ -558,20 +564,20 @@ impl MemoryController {
         } else {
             start
         };
-        wake = min_opt(wake, self.queue_wake(sc, s, draining, false).map(clamp));
-        wake = min_opt(wake, self.queue_wake(sc, s, !draining, true).map(clamp));
+        wake = min_opt(wake, self.queue_wake(sc, s, draining, false, held).map(clamp));
+        wake = min_opt(wake, self.queue_wake(sc, s, !draining, true, held).map(clamp));
         // Anti-starvation: once the preferred queue's front crosses the
         // starvation age, `issue_from` acts on it where normal
         // scheduling would not (a conflict PRE despite queued hits, a
         // close-page column past its quota). Before the crossing, the
         // onset is the candidate; after it, the gate of the front's
-        // own command.
+        // own command. A held front never acts.
         let pref_front = if draining {
             s.writes.front()
         } else {
             s.reads.front()
         };
-        if let Some(p) = pref_front {
+        if let Some(p) = pref_front.filter(|p| !held.test(p.addr.bank.bank)) {
             let onset = p.arrival + self.cfg.starvation_cycles + 1;
             let bank = p.addr.bank.bank;
             let gate = if onset > now {
@@ -592,7 +598,7 @@ impl MemoryController {
         match self.cfg.page_policy {
             PagePolicy::Open => {}
             PagePolicy::Closed | PagePolicy::ClosedIdle => {
-                for b in self.dram.open_banks_mask(sc).ones() {
+                for b in open_banks.ones() {
                     let wanted = idx.reads.hits(b) + idx.writes.hits(b) > 0;
                     if !wanted {
                         if let Some(ep) = self.dram.earliest_precharge(sc, b) {
@@ -603,7 +609,7 @@ impl MemoryController {
             }
             PagePolicy::TimeoutNs(ns) => {
                 let cap = (ns * 3.0) as Cycle;
-                for b in self.dram.open_banks_mask(sc).ones() {
+                for b in open_banks.ones() {
                     let Some(open) = self.dram.open_row(sc, b) else {
                         continue;
                     };
@@ -625,14 +631,22 @@ impl MemoryController {
     /// minimum collapses to one candidate per occupied bank. The
     /// exception is subarray-parallel updates (PRACtical): an ACT also
     /// waits for the target row's subarray, so closed-bank candidates
-    /// are the per-request row gates `issue_from` checks.
-    fn queue_wake(&self, sc: u32, s: &SubState, writes: bool, hits_only: bool) -> Option<Cycle> {
+    /// are the per-request row gates `issue_from` checks. Banks in
+    /// `held` (bank-scoped recovery targets) contribute nothing.
+    fn queue_wake(
+        &self,
+        sc: u32,
+        s: &SubState,
+        writes: bool,
+        hits_only: bool,
+        held: BankMask,
+    ) -> Option<Cycle> {
         let idx = &self.idx[sc as usize];
         let counts = if writes { &idx.writes } else { &idx.reads };
         let closed_policy = self.cfg.page_policy == PagePolicy::Closed;
         let mut wake: Option<Cycle> = None;
         let mut closed = BankMask::empty();
-        for bank in counts.occ_mask().ones() {
+        for bank in counts.occ_mask().and_not(held).ones() {
             match self.dram.open_row(sc, bank) {
                 Some(open) => {
                     if counts.hits(bank) > 0 {

@@ -246,11 +246,16 @@ fn published_wake_is_never_late() {
 /// a low threshold (80), so the tracking engines raise ALERTs over and
 /// over, and a short starvation age, so starved fronts act too. Probes
 /// land inside ALERT normal windows (the deadline is a wake candidate
-/// of its own) and in recovery, and the test asserts both happened.
+/// of its own) and in recovery, and the test asserts both happened. It
+/// also asserts that `practical`'s bank-scoped recovery publishes wakes
+/// beyond the next cycle: the held banks' queued work must not pin the
+/// wake to `now + 1`, so those probes are bounded by the recovery PRE
+/// and RFM candidates themselves.
 #[test]
 fn published_wake_is_never_late_under_alerts() {
     let mut window_probes = 0u32;
     let mut recovery_probes = 0u32;
+    let mut bank_recovery_probes = 0u32;
     for (name, mit) in presets(80) {
         let cfg = McConfig {
             page_policy: PagePolicy::Closed,
@@ -298,6 +303,9 @@ fn published_wake_is_never_late_under_alerts() {
                             window_probes += 1;
                         } else {
                             recovery_probes += 1;
+                            if name == "practical" && !mc.dram().alerting_banks(sc).is_empty() {
+                                bank_recovery_probes += 1;
+                            }
                         }
                     }
                 }
@@ -309,4 +317,8 @@ fn published_wake_is_never_late_under_alerts() {
         "no probe ran inside an ALERT normal window"
     );
     assert!(recovery_probes > 0, "no probe ran during ALERT recovery");
+    assert!(
+        bank_recovery_probes > 0,
+        "no practical probe skipped a cycle during bank-scoped recovery"
+    );
 }

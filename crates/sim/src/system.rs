@@ -8,9 +8,9 @@
 //!   retire) it jumps `now` straight to the earliest external wake —
 //!   the minimum of the fault injector's next event, the earliest
 //!   in-flight completion, and [`MemoryController::next_wake`] — and
-//!   compensates the per-cycle statistics in bulk; while every core is
-//!   deep inside an instruction gap it fast-forwards through a
-//!   driver-only loop. Skipped cycles are provably no-ops, so the
+//!   compensates the per-cycle statistics in bulk. That skip is the
+//!   kernel's only jump: every other cycle is one full
+//!   `System::step`. Skipped cycles are provably no-ops, so the
 //!   results are bit-identical to lockstep.
 //! * [`KernelMode::Lockstep`] ticks every DRAM cycle; it is the golden
 //!   reference the equivalence suite checks the fast kernel against.
@@ -385,17 +385,6 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
-/// A time jump the event kernel takes between steps.
-#[derive(Clone, Copy)]
-enum Jump {
-    /// Run the driver-only loop up to this cycle
-    /// ([`System::fast_forward_gaps`]).
-    FastForward(Cycle),
-    /// Jump straight to this cycle after a zero-progress step
-    /// ([`System::skip_to`]).
-    Skip(Cycle),
-}
-
 /// The assembled system.
 pub struct System {
     cfg: SystemConfig,
@@ -628,44 +617,27 @@ impl System {
         let budget = self.cfg.instrs_per_core;
         let n_cores = self.drivers.len();
         let event_driven = self.cfg.kernel == KernelMode::EventDriven;
-        // Consecutive zero-progress steps. The wake computation
-        // (`skip_target`) scans both sub-channel queues, which costs
-        // more than a lockstep tick; under a saturated bus most stalls
-        // last one or two cycles, so attempting a jump on the first
-        // stalled cycle is a net loss. Deferring the attempt until the
-        // second consecutive stall keeps saturated workloads at
-        // lockstep speed — the deferred cycles are genuine `step`s, so
-        // equivalence is unaffected — while idle regions still pay only
-        // one extra tick before the jump.
-        let mut stall_streak = 0u32;
-        // The time jump the last step licensed, taken at the top of the
-        // next iteration, after the pause check.
-        let mut jump: Option<Jump> = None;
+        // The skip target the last step licensed, taken at the top of
+        // the next iteration, after the pause check.
+        let mut skip: Option<Cycle> = None;
         let mut finished = 0usize;
         while finished < n_cores {
             // Pause boundary: between full cycles every invariant the
             // snapshot relies on holds (scratch empty, no half-delivered
             // completion), so this is the only place a pause can land.
-            // It runs before any jump: the step that licensed the jump
+            // It runs before any skip: the step that licensed the skip
             // may have executed the REF that reaches the boundary, and
             // the lockstep kernel pauses right after that step.
             if pause_at_refs.is_some_and(|t| self.chans.refreshes() >= t) {
                 return Ok(None);
             }
-            match jump.take() {
-                Some(Jump::FastForward(end)) => {
-                    self.fast_forward_gaps(end, budget, &mut finished)?;
-                    continue;
-                }
-                Some(Jump::Skip(target)) => {
-                    self.skip_to(target);
-                    // The jump is clamped to the watchdog and cycle-cap
-                    // deadlines, so landing on one must trip it at
-                    // exactly the cycle — and with exactly the fields —
-                    // the lockstep kernel would have reported.
-                    self.check_deadlines(finished)?;
-                }
-                None => {}
+            if let Some(target) = skip.take() {
+                self.skip_to(target);
+                // The skip is clamped to the watchdog and cycle-cap
+                // deadlines, so landing on one must trip it at exactly
+                // the cycle — and with exactly the fields — the lockstep
+                // kernel would have reported.
+                self.check_deadlines(finished)?;
             }
             let progress = self.step()?;
             finished = self
@@ -675,34 +647,8 @@ impl System {
                 .sum();
             self.note_retirement();
             self.check_deadlines(finished)?;
-            // Quiescent fast-forward: while every driver is deep inside
-            // an instruction gap, the machine's only per-cycle work is
-            // driver arithmetic (fetch credit, ROB pushes, retirement).
-            // Run those cycles through a tight loop that skips the
-            // controller tick, the completion heap, and the fault
-            // injector — all provably idle until the earliest external
-            // wake — instead of full `step`s.
-            if event_driven && progress && finished < n_cores {
-                let bound = self.quiescent_bound();
-                if bound >= 16 {
-                    let prev = self.now - 1;
-                    let mut wake = self.chans.next_wake(prev);
-                    if let Some(inj) = self.injector.as_ref() {
-                        wake = min_opt(wake, inj.next_due());
-                    }
-                    wake = min_opt(wake, self.inflight.peek_at());
-                    let end = wake
-                        .map_or(self.now + bound, |w| w.min(self.now + bound))
-                        .max(self.now);
-                    if end > self.now + 8 {
-                        jump = Some(Jump::FastForward(end));
-                        continue;
-                    }
-                }
-            }
-            stall_streak = if progress { 0 } else { stall_streak + 1 };
-            if event_driven && !progress && stall_streak >= 2 {
-                jump = self.skip_target(self.last_progress_at).map(Jump::Skip);
+            if event_driven && !progress {
+                skip = self.skip_target(self.last_progress_at);
             }
         }
         let cores = self
@@ -1135,173 +1081,6 @@ impl System {
         }
         target = target.min(self.cfg.max_cycles);
         (target > self.now).then_some(target)
-    }
-
-    /// Upper bound on cycles that can be fast-forwarded through the
-    /// driver-only loop: every driver must stay in its gap-push phase
-    /// (`gap_left` cannot reach zero, so no trace record is pulled and
-    /// the memory controller sees no new request). Two independently
-    /// safe bounds on instructions issued, taken at their max: a cycle
-    /// pushes at most 64 (the fetch-credit cap), and over `k` cycles at
-    /// most `64 + k*r` issue (worst-case initial credit plus accrual at
-    /// the retire rate `r`). Returns 0 when any driver is already
-    /// touching the memory system.
-    fn quiescent_bound(&self) -> Cycle {
-        let r = CoreParams::paper_default().retire_per_dram_cycle;
-        let mut bound = Cycle::MAX;
-        for d in &self.drivers {
-            if d.gap_left <= 64 {
-                return 0;
-            }
-            let g = u64::from(d.gap_left);
-            let by_cap = (g - 1) / 64;
-            let by_accrual = ((g - 65) as f64 / r) as u64;
-            bound = bound.min(by_cap.max(by_accrual));
-        }
-        bound
-    }
-
-    /// Runs cycles `[self.now, end)` through a driver-only loop that is
-    /// cycle-for-cycle identical to [`System::step`] restricted to the
-    /// gap-push phase: fetch-credit accrual, ROB pushes, retirement,
-    /// and the finish/livelock/cycle-cap guards in the same order the
-    /// main loop applies them. The caller guarantees (via
-    /// [`System::quiescent_bound`] and the external wake sources) that
-    /// the skipped subsystems are no-ops across the region: the
-    /// controller's next action lies at or beyond `end`
-    /// ([`MemoryController::next_wake`]), no completion is due and no
-    /// fault fires before `end`, and no driver pulls a trace record.
-    /// The controller's per-cycle idle statistics are compensated in
-    /// bulk afterwards ([`MemoryController::note_idle_cycles`]).
-    fn fast_forward_gaps(
-        &mut self,
-        end: Cycle,
-        budget: u64,
-        finished: &mut usize,
-    ) -> MopacResult<()> {
-        let start = self.now;
-        let n_cores = self.drivers.len();
-        let r = CoreParams::paper_default().retire_per_dram_cycle;
-        // Bulk sub-regions: when every core is either plain (ROB holds
-        // only instruction runs — [`Core::run_plain`]) or head-stalled
-        // on an outstanding load ([`Core::run_stalled_fetch`]), a whole
-        // stretch of cycles is scalar arithmetic, one call per core.
-        // The per-cycle guards collapse: a plain core retires at least
-        // one instruction per cycle (`r >= 1`, non-empty gap), so with
-        // any plain core present the livelock watchdog resets each
-        // cycle and ends the region at `last_progress_at = now`; with
-        // every core stalled nothing retires, so the region is clamped
-        // to the watchdog deadline and the error is emitted at the
-        // exact cycle the per-cycle check would have fired. The region
-        // is also clamped so the run cannot terminate inside it — below
-        // the cycle cap, and shorter than any unfinished plain core's
-        // minimum cycles to finish (at most 16 instructions retire per
-        // cycle, conservatively; stalled cores retire nothing).
-        //
-        // Eligibility changes as cores retire (a short instruction run
-        // in front of an outstanding load drains within a few cycles),
-        // so after an ineligible probe the per-cycle loop only runs a
-        // small chunk before probing again.
-        const RECHECK: u32 = 8;
-        let mut chunk_left = 0u32;
-        while self.now < end {
-            if chunk_left == 0 {
-                chunk_left = RECHECK;
-                if r >= 1.0
-                    && self
-                        .drivers
-                        .iter()
-                        .all(|d| d.core.is_plain() || d.core.head_stalled())
-                {
-                    let bstart = self.now;
-                    let any_plain = self.drivers.iter().any(|d| d.core.is_plain());
-                    let mut cycles =
-                        (end - bstart).min(self.cfg.max_cycles.saturating_sub(bstart));
-                    if any_plain {
-                        for d in &self.drivers {
-                            if d.core.is_plain() {
-                                let remaining = budget.saturating_sub(d.core.retired());
-                                if remaining > 0 {
-                                    cycles = cycles.min(remaining / 16);
-                                }
-                            }
-                        }
-                    } else if self.cfg.livelock_window > 0 {
-                        let deadline = self.last_progress_at + self.cfg.livelock_window;
-                        cycles = cycles.min(deadline.saturating_sub(bstart));
-                    }
-                    if cycles >= 16 {
-                        for d in &mut self.drivers {
-                            if d.core.is_plain() {
-                                d.core.run_plain(
-                                    cycles,
-                                    &mut d.gap_left,
-                                    &mut d.fetch_credit,
-                                    budget,
-                                    bstart,
-                                );
-                            } else {
-                                d.core.run_stalled_fetch(
-                                    cycles,
-                                    &mut d.gap_left,
-                                    &mut d.fetch_credit,
-                                );
-                            }
-                        }
-                        self.now = bstart + cycles;
-                        *finished = self
-                            .drivers
-                            .iter_mut()
-                            .map(|d| usize::from(d.core.check_finished(budget, self.now)))
-                            .sum();
-                        if self.cfg.livelock_window > 0 && any_plain {
-                            self.last_retired =
-                                self.drivers.iter().map(|d| d.core.retired()).sum();
-                            self.last_progress_at = self.now;
-                        }
-                        if let Err(e) = self.check_deadlines(*finished) {
-                            self.chans.note_idle_cycles(start, self.now - start);
-                            return Err(e);
-                        }
-                        continue;
-                    }
-                }
-            }
-            chunk_left -= 1;
-            for d in &mut self.drivers {
-                d.fetch_credit = (d.fetch_credit + r).min(64.0);
-                loop {
-                    if d.fetch_credit < 1.0 {
-                        break;
-                    }
-                    let free = d.core.rob_free() as u32;
-                    let n = d.gap_left.min(d.fetch_credit as u32).min(free);
-                    if n == 0 {
-                        break;
-                    }
-                    d.core.push_instrs(n);
-                    d.gap_left -= n;
-                    d.fetch_credit -= f64::from(n);
-                }
-                d.core.retire();
-            }
-            self.now += 1;
-            *finished = self
-                .drivers
-                .iter_mut()
-                .map(|d| usize::from(d.core.check_finished(budget, self.now)))
-                .sum();
-            self.note_retirement();
-            if let Err(e) = self.check_deadlines(*finished) {
-                self.chans.note_idle_cycles(start, self.now - start);
-                return Err(e);
-            }
-            if *finished >= n_cores {
-                break;
-            }
-        }
-        self.chans.note_idle_cycles(start, self.now - start);
-        Ok(())
     }
 
     /// Jumps `now` to `target`, reproducing in bulk exactly what

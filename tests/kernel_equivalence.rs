@@ -138,14 +138,13 @@ fn equivalence_with_llc_and_without_prefetch() {
     assert_equivalent(cfg, "prac - prefetch");
 }
 
-/// Long-gap single-core runs are dominated by the bulk scalar fast
-/// paths (`Core::run_plain` during pure gap flow,
-/// `Core::run_stalled_fetch` while the ROB head waits on a load):
-/// whole regions of ROB evolution collapse to closed-form arithmetic,
-/// which must not perturb a single statistic. Sweeping the gap length
-/// covers the no-bulk, stalled-bulk, and plain-bulk regimes plus the
-/// per-cycle tails between them; the write records exercise the posted
-/// (non-ROB) path alongside blocking reads.
+/// Long-gap single-core runs alternate pure gap flow, where the core
+/// fetches and retires every cycle and the event kernel steps each one,
+/// with stretches where the ROB head waits on a load and the cycle
+/// makes no progress, which the zero-progress skip jumps over. The skip
+/// must not perturb a single statistic. Sweeping the gap length moves
+/// the balance between stepped and skipped cycles; the write records
+/// exercise the posted (non-ROB) path alongside blocking reads.
 #[test]
 fn equivalence_idle_heavy_bulk_regions() {
     let run = |kernel: KernelMode, gap: u32| {
@@ -415,8 +414,8 @@ fn livelock_identical_under_time_skipping() {
 
 /// A seeded random workload: per-core access streams mixing hammer
 /// bursts (gap 0 row ping-pong), short compute gaps, and long idle
-/// stretches, with occasional stores — so one run crosses the
-/// per-cycle, fast-forward, and skip regimes.
+/// stretches, with occasional stores — so one run crosses from
+/// stepped cycles into zero-progress skips and back many times.
 fn random_trace(core: u64, seed: u64, row_bytes: u64) -> Box<dyn TraceSource> {
     let mut rng = DetRng::from_seed(seed ^ core.wrapping_mul(0x9E37_79B9));
     let records = (0..400)
@@ -483,11 +482,10 @@ fn assert_multichannel_equivalent(cfg: &SystemConfig, label: &str) {
 }
 
 /// Regression: the step that executes the REF reaching a
-/// `run_until_refs` boundary must end the run there. Before the fix,
-/// the event kernel's quiescent fast-forward ran in the same loop
-/// iteration as that step, so the pause landed later than lockstep's
-/// (cycle 11785 instead of 11762 at REF 3) with identical final
-/// results.
+/// `run_until_refs` boundary must end the run there, before any time
+/// jump that step licensed. An event kernel that jumped in the same
+/// loop iteration as that step paused later than lockstep (cycle 11785
+/// instead of 11762 at REF 3) with identical final results.
 #[test]
 fn multichannel_pause_cycle_matches_lockstep() {
     let cfg = multichannel_cfg(2, MitigationConfig::mopac_d(500), 0xB47C_0001);
