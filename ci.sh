@@ -175,6 +175,13 @@ if [[ $fast -eq 0 ]]; then
   step "cargo build --release --examples"
   cargo build --release --examples
 
+  # perfbench (the benchmark BENCHMARK.json declares) is a workspace of
+  # its own, so no step above builds it: an API change in the simulator
+  # crates could break it unseen. Build it and run its tests against
+  # this tree.
+  step "perfbench build + tests (release, own workspace)"
+  cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
+
   # Docs gate: rustdoc must build warning-free (broken intra-doc links
   # in the engine/registry API surface would land here first).
   step "cargo doc (no-deps, -D warnings)"

@@ -18,31 +18,25 @@
 //! Knobs: `MOPAC_REPLAY_ENGINE` (default `prac`), `MOPAC_ATTACK_CYCLES`
 //! (run length), `MOPAC_REPLAY_INTERVAL`, `MOPAC_REPLAY_ALERT`.
 
-use mopac_bench::{attack_cycle_budget, data_dir};
+use mopac_bench::{attack_cycle_budget, data_dir, u64_knob};
+use mopac_sim::experiment::mitigation_preset;
 use mopac_sim::{AttackConfig, AttackRun};
 use mopac_types::geometry::{BankRef, DramGeometry};
 use mopac_types::obs::{SinkConfig, TraceEvent, TraceEventKind, TraceRing};
 use mopac_workloads::attack::DoubleSidedHammer;
 
-fn env_or(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let engine = std::env::var("MOPAC_REPLAY_ENGINE").unwrap_or_else(|_| "prac".to_string());
-    let registry = mopac::EngineRegistry::builtin();
-    let spec = registry
-        .specs()
-        .iter()
-        .find(|s| s.name == engine)
-        .unwrap_or_else(|| panic!("unknown engine '{engine}'"));
-    let interval = env_or("MOPAC_REPLAY_INTERVAL", 10_000).max(1);
+    let mitigation = mitigation_preset(&engine, 500).unwrap_or_else(|e| panic!("{e}"));
+    let interval = u64_knob("MOPAC_REPLAY_INTERVAL", 10_000)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .max(1);
     let cfg = AttackConfig {
         geometry: DramGeometry::tiny(),
-        ..AttackConfig::new((spec.preset)(500), attack_cycle_budget())
+        ..AttackConfig::new(
+            mitigation,
+            attack_cycle_budget().unwrap_or_else(|e| panic!("{e}")),
+        )
     };
 
     // Phase 1: record, snapshotting at a fixed cadence.
@@ -73,7 +67,8 @@ fn main() {
         println!("no ALERT events to replay; done");
         return;
     };
-    let pick = env_or("MOPAC_REPLAY_ALERT", (alerts.len() - 1) as u64) as usize;
+    let pick = u64_knob("MOPAC_REPLAY_ALERT", (alerts.len() - 1) as u64)
+        .unwrap_or_else(|e| panic!("{e}")) as usize;
     let alert = *alerts.get(pick).unwrap_or(&last);
 
     // Phase 2: restore the latest snapshot at-or-before the alert and

@@ -35,7 +35,7 @@ fn battery(geom: DramGeometry) -> Vec<(&'static str, Box<dyn AttackPattern>)> {
 }
 
 fn main() {
-    let cycles = attack_cycle_budget();
+    let cycles = attack_cycle_budget().unwrap_or_else(|e| panic!("{e}"));
     let geom = DramGeometry::tiny();
     let mut r = Report::new(
         "attack_suite",

@@ -43,7 +43,7 @@ fn blocked_bank_cycles(mitigation: MitigationConfig) -> u64 {
 }
 
 fn main() {
-    let instrs = instr_budget();
+    let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let workloads =
         workload_filter().unwrap_or_else(|| vec!["xz".to_string(), "cam4".to_string()]);
     let registry = EngineRegistry::builtin();

@@ -23,7 +23,7 @@ fn mean_slowdown(
 }
 
 fn main() {
-    let instrs = instr_budget();
+    let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
     // Baselines once per workload, shared across every threshold.

@@ -11,7 +11,7 @@ use mopac_sim::experiment::run_workload;
 use mopac_workloads::spec::all_names;
 
 fn main() {
-    let instrs = instr_budget();
+    let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
     let thresholds = [4000u64, 500, 100];

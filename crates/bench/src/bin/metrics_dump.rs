@@ -86,7 +86,10 @@ fn main() {
     let workload = workload_filter()
         .and_then(|v| v.into_iter().next())
         .unwrap_or_else(|| "xz".to_string());
-    let mut cfg = SystemConfig::paper_default(MitigationConfig::mopac_d(500), instr_budget());
+    let mut cfg = SystemConfig::paper_default(
+        MitigationConfig::mopac_d(500),
+        instr_budget().unwrap_or_else(|e| panic!("{e}")),
+    );
     cfg.metrics = Some(sink_cfg);
     let traces = build_traces(&workload, &cfg).expect("build workload traces");
     let (run, snapshot) = System::new(cfg, traces)
@@ -105,7 +108,10 @@ fn main() {
     // histogram and the trace ring).
     let attack_cfg = AttackConfig {
         geometry: DramGeometry::tiny(),
-        ..AttackConfig::new(MitigationConfig::mopac_d(500), attack_cycle_budget())
+        ..AttackConfig::new(
+            MitigationConfig::mopac_d(500),
+            attack_cycle_budget().unwrap_or_else(|e| panic!("{e}")),
+        )
     };
     let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
     let (attack, attack_snapshot) =

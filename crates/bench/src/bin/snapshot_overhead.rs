@@ -46,7 +46,10 @@ fn main() {
     let interval = TimingSet::ddr5_base().t_refi * ref_windows;
     let cfg = AttackConfig {
         geometry: DramGeometry::tiny(),
-        ..AttackConfig::new(MitigationConfig::prac(500), attack_cycle_budget())
+        ..AttackConfig::new(
+            MitigationConfig::prac(500),
+            attack_cycle_budget().unwrap_or_else(|e| panic!("{e}")),
+        )
     };
 
     // Warm-up (page in code and allocator paths), then pairs of runs

@@ -16,7 +16,7 @@ fn simulate(mit: MitigationConfig, pattern: &mut dyn AttackPattern, cycles: u64)
 }
 
 fn main() {
-    let cycles = attack_cycle_budget();
+    let cycles = attack_cycle_budget().unwrap_or_else(|e| panic!("{e}"));
     let geom = DramGeometry::ddr5_32gb();
     let mut r = Report::new(
         "table10",

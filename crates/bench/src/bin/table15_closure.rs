@@ -45,7 +45,7 @@ fn mean_slowdown(
 }
 
 fn main() {
-    let instrs = instr_budget();
+    let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
     let mut r = Report::new(

@@ -24,7 +24,7 @@ fn main() {
         ],
     );
     let paper = [(250u64, "14.0%"), (500, "6.7%"), (1000, "3.2%")];
-    let cycles = attack_cycle_budget();
+    let cycles = attack_cycle_budget().unwrap_or_else(|e| panic!("{e}"));
     // Reference throughput: the same pattern with no mitigation.
     let mut base_pat = MultiBankRoundRobin::new(DramGeometry::ddr5_32gb(), 99);
     let base = run_attack(

@@ -7,29 +7,58 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use mopac_types::error::{MopacError, MopacResult};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+
+/// Parses a `u64` knob: `value` is the raw value of the environment
+/// variable `name`, `None` when it is unset (which gives `default`).
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`], naming the variable and the value,
+/// if the value is not a plain decimal integer (`20k`, `1e6`, `-1` and
+/// the empty string are all rejected).
+pub fn parse_u64_knob(name: &str, value: Option<&str>, default: u64) -> MopacResult<u64> {
+    value.map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| MopacError::config(format!("{name}={v:?} is not a non-negative integer")))
+    })
+}
+
+/// Reads the `u64` knob `name` from the environment through
+/// [`parse_u64_knob`].
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`] if the variable is set to anything
+/// but a plain decimal integer.
+pub fn u64_knob(name: &str, default: u64) -> MopacResult<u64> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_u64_knob(name, raw.as_deref(), default)
+}
 
 /// Per-core instruction budget for simulation experiments, overridable
 /// with `MOPAC_INSTRS` (the paper uses 100 M; defaults here are sized
 /// for a laptop-minutes run as in the artifact's "most evaluations can
 /// be done on a laptop").
-#[must_use]
-pub fn instr_budget() -> u64 {
-    std::env::var("MOPAC_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250_000)
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`] if `MOPAC_INSTRS` is malformed.
+pub fn instr_budget() -> MopacResult<u64> {
+    u64_knob("MOPAC_INSTRS", 250_000)
 }
 
 /// Attack-run cycle budget, overridable with `MOPAC_ATTACK_CYCLES`.
-#[must_use]
-pub fn attack_cycle_budget() -> u64 {
-    std::env::var("MOPAC_ATTACK_CYCLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_500_000)
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`] if `MOPAC_ATTACK_CYCLES` is
+/// malformed.
+pub fn attack_cycle_budget() -> MopacResult<u64> {
+    u64_knob("MOPAC_ATTACK_CYCLES", 1_500_000)
 }
 
 /// Workload subset for quick runs: `MOPAC_WORKLOADS=xz,parest` restricts
@@ -193,9 +222,9 @@ pub fn slowdown_matrix(
     experiment: &str,
     title: &str,
     configs: &[(String, mopac::config::MitigationConfig)],
-) -> mopac_types::error::MopacResult<Report> {
+) -> MopacResult<Report> {
     use mopac_sim::experiment::run_workload;
-    let instrs = instr_budget();
+    let instrs = instr_budget()?;
     let names: Vec<String> = workload_filter().unwrap_or_else(|| {
         mopac_workloads::spec::all_names()
             .iter()
@@ -346,6 +375,26 @@ mod tests {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a,b"), "\"a,b\"");
         assert_eq!(csv_escape("x\"y"), "\"x\"\"y\"");
+    }
+
+    #[test]
+    fn u64_knob_is_strict() {
+        assert_eq!(
+            parse_u64_knob("MOPAC_INSTRS", None, 250_000).unwrap(),
+            250_000
+        );
+        assert_eq!(
+            parse_u64_knob("MOPAC_INSTRS", Some("40000"), 250_000).unwrap(),
+            40_000
+        );
+        assert_eq!(parse_u64_knob("MOPAC_INSTRS", Some("0"), 7).unwrap(), 0);
+        for bad in ["20k", "", " 5", "1e6", "-1", "2.5", "18446744073709551616"] {
+            let err = parse_u64_knob("MOPAC_INSTRS", Some(bad), 250_000).unwrap_err();
+            assert!(matches!(err, MopacError::Config { .. }), "{bad:?}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("MOPAC_INSTRS"), "{msg}");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
     }
 
     #[test]

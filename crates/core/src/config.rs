@@ -6,6 +6,9 @@
 //! from `mopac-analysis` so that a config built from just a Rowhammer
 //! threshold is secure by construction.
 
+use crate::engine::{
+    EngineSpec, BASELINE, CNC_PRAC, MOPAC_C, MOPAC_D, MOPAC_D_NUP, PRAC, PRACTICAL, QPRAC,
+};
 use mopac_analysis::markov::nup_params;
 use mopac_analysis::moat::{moat_ath, moat_eth};
 use mopac_analysis::params::{
@@ -13,51 +16,6 @@ use mopac_analysis::params::{
     CNC_DRAIN_ON_REF, CNC_QUEUE_ENTRIES, CNC_WRITEBACK_TTH, DEFAULT_SRQ_ENTRIES,
     QPRAC_MITIGATIONS_PER_REF, QPRAC_QUEUE_ENTRIES,
 };
-
-/// Which Rowhammer mitigation the system runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MitigationKind {
-    /// No mitigation and base DDR5 timings (the performance baseline).
-    None,
-    /// PRAC + ABO with the MOAT tracker: every activation pays the PRAC
-    /// timing overhead (counter update on every precharge).
-    Prac,
-    /// MoPAC-C: the memory controller flips a coin per activation and
-    /// closes selected rows with the long-latency `PREcu`.
-    MopacC,
-    /// MoPAC-D: in-DRAM MINT sampling into a per-bank SRQ, drained by
-    /// ABO and REF; the memory controller always uses base timings.
-    MopacD,
-    /// QPRAC (Woo et al., HPCA 2025): exact counting under PRAC
-    /// timings, plus a per-bank priority queue whose hottest row is
-    /// mitigated proactively at every REF; ABO remains as a backstop.
-    Qprac,
-    /// CnC-PRAC (Lin et al., 2025): base timings; counter write-backs
-    /// are coalesced in a per-bank pending queue and drained in bulk at
-    /// REF and under ABO.
-    CncPrac,
-    /// PRACtical (Nazaraliyev et al., 2025): per-row counting like
-    /// PRAC, but counter read-modify-writes complete at subarray level
-    /// (the bank keeps base timings; only the closed row's subarray is
-    /// briefly gated) and ABO recovery blocks only the alerting
-    /// bank(s), not the whole sub-channel.
-    Practical,
-}
-
-impl std::fmt::Display for MitigationKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Self::None => "baseline",
-            Self::Prac => "PRAC",
-            Self::MopacC => "MoPAC-C",
-            Self::MopacD => "MoPAC-D",
-            Self::Qprac => "QPRAC",
-            Self::CncPrac => "CnC-PRAC",
-            Self::Practical => "PRACtical",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Narrows a derived `u64` threshold into the `u32` the engines store.
 /// Every real derivation is far below `u32::MAX`; saturating (instead
@@ -88,8 +46,9 @@ fn threshold_u32(v: u64) -> u32 {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
-    /// The mitigation design.
-    pub kind: MitigationKind,
+    /// The mitigation design: the registry entry whose constructor and
+    /// timing demands this configuration runs with.
+    pub engine: &'static EngineSpec,
     /// The Rowhammer threshold this configuration targets.
     pub t_rh: u64,
     /// ALERT threshold on the PRAC counter: `ATH` for PRAC, `ATH*` for
@@ -127,7 +86,7 @@ impl MitigationConfig {
     #[must_use]
     pub fn baseline() -> Self {
         Self {
-            kind: MitigationKind::None,
+            engine: &BASELINE,
             t_rh: u64::MAX,
             alert_threshold: u32::MAX,
             eligibility_threshold: u32::MAX,
@@ -154,7 +113,7 @@ impl MitigationConfig {
     pub fn prac(t_rh: u64) -> Self {
         let ath = moat_ath(t_rh);
         Self {
-            kind: MitigationKind::Prac,
+            engine: &PRAC,
             t_rh,
             alert_threshold: threshold_u32(ath),
             eligibility_threshold: threshold_u32(moat_eth(ath)),
@@ -172,7 +131,7 @@ impl MitigationConfig {
     pub fn mopac_c(t_rh: u64) -> Self {
         let p = mopac_c_params(t_rh);
         Self {
-            kind: MitigationKind::MopacC,
+            engine: &MOPAC_C,
             t_rh,
             alert_threshold: threshold_u32(p.ath_star),
             eligibility_threshold: threshold_u32(p.ath_star / 2),
@@ -192,7 +151,7 @@ impl MitigationConfig {
     pub fn mopac_d(t_rh: u64) -> Self {
         let p = mopac_d_params(t_rh);
         Self {
-            kind: MitigationKind::MopacD,
+            engine: &MOPAC_D,
             t_rh,
             alert_threshold: threshold_u32(p.ath_star),
             eligibility_threshold: threshold_u32(p.ath_star / 2),
@@ -213,6 +172,7 @@ impl MitigationConfig {
     pub fn mopac_d_nup(t_rh: u64) -> Self {
         let p = nup_params(t_rh);
         Self {
+            engine: &MOPAC_D_NUP,
             nup: true,
             alert_threshold: threshold_u32(p.ath_star),
             eligibility_threshold: threshold_u32(p.ath_star / 2),
@@ -233,7 +193,7 @@ impl MitigationConfig {
     pub fn qprac(t_rh: u64) -> Self {
         let ath = moat_ath(t_rh);
         Self {
-            kind: MitigationKind::Qprac,
+            engine: &QPRAC,
             t_rh,
             alert_threshold: threshold_u32(ath),
             eligibility_threshold: threshold_u32(moat_eth(ath)),
@@ -258,7 +218,7 @@ impl MitigationConfig {
     pub fn cnc_prac(t_rh: u64) -> Self {
         let ath_star = cnc_prac_ath_star(t_rh);
         Self {
-            kind: MitigationKind::CncPrac,
+            engine: &CNC_PRAC,
             t_rh,
             alert_threshold: threshold_u32(ath_star),
             eligibility_threshold: threshold_u32(ath_star / 2),
@@ -286,7 +246,7 @@ impl MitigationConfig {
     pub fn practical(t_rh: u64) -> Self {
         let ath = moat_ath(t_rh);
         Self {
-            kind: MitigationKind::Practical,
+            engine: &PRACTICAL,
             t_rh,
             alert_threshold: threshold_u32(ath),
             eligibility_threshold: threshold_u32(moat_eth(ath)),
@@ -326,13 +286,16 @@ impl MitigationConfig {
     ///
     /// # Panics
     ///
-    /// Panics if called on a baseline or PRAC configuration.
+    /// Panics if called on a configuration that is not MoPAC-C or
+    /// MoPAC-D (with or without NUP).
     #[must_use]
     pub fn with_row_press(mut self) -> Self {
-        let design = match self.kind {
-            MitigationKind::MopacC => MopacDesign::ControllerSide,
-            MitigationKind::MopacD => MopacDesign::DramSide,
-            _ => panic!("Row-Press hardening applies to MoPAC designs only"),
+        let design = if *self.engine == MOPAC_C {
+            MopacDesign::ControllerSide
+        } else if *self.engine == MOPAC_D || *self.engine == MOPAC_D_NUP {
+            MopacDesign::DramSide
+        } else {
+            panic!("Row-Press hardening applies to MoPAC designs only")
         };
         let p = row_press_params(design, self.t_rh);
         self.row_press = true;
@@ -359,7 +322,7 @@ impl MitigationConfig {
     /// Whether this configuration needs any per-bank tracking state.
     #[must_use]
     pub fn tracks(&self) -> bool {
-        self.kind != MitigationKind::None
+        self.engine.tracks()
     }
 }
 
@@ -414,15 +377,6 @@ mod tests {
     #[should_panic(expected = "Row-Press")]
     fn row_press_rejects_prac() {
         let _ = MitigationConfig::prac(500).with_row_press();
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(MitigationKind::MopacD.to_string(), "MoPAC-D");
-        assert_eq!(MitigationKind::None.to_string(), "baseline");
-        assert_eq!(MitigationKind::Qprac.to_string(), "QPRAC");
-        assert_eq!(MitigationKind::CncPrac.to_string(), "CnC-PRAC");
-        assert_eq!(MitigationKind::Practical.to_string(), "PRACtical");
     }
 
     #[test]

@@ -3,36 +3,33 @@
 //! Every Rowhammer mitigation modelled by this workspace implements
 //! [`MitigationEngine`]: the full per-bank lifecycle the DRAM model
 //! drives (`on_activate` / `on_precharge` / `on_ref` / `alert_cause` /
-//! `service_abo`) plus the fault hooks (`corrupt_counter`) and a
-//! [`TimingDemands`] capability query that tells the memory controller
-//! and device which timing behaviour the design requires — replacing
-//! the old `MitigationKind` sniffing that was duplicated across
-//! `mopac-dram` and `mopac-memctrl`.
+//! `service_abo`) plus the fault hooks (`corrupt_counter`). The DRAM
+//! bank holds one `Box<dyn MitigationEngine>`, so the bank FSM and the
+//! fault injector never see a concrete engine type.
 //!
-//! [`BankMitigation`](crate::bank::BankMitigation) hosts a
-//! `Box<dyn MitigationEngine>` per bank, so the DRAM bank FSM and the
-//! fault injector never see a concrete engine type. Engines are
-//! constructed from a [`MitigationConfig`] via [`build_engine`], and
-//! enumerated by name through the string-keyed [`EngineRegistry`] —
-//! campaign drivers, the attack suite, and benches iterate the registry
+//! An [`EngineSpec`] is the one description of a design: its registry
+//! name, its preset, its constructor and the [`TimingDemands`] it makes
+//! of the memory controller and the timing model. A
+//! [`MitigationConfig`] names its design by spec, so [`build_engine`]
+//! and [`TimingDemands::for_config`] are lookups through it. The specs
+//! are enumerated by name through the string-keyed [`EngineRegistry`]:
+//! campaign drivers, the attack suite and benches iterate the registry
 //! instead of hard-coding design lists.
 //!
 //! To add a new engine, see DESIGN.md §9: implement the trait (usually
-//! in a new `crate::engines` submodule), give it a `MitigationKind`
-//! variant and a preset, add a `build_engine` arm, and append an
-//! [`EngineSpec`] to [`EngineRegistry::builtin`]. Everything downstream
-//! — `run_workload`, `AttackConfig` suites, the fault campaign, the
-//! kernel-equivalence matrix — picks it up from the registry.
+//! in a new `crate::engines` submodule) and add one [`EngineSpec`] to
+//! the registry. Everything downstream — `run_workload`, `AttackConfig`
+//! suites, the fault campaign, the kernel-equivalence matrix — picks it
+//! up from the registry.
 
 use crate::bank::{AboService, AlertCause, MitigationStats};
-use crate::config::{MitigationConfig, MitigationKind};
+use crate::config::MitigationConfig;
 use crate::engines::{
     BaselineEngine, CncPracEngine, MopacDEngine, PracEngine, PracticalEngine, QpracEngine,
 };
 use mopac_types::obs::{Hist, MetricsSink};
 use mopac_types::rng::DetRng;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// How much of a sub-channel an ABO/RFM recovery stall blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,8 +46,9 @@ pub enum RecoveryScope {
 /// DRAM timing model.
 ///
 /// This is the only channel through which timing behaviour may depend
-/// on the mitigation: the controller and device read these capabilities
-/// once at construction and never inspect `MitigationKind` again.
+/// on the mitigation. The demands are a static property of the design
+/// (its [`EngineSpec`]) and its configuration: the controller and
+/// device read them once at construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingDemands {
     /// Every precharge performs the PRAC counter read-modify-write, so
@@ -94,23 +92,7 @@ impl TimingDemands {
     /// The demands of the design selected by `cfg`.
     #[must_use]
     pub fn for_config(cfg: &MitigationConfig) -> Self {
-        match cfg.kind {
-            MitigationKind::None | MitigationKind::MopacD | MitigationKind::CncPrac => Self::base(),
-            MitigationKind::Prac | MitigationKind::Qprac => Self {
-                always_prac_timings: true,
-                ..Self::base()
-            },
-            MitigationKind::MopacC => Self {
-                precu_probability: Some(cfg.p()),
-                row_open_cap_ns: cfg.row_press.then_some(180.0),
-                ..Self::base()
-            },
-            MitigationKind::Practical => Self {
-                recovery_scope: RecoveryScope::Bank,
-                subarray_parallel_updates: true,
-                ..Self::base()
-            },
-        }
+        (cfg.engine.demands)(cfg)
     }
 }
 
@@ -123,11 +105,6 @@ impl TimingDemands {
 pub trait MitigationEngine: std::fmt::Debug + Send {
     /// The configuration this engine was built from.
     fn config(&self) -> &MitigationConfig;
-
-    /// What this design demands of the controller and timing model.
-    fn timing_demands(&self) -> TimingDemands {
-        TimingDemands::for_config(self.config())
-    }
 
     /// Accumulated statistics.
     fn stats(&self) -> MitigationStats;
@@ -147,6 +124,12 @@ pub trait MitigationEngine: std::fmt::Debug + Send {
     /// work or mitigate proactively inside the refresh window; whatever
     /// they did is reported back so the device can inform the security
     /// oracle.
+    ///
+    /// PRAC counters are *not* reset by periodic refresh: the counter is
+    /// stored with the row and survives the restore. Resetting it would
+    /// be insecure — refreshing an aggressor protects the aggressor's
+    /// own cells, not its victims, so its accumulated count must stand
+    /// until the row is actually mitigated.
     fn on_ref(&mut self, refreshed_rows: Range<u32>) -> AboService;
 
     /// Whether (and why) this bank needs ALERT right now.
@@ -177,21 +160,6 @@ pub trait MitigationEngine: std::fmt::Debug + Send {
     /// instance (empty for designs without queues).
     fn srq_occupancy(&self) -> Vec<usize> {
         Vec::new()
-    }
-
-    /// Generation counter for [`MitigationEngine::timing_demands`].
-    ///
-    /// The device caches the demands at construction; an engine whose
-    /// demands can change at runtime (e.g. an adaptive design switching
-    /// timing sets under attack pressure) must bump this after every
-    /// change. The device re-queries the demands when it observes a new
-    /// value, and the memory controller treats the change as a
-    /// scheduler-index invalidation event (its cached wake and
-    /// `TimingDemands`-derived knobs — PREcu coin, row-open cap — are
-    /// refreshed). All shipped engines have static demands, hence the
-    /// constant default.
-    fn demands_epoch(&self) -> u64 {
-        0
     }
 
     /// Publishes this engine's observability metrics onto `sink`
@@ -226,9 +194,8 @@ pub trait MitigationEngine: std::fmt::Debug + Send {
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()>;
 
-    /// Clones the engine behind the trait object
-    /// ([`crate::bank::BankMitigation`] and the DRAM device derive
-    /// `Clone`).
+    /// Clones the engine behind the trait object (the DRAM bank and
+    /// device derive `Clone`).
     fn clone_box(&self) -> Box<dyn MitigationEngine>;
 }
 
@@ -238,11 +205,11 @@ impl Clone for Box<dyn MitigationEngine> {
     }
 }
 
-/// Builds the engine for `cfg` for a bank with `rows` rows.
+/// Builds the engine for `cfg` for a bank with `rows` rows, through
+/// the constructor of `cfg.engine`.
 ///
 /// `rng` seeds any per-chip random streams; fork it per bank so banks
-/// are independent. This is the only `MitigationKind` dispatch in the
-/// workspace.
+/// are independent.
 ///
 /// # Panics
 ///
@@ -250,29 +217,24 @@ impl Clone for Box<dyn MitigationEngine> {
 #[must_use]
 pub fn build_engine(cfg: &MitigationConfig, rows: u32, rng: DetRng) -> Box<dyn MitigationEngine> {
     assert!(rows > 0, "bank must have rows");
-    match cfg.kind {
-        MitigationKind::None => Box::new(BaselineEngine::new(cfg, rows)),
-        MitigationKind::Prac | MitigationKind::MopacC => Box::new(PracEngine::new(cfg, rows)),
-        MitigationKind::MopacD => Box::new(MopacDEngine::new(cfg, rows, rng)),
-        MitigationKind::Qprac => Box::new(QpracEngine::new(cfg, rows)),
-        MitigationKind::CncPrac => Box::new(CncPracEngine::new(cfg, rows)),
-        MitigationKind::Practical => Box::new(PracticalEngine::new(cfg, rows)),
-    }
+    (cfg.engine.build)(cfg, rows, rng)
 }
 
-/// A registered mitigation design: a stable string key, display
-/// metadata, and a preset constructor parameterized by the Rowhammer
-/// threshold.
-#[derive(Debug, Clone, Copy)]
+/// One mitigation design: everything the rest of the workspace needs
+/// to know about it, in one place.
+///
+/// Specs compare by name, and print as their name.
+#[derive(Clone, Copy)]
 pub struct EngineSpec {
     /// Stable registry key (CSV column values, CLI arguments).
     pub name: &'static str,
-    /// Human-readable name (matches `MitigationKind`'s `Display`).
-    pub display: &'static str,
-    /// One-line description for docs and tables.
-    pub summary: &'static str,
     /// Builds the design's default configuration at a threshold.
     pub preset: fn(u64) -> MitigationConfig,
+    /// Builds the design's per-bank engine (see [`build_engine`]).
+    pub build: fn(&MitigationConfig, u32, DetRng) -> Box<dyn MitigationEngine>,
+    /// What the design demands of the controller and timing model (see
+    /// [`TimingDemands::for_config`]).
+    pub demands: fn(&MitigationConfig) -> TimingDemands,
 }
 
 impl EngineSpec {
@@ -280,86 +242,152 @@ impl EngineSpec {
     /// the baseline).
     #[must_use]
     pub fn tracks(&self) -> bool {
-        // The preset's kind is threshold-independent; probe at the
-        // paper's default.
-        (self.preset)(500).tracks()
+        *self != BASELINE
     }
 }
+
+impl PartialEq for EngineSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Eq for EngineSpec {}
+
+impl std::fmt::Debug for EngineSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+fn base_demands(_: &MitigationConfig) -> TimingDemands {
+    TimingDemands::base()
+}
+
+fn prac_demands(_: &MitigationConfig) -> TimingDemands {
+    TimingDemands {
+        always_prac_timings: true,
+        ..TimingDemands::base()
+    }
+}
+
+fn mopac_d_build(cfg: &MitigationConfig, rows: u32, rng: DetRng) -> Box<dyn MitigationEngine> {
+    Box::new(MopacDEngine::new(cfg, rows, rng))
+}
+
+/// No mitigation, base DDR5 timings (the performance reference).
+pub(crate) const BASELINE: EngineSpec = EngineSpec {
+    name: "baseline",
+    preset: |_| MitigationConfig::baseline(),
+    build: |cfg, rows, _| Box::new(BaselineEngine::new(cfg, rows)),
+    demands: base_demands,
+};
+
+/// PRAC + ABO with the MOAT tracker: a counter update on every
+/// precharge, PRAC timings everywhere.
+pub(crate) const PRAC: EngineSpec = EngineSpec {
+    name: "prac",
+    preset: MitigationConfig::prac,
+    build: |cfg, rows, _| Box::new(PracEngine::new(cfg, rows)),
+    demands: prac_demands,
+};
+
+/// MoPAC-C (Section 5): the controller flips a coin per activation and
+/// closes selected rows with the long-latency `PREcu`.
+pub(crate) const MOPAC_C: EngineSpec = EngineSpec {
+    name: "mopac-c",
+    preset: MitigationConfig::mopac_c,
+    build: PRAC.build,
+    demands: |cfg| TimingDemands {
+        precu_probability: Some(cfg.p()),
+        row_open_cap_ns: cfg.row_press.then_some(180.0),
+        ..TimingDemands::base()
+    },
+};
+
+/// MoPAC-D (Section 6): in-DRAM MINT sampling into a per-chip SRQ,
+/// drained by ABO and REF, at base timings.
+pub(crate) const MOPAC_D: EngineSpec = EngineSpec {
+    name: "mopac-d",
+    preset: MitigationConfig::mopac_d,
+    build: mopac_d_build,
+    demands: base_demands,
+};
+
+/// MoPAC-D with non-uniform sampling of cold rows (Section 8).
+pub(crate) const MOPAC_D_NUP: EngineSpec = EngineSpec {
+    name: "mopac-d-nup",
+    preset: MitigationConfig::mopac_d_nup,
+    build: mopac_d_build,
+    demands: base_demands,
+};
+
+/// QPRAC (Woo et al., HPCA 2025): exact counting under PRAC timings
+/// plus a priority queue mitigated proactively at REF.
+pub(crate) const QPRAC: EngineSpec = EngineSpec {
+    name: "qprac",
+    preset: MitigationConfig::qprac,
+    build: |cfg, rows, _| Box::new(QpracEngine::new(cfg, rows)),
+    demands: prac_demands,
+};
+
+/// CnC-PRAC (Lin et al., 2025): base timings, counter write-backs
+/// coalesced in a queue and drained at REF and ABO.
+pub(crate) const CNC_PRAC: EngineSpec = EngineSpec {
+    name: "cnc-prac",
+    preset: MitigationConfig::cnc_prac,
+    build: |cfg, rows, _| Box::new(CncPracEngine::new(cfg, rows)),
+    demands: base_demands,
+};
+
+/// PRACtical (Nazaraliyev et al., 2025): subarray-level counter updates
+/// at base bank timings; ABO recovery stalls only the alerting bank.
+pub(crate) const PRACTICAL: EngineSpec = EngineSpec {
+    name: "practical",
+    preset: MitigationConfig::practical,
+    build: |cfg, rows, _| Box::new(PracticalEngine::new(cfg, rows)),
+    demands: |_| TimingDemands {
+        recovery_scope: RecoveryScope::Bank,
+        subarray_parallel_updates: true,
+        ..TimingDemands::base()
+    },
+};
+
+/// The built-in designs, in canonical order (baseline first, then
+/// paper designs, then related-work plug-ins).
+static BUILTIN: EngineRegistry = EngineRegistry {
+    specs: &[
+        BASELINE,
+        PRAC,
+        MOPAC_C,
+        MOPAC_D,
+        MOPAC_D_NUP,
+        QPRAC,
+        CNC_PRAC,
+        PRACTICAL,
+    ],
+};
 
 /// The string-keyed registry of every mitigation design in the
 /// workspace. Campaign drivers, attack suites, and benches enumerate
 /// this instead of hard-coding design lists.
 #[derive(Debug)]
 pub struct EngineRegistry {
-    specs: Vec<EngineSpec>,
+    specs: &'static [EngineSpec],
 }
 
 impl EngineRegistry {
     /// The built-in designs, in canonical order (baseline first, then
     /// paper designs, then related-work plug-ins).
+    #[must_use]
     pub fn builtin() -> &'static Self {
-        static REGISTRY: OnceLock<EngineRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| Self {
-            specs: vec![
-                EngineSpec {
-                    name: "baseline",
-                    display: "baseline",
-                    summary: "No mitigation, base DDR5 timings (performance reference).",
-                    preset: |_| MitigationConfig::baseline(),
-                },
-                EngineSpec {
-                    name: "prac",
-                    display: "PRAC",
-                    summary: "Per-row counting on every precharge, MOAT tracker, ABO (JEDEC PRAC).",
-                    preset: MitigationConfig::prac,
-                },
-                EngineSpec {
-                    name: "mopac-c",
-                    display: "MoPAC-C",
-                    summary: "Controller-side coin: probabilistic PREcu counter updates (Section 5).",
-                    preset: MitigationConfig::mopac_c,
-                },
-                EngineSpec {
-                    name: "mopac-d",
-                    display: "MoPAC-D",
-                    summary: "In-DRAM MINT sampling into a per-chip SRQ, drained by ABO/REF (Section 6).",
-                    preset: MitigationConfig::mopac_d,
-                },
-                EngineSpec {
-                    name: "mopac-d-nup",
-                    display: "MoPAC-D",
-                    summary: "MoPAC-D with non-uniform sampling of cold rows (Section 8).",
-                    preset: MitigationConfig::mopac_d_nup,
-                },
-                EngineSpec {
-                    name: "qprac",
-                    display: "QPRAC",
-                    summary: "Exact counting plus a priority queue mitigated proactively at REF \
-                              (Woo et al., HPCA 2025).",
-                    preset: MitigationConfig::qprac,
-                },
-                EngineSpec {
-                    name: "cnc-prac",
-                    display: "CnC-PRAC",
-                    summary: "Base timings; counter write-backs coalesced in a queue and drained \
-                              at REF/ABO (Lin et al., 2025).",
-                    preset: MitigationConfig::cnc_prac,
-                },
-                EngineSpec {
-                    name: "practical",
-                    display: "PRACtical",
-                    summary: "Subarray-level counter updates at base bank timings; ABO recovery \
-                              stalls only the alerting bank (Nazaraliyev et al., 2025).",
-                    preset: MitigationConfig::practical,
-                },
-            ],
-        })
+        &BUILTIN
     }
 
     /// Every registered design, in canonical order.
     #[must_use]
     pub fn specs(&self) -> &[EngineSpec] {
-        &self.specs
+        self.specs
     }
 
     /// Looks a design up by its registry key.
@@ -398,7 +426,7 @@ mod tests {
         for spec in EngineRegistry::builtin().specs() {
             let cfg = (spec.preset)(500);
             let engine = build_engine(&cfg, 128, DetRng::from_seed(7));
-            assert_eq!(engine.config().kind, cfg.kind, "{}", spec.name);
+            assert_eq!(engine.config().engine, spec, "{}", spec.name);
             assert_eq!(engine.counter(0), 0, "{}", spec.name);
         }
     }

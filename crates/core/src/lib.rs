@@ -11,12 +11,13 @@
 //! * [`srq`] — MoPAC-D's Selected-Row Queue with ACtr/SCtr coalescing;
 //! * [`config`] — mitigation configuration presets (PRAC, MoPAC-C,
 //!   MoPAC-D, NUP, QPRAC, CnC-PRAC, Row-Press hardening, multi-chip);
-//! * [`engine`] — the pluggable [`engine::MitigationEngine`] trait, the
-//!   [`engine::TimingDemands`] capability query the memory controller
-//!   reads, and the string-keyed [`engine::EngineRegistry`];
+//! * [`engine`] — the pluggable [`engine::MitigationEngine`] trait and
+//!   the string-keyed [`engine::EngineRegistry`] of
+//!   [`engine::EngineSpec`]s, each naming one design's preset,
+//!   constructor and [`engine::TimingDemands`];
 //! * [`engines`] — the built-in engine implementations;
-//! * [`bank`] — the per-bank host that embeds one boxed engine into
-//!   each simulated DRAM bank;
+//! * [`bank`] — what an engine reports back to its DRAM bank (alert
+//!   causes, ABO service, statistics);
 //! * [`checker`] — the security oracle that verifies no row ever receives
 //!   `T_RH` activations without an intervening mitigation or refresh.
 //!
@@ -28,12 +29,12 @@
 //!
 //! ```
 //! use mopac::config::MitigationConfig;
-//! use mopac::bank::BankMitigation;
+//! use mopac::engine::build_engine;
 //! use mopac_types::rng::DetRng;
 //!
 //! // A MoPAC-D bank engine at the paper's default threshold of 500.
 //! let cfg = MitigationConfig::mopac_d(500);
-//! let mut bank = BankMitigation::new(&cfg, 64 * 1024, DetRng::from_seed(1));
+//! let mut bank = build_engine(&cfg, 64 * 1024, DetRng::from_seed(1));
 //! for act in 0..100u32 {
 //!     bank.on_activate(act % 8, 0.0);
 //! }
@@ -54,7 +55,7 @@ pub mod mint;
 pub mod moat;
 pub mod srq;
 
-pub use bank::{AboService, AlertCause, BankMitigation, MitigationStats};
+pub use bank::{AboService, AlertCause, MitigationStats};
 pub use checker::RowhammerChecker;
-pub use config::{MitigationConfig, MitigationKind};
+pub use config::MitigationConfig;
 pub use engine::{build_engine, EngineRegistry, EngineSpec, MitigationEngine, TimingDemands};

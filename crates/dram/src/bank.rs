@@ -4,8 +4,8 @@
 
 use crate::flip::VictimWords;
 use crate::timing::TimingSet;
-use mopac::bank::BankMitigation;
 use mopac::checker::{Disturbance, Oracle};
+use mopac::engine::MitigationEngine;
 use mopac_types::time::Cycle;
 use std::ops::Range;
 
@@ -46,7 +46,7 @@ pub struct Bank {
     pre_allowed: Cycle,
     /// Earliest cycle a column command may issue (tRCD / tCCD gate).
     col_allowed: Cycle,
-    mitigation: BankMitigation,
+    mitigation: Box<dyn MitigationEngine>,
     /// The one per-side disturbance store, present when either view
     /// below is on. Both views read its reports of every ACT, refresh
     /// and mitigation.
@@ -70,7 +70,7 @@ impl Bank {
     /// `subarray_parallel_updates`, `0` otherwise).
     #[must_use]
     pub fn new(
-        mitigation: BankMitigation,
+        mitigation: Box<dyn MitigationEngine>,
         rows: u32,
         checker: Option<Oracle>,
         cu_slots: u32,
@@ -287,13 +287,13 @@ impl Bank {
 
     /// Access to the mitigation engine.
     #[must_use]
-    pub fn mitigation(&self) -> &BankMitigation {
-        &self.mitigation
+    pub fn mitigation(&self) -> &dyn MitigationEngine {
+        &*self.mitigation
     }
 
     /// Mutable access to the mitigation engine (REF drains, ABO service).
-    pub fn mitigation_mut(&mut self) -> &mut BankMitigation {
-        &mut self.mitigation
+    pub fn mitigation_mut(&mut self) -> &mut dyn MitigationEngine {
+        &mut *self.mitigation
     }
 
     /// The disturbance store both views read; `None` when both are off.
@@ -437,6 +437,7 @@ mod tests {
     use crate::flip::{EccMode, FlipPlane, FlipPlaneConfig, TrhDistribution};
     use mopac::checker::RowhammerChecker;
     use mopac::config::MitigationConfig;
+    use mopac::engine::build_engine;
     use mopac_types::rng::{mix64, DetRng};
     use mopac_types::snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, Snapshottable};
     use mopac_types::{MopacError, MopacResult};
@@ -444,7 +445,7 @@ mod tests {
     fn bank() -> Bank {
         let cfg = MitigationConfig::baseline();
         Bank::new(
-            BankMitigation::new(&cfg, 1024, DetRng::from_seed(1)),
+            build_engine(&cfg, 1024, DetRng::from_seed(1)),
             1024,
             Some(Oracle::new(500)),
             0,
@@ -499,7 +500,7 @@ mod tests {
         let prac = TimingSet::ddr5_prac();
         let cfg = MitigationConfig::practical(500);
         let mut b = Bank::new(
-            BankMitigation::new(&cfg, 1024, DetRng::from_seed(1)),
+            build_engine(&cfg, 1024, DetRng::from_seed(1)),
             1024,
             None,
             4,
@@ -546,7 +547,7 @@ mod tests {
     fn ledger_bank(checker: bool) -> Bank {
         let cfg = MitigationConfig::baseline();
         Bank::new(
-            BankMitigation::new(&cfg, LEDGER_ROWS, DetRng::from_seed(1)),
+            build_engine(&cfg, LEDGER_ROWS, DetRng::from_seed(1)),
             LEDGER_ROWS,
             checker.then(|| Oracle::new(6)),
             0,

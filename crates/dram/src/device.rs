@@ -160,9 +160,9 @@ struct SubChannel {
 #[derive(Debug, Clone)]
 pub struct DramDevice {
     cfg: DramConfig,
-    /// What the mitigation engines require of the memory controller
-    /// (timing set, PREcu coin, row-open cap). Cached at construction;
-    /// uniform across banks by design.
+    /// What the mitigation design requires of the memory controller
+    /// (timing set, PREcu coin, row-open cap). A static property of the
+    /// configured design, read once at construction.
     demands: TimingDemands,
     base: TimingSet,
     prac: TimingSet,
@@ -175,12 +175,6 @@ pub struct DramDevice {
     drop_rfms: u32,
     /// Fault hook: extra stall cycles added to every RFM.
     rfm_extra_stall: Cycle,
-    /// Bumped whenever a bank engine's [`TimingDemands`] change is
-    /// observed (see [`Self::demands_generation`]).
-    demands_generation: u64,
-    /// Last [`mopac::engine::MitigationEngine::demands_epoch`] observed
-    /// per flat bank.
-    demands_seen: Vec<u64>,
     /// Observability sink: protocol trace events and device-side
     /// histograms (inter-ACT gap, row-open time, ABO service time).
     /// Disabled by default — every record call is then an inlined
@@ -231,7 +225,7 @@ impl DramDevice {
                     .map(|b| {
                         let flat = geom.flat_bank(sc, b);
                         let bank_rng = rng.fork(u64::from(flat));
-                        let mitigation = mopac::bank::BankMitigation::new(
+                        let mitigation = mopac::engine::build_engine(
                             &cfg.mitigation,
                             geom.rows_per_bank,
                             bank_rng,
@@ -265,12 +259,6 @@ impl DramDevice {
                 }
             })
             .collect();
-        let subchannels: Vec<SubChannel> = subchannels;
-        let demands_seen = subchannels
-            .iter()
-            .flat_map(|s: &SubChannel| &s.banks)
-            .map(|b| b.mitigation().demands_epoch())
-            .collect();
         Self {
             demands,
             base: TimingSet::ddr5_base(),
@@ -282,8 +270,6 @@ impl DramDevice {
             stats: DramStats::default(),
             drop_rfms: 0,
             rfm_extra_stall: 0,
-            demands_generation: 0,
-            demands_seen,
             sink: MetricsSink::disabled(),
         }
     }
@@ -413,38 +399,6 @@ impl DramDevice {
         self.sub(sc).open_mask
     }
 
-    /// Generation counter of the cached [`TimingDemands`]: bumped every
-    /// time a bank engine reports a new
-    /// [`mopac::engine::MitigationEngine::demands_epoch`] after a
-    /// lifecycle call, at which point the cached demands are re-queried
-    /// from that engine. The memory controller compares this against its
-    /// own snapshot to refresh demand-derived knobs (PREcu coin,
-    /// row-open cap) and invalidate its scheduler index.
-    #[must_use]
-    pub fn demands_generation(&self) -> u64 {
-        self.demands_generation
-    }
-
-    /// Re-polls one bank's engine for a [`TimingDemands`] change after a
-    /// lifecycle event routed to it.
-    fn poll_demands(&mut self, sc: u32, bank: u32) {
-        let flat = self.cfg.geometry.flat_bank(sc, bank) as usize;
-        let epoch = self.sub(sc).banks[bank as usize].mitigation().demands_epoch();
-        if self.demands_seen[flat] != epoch {
-            self.demands_seen[flat] = epoch;
-            self.demands = self.sub(sc).banks[bank as usize].mitigation().timing_demands();
-            self.demands_generation += 1;
-        }
-    }
-
-    /// Re-polls every bank of `sc` (REF / RFM fan lifecycle calls out to
-    /// all engines).
-    fn poll_demands_all(&mut self, sc: u32) {
-        for bank in 0..self.cfg.geometry.banks_per_subchannel {
-            self.poll_demands(sc, bank);
-        }
-    }
-
     /// Earliest cycle an ACT to (sc, bank) may issue, or `None` if the
     /// bank is open.
     #[must_use]
@@ -542,7 +496,6 @@ impl DramDevice {
                 subarray: self.cfg.geometry.subarray_of(row),
             });
         }
-        self.poll_demands(sc, bank);
         self.refresh_alert_line(sc, now);
         Ok(())
     }
@@ -696,7 +649,6 @@ impl DramDevice {
                     .on_subarray_update(sa);
             }
         }
-        self.poll_demands(sc, bank);
         self.refresh_alert_line(sc, now);
         Ok(())
     }
@@ -760,7 +712,6 @@ impl DramDevice {
             subarray: 0,
         });
         self.mitigation_event(now, sc, 0, mitigations);
-        self.poll_demands_all(sc);
         self.refresh_alert_line(sc, now);
         Ok(())
     }
@@ -925,7 +876,6 @@ impl DramDevice {
         self.stats.mitigations += mitigations;
         self.stats.deferred_updates += updates;
         self.mitigation_event(now, sc, bank, mitigations);
-        self.poll_demands_all(sc);
         // A bank may *still* need service (e.g. more SRQ entries than one
         // ABO drains, or an unmasked bank); let ALERT re-assert.
         self.refresh_alert_line(sc, now);
@@ -1073,14 +1023,11 @@ impl DramDevice {
     }
 
     /// Whether this configuration serializes the subarray/bank-scope
-    /// snapshot extension. Derived from the *config* (not the live
-    /// `demands`) so the writer and reader agree even if an adaptive
-    /// engine has shifted its demands since construction.
-    fn extended_snapshot(cfg: &DramConfig) -> bool {
-        let d = TimingDemands::for_config(&cfg.mitigation);
-        cfg.geometry.subarrays_per_bank > 1
-            || d.recovery_scope == RecoveryScope::Bank
-            || d.subarray_parallel_updates
+    /// snapshot extension.
+    fn extended_snapshot(&self) -> bool {
+        self.cfg.geometry.subarrays_per_bank > 1
+            || self.demands.recovery_scope == RecoveryScope::Bank
+            || self.demands.subarray_parallel_updates
     }
 
     fn sub(&self, sc: u32) -> &SubChannel {
@@ -1186,20 +1133,23 @@ impl Snapshottable for DramDevice {
         self.stats.save_state(w);
         w.put_u32(self.drop_rfms);
         w.put_u64(self.rfm_extra_stall);
-        w.put_u64(self.demands_generation);
-        w.put_usize(self.demands_seen.len());
-        for &e in &self.demands_seen {
-            w.put_u64(e);
+        // Layout v1 carries a demands generation word and one demands
+        // epoch word per bank from a retired runtime-demands channel;
+        // they are written as zeros so the format stays unchanged.
+        let banks = self.cfg.geometry.total_banks() as usize;
+        w.put_u64(0);
+        w.put_usize(banks);
+        for _ in 0..banks {
+            w.put_u64(0);
         }
-        // The cached demands themselves: for all shipped engines these
-        // equal the config-derived defaults, but an adaptive engine may
-        // have switched them before the snapshot.
+        // The demands themselves, checked against the configured design
+        // on restore.
         w.put_bool(self.demands.always_prac_timings);
         w.put_opt_f64(self.demands.precu_probability);
         w.put_opt_f64(self.demands.row_open_cap_ns);
         // Subarray/bank-scope extension: only shapes that use it pay
         // for it, so legacy configurations keep byte-identical streams.
-        if Self::extended_snapshot(&self.cfg) {
+        if self.extended_snapshot() {
             w.put_u32(SUBARRAY_SECTION_MAGIC);
             w.put_u32(self.cfg.geometry.subarrays_per_bank);
             w.put_u32(match self.demands.recovery_scope {
@@ -1232,24 +1182,28 @@ impl Snapshottable for DramDevice {
         self.stats.load_state(r)?;
         self.drop_rfms = r.take_u32()?;
         self.rfm_extra_stall = r.take_u64()?;
-        self.demands_generation = r.take_u64()?;
+        if r.take_u64()? != 0 {
+            return Err(MopacError::snapshot("non-zero timing-demands generation word"));
+        }
         let n = r.take_usize()?;
-        if n != self.demands_seen.len() {
+        let banks = self.cfg.geometry.total_banks() as usize;
+        if n != banks {
             return Err(MopacError::snapshot(format!(
-                "demands-epoch table mismatch: snapshot {n}, configured {}",
-                self.demands_seen.len()
+                "demands-epoch table mismatch: snapshot {n}, configured {banks}"
             )));
         }
-        for e in &mut self.demands_seen {
-            *e = r.take_u64()?;
+        for _ in 0..n {
+            if r.take_u64()? != 0 {
+                return Err(MopacError::snapshot("non-zero timing-demands epoch word"));
+            }
         }
-        self.demands = TimingDemands {
+        let mut saved = TimingDemands {
             always_prac_timings: r.take_bool()?,
             precu_probability: r.take_opt_f64()?,
             row_open_cap_ns: r.take_opt_f64()?,
-            ..TimingDemands::for_config(&self.cfg.mitigation)
+            ..self.demands
         };
-        if Self::extended_snapshot(&self.cfg) {
+        if self.extended_snapshot() {
             let magic = r.take_u32()?;
             if magic != SUBARRAY_SECTION_MAGIC {
                 return Err(MopacError::snapshot(
@@ -1264,7 +1218,7 @@ impl Snapshottable for DramDevice {
                     self.cfg.geometry.subarrays_per_bank
                 )));
             }
-            self.demands.recovery_scope = match r.take_u32()? {
+            saved.recovery_scope = match r.take_u32()? {
                 0 => RecoveryScope::SubChannel,
                 1 => RecoveryScope::Bank,
                 v => {
@@ -1273,7 +1227,13 @@ impl Snapshottable for DramDevice {
                     )));
                 }
             };
-            self.demands.subarray_parallel_updates = r.take_bool()?;
+            saved.subarray_parallel_updates = r.take_bool()?;
+        }
+        if saved != self.demands {
+            return Err(MopacError::snapshot(format!(
+                "timing demands mismatch: snapshot {saved:?}, configured {:?} ({})",
+                self.demands, self.cfg.mitigation.engine.name
+            )));
         }
         if self.cfg.flip.is_some() {
             let magic = r.take_u32()?;

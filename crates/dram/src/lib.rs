@@ -6,8 +6,8 @@
 //! device-level shared resources, refresh machinery and ALERT/RFM (ABO)
 //! protocol ([`device`]).
 //!
-//! The device embeds a [`mopac::bank::BankMitigation`] engine in every
-//! bank, plus one [`mopac::checker::Disturbance`] store read by two
+//! The device embeds a boxed [`mopac::engine::MitigationEngine`] in
+//! every bank, plus one [`mopac::checker::Disturbance`] store read by two
 //! optional views: the [`mopac::checker::Oracle`] and the victim-data
 //! flip plane ([`flip`]). Any command stream driven through it is
 //! simultaneously timed, protected and security-checked.

@@ -170,17 +170,13 @@ pub struct MemoryController {
     /// ABO recovery scope the engine demands: `SubChannel` stalls the
     /// whole sub-channel for RFM (the classic ladder); `Bank` drains
     /// and services only the alerting banks while their siblings keep
-    /// scheduling (PRACtical). Pure cache of
-    /// [`DramDevice::timing_demands`] — refreshed on generation change
-    /// and after restore, never serialized.
+    /// scheduling (PRACtical). Copied from
+    /// [`DramDevice::timing_demands`] at construction; never serialized.
     recovery_scope: RecoveryScope,
     /// Per-sub-channel scheduler index: incrementally maintained
     /// per-bank queue counts plus the cached next-wake (see
     /// `sched_index` and DESIGN.md §10).
     idx: Vec<SubIndex>,
-    /// Last [`DramDevice::demands_generation`] observed; on change the
-    /// demand-derived knobs refresh and every index invalidates.
-    demands_gen_seen: u64,
     /// Scratch: per-bank open row, written and read only under an
     /// eligibility mask within one `issue_from` call (never serialized;
     /// stale entries are unreachable by construction). Sized to the
@@ -223,7 +219,6 @@ impl MemoryController {
             precu_p: demands.precu_probability,
             row_press_cap,
             recovery_scope: demands.recovery_scope,
-            demands_gen_seen: dram.demands_generation(),
             row_scratch: vec![0; banks],
             idx,
             dram,
@@ -362,22 +357,6 @@ impl MemoryController {
     /// gates before issuing), so an error indicates a scheduler bug or
     /// an injected fault surfacing.
     pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) -> MopacResult<u32> {
-        // Engines publish TimingDemands changes through the device's
-        // generation counter; observe them at tick boundaries (one u64
-        // compare per cycle), refresh the demand-derived knobs and
-        // invalidate every scheduler index.
-        if self.demands_gen_seen != self.dram.demands_generation() {
-            self.demands_gen_seen = self.dram.demands_generation();
-            let demands = self.dram.timing_demands();
-            self.precu_p = demands.precu_probability;
-            self.row_press_cap = demands
-                .row_open_cap_ns
-                .map(|ns| self.dram.clock().ns_to_cycles(ns));
-            self.recovery_scope = demands.recovery_scope;
-            for idx in &mut self.idx {
-                idx.invalidate();
-            }
-        }
         let mut issued = 0;
         for sc in 0..self.subs.len() as u32 {
             issued += u32::from(self.tick_subchannel(sc, now, completions)?);
@@ -1342,7 +1321,9 @@ impl Snapshottable for MemoryController {
         }
         w.put_opt_f64(self.precu_p);
         w.put_opt_u64(self.row_press_cap);
-        w.put_u64(self.demands_gen_seen);
+        // Layout v1's demands generation word, from a retired
+        // runtime-demands channel: always zero.
+        w.put_u64(0);
         self.sink.save_state(w);
     }
 
@@ -1388,13 +1369,20 @@ impl Snapshottable for MemoryController {
                 *c = r.take_u32()?;
             }
         }
-        self.precu_p = r.take_opt_f64()?;
-        self.row_press_cap = r.take_opt_u64()?;
-        self.demands_gen_seen = r.take_u64()?;
-        // `recovery_scope` is a pure demand cache (never serialized, so
-        // legacy snapshot streams are unchanged): re-derive it from the
-        // device's just-restored demands.
-        self.recovery_scope = self.dram.timing_demands().recovery_scope;
+        // The demand-derived knobs are configuration, not state: the
+        // snapshot's copies must match this controller's.
+        let precu_p = r.take_opt_f64()?;
+        let row_press_cap = r.take_opt_u64()?;
+        if (precu_p, row_press_cap) != (self.precu_p, self.row_press_cap) {
+            return Err(MopacError::snapshot(format!(
+                "controller demands mismatch: snapshot PREcu p {precu_p:?}, row-open cap \
+                 {row_press_cap:?}; configured {:?}, {:?}",
+                self.precu_p, self.row_press_cap
+            )));
+        }
+        if r.take_u64()? != 0 {
+            return Err(MopacError::snapshot("non-zero timing-demands generation word"));
+        }
         self.sink.load_state(r)?;
         // The scheduler index is pure cache: rebuild the per-bank queue
         // counts from the restored queues and leave the wake cache cold.

@@ -16,8 +16,8 @@
 //!   invalidation epoch, and the cached next-wake cycle. The cache is
 //!   valid only while the epoch is unchanged; every event that can
 //!   change scheduling (enqueue, dequeue, any DRAM command on the
-//!   sub-channel, external device mutation through `dram_mut`, an
-//!   engine `TimingDemands` change) bumps the epoch.
+//!   sub-channel, external device mutation through `dram_mut`) bumps
+//!   the epoch.
 //!
 //! The invariants (what invalidates what, and why the fast path is
 //! bit-identical to per-cycle rescans) are documented in DESIGN.md §10
@@ -183,8 +183,8 @@ impl SubIndex {
     }
 
     /// Kills the cached wake. Called on: enqueue/dequeue, every DRAM
-    /// command issued on this sub-channel, any external device mutation
-    /// (`dram_mut`), and an observed `TimingDemands` change.
+    /// command issued on this sub-channel, and any external device
+    /// mutation (`dram_mut`).
     ///
     /// The cache entry is dropped eagerly, not just epoch-orphaned:
     /// `wrapping_add` alone would let a stale entry validate again once

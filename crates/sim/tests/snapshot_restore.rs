@@ -178,3 +178,47 @@ fn restore_rejects_cross_subarray_shape_snapshots() {
     same.restore(&sub_snap).unwrap();
     assert_eq!(reference, same.run_to_completion().unwrap());
 }
+
+/// Timing demands are a fixed property of the configured design: a
+/// MoPAC-C snapshot restored into a PRAC run with the same alert
+/// thresholds must be rejected, not continue under MoPAC-C's PREcu coin
+/// and base timings.
+#[test]
+fn restore_rejects_snapshots_of_another_design() {
+    use mopac::config::MitigationConfig;
+    use mopac_sim::attack::{AttackConfig, AttackRun};
+    use mopac_types::error::MopacError;
+    use mopac_types::geometry::BankRef;
+    use mopac_workloads::attack::DoubleSidedHammer;
+
+    let attack = |mitigation| AttackConfig {
+        geometry: DramGeometry::tiny(),
+        ..AttackConfig::new(mitigation, 200_000)
+    };
+    let mopac_c = attack(MitigationConfig::mopac_c(500));
+    let prac = attack(MitigationConfig::prac(500).with_alert_threshold(176));
+    // Both pass the MOAT threshold checks, so only the timing demands
+    // tell the two designs apart on restore.
+    let thresholds =
+        |c: &AttackConfig| (c.mitigation.alert_threshold, c.mitigation.eligibility_threshold);
+    assert_eq!(thresholds(&mopac_c), thresholds(&prac));
+
+    let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
+    let mut src = AttackRun::new(&mopac_c, &mut pattern);
+    src.run_until(50_000).unwrap();
+    let snap = src.snapshot();
+
+    let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
+    let mut dst = AttackRun::new(&prac, &mut pattern);
+    let err = dst
+        .restore(&snap)
+        .expect_err("MoPAC-C snapshot restored into a PRAC run");
+    assert!(
+        matches!(&err, MopacError::Snapshot { .. }),
+        "wrong error kind: {err:?}"
+    );
+    assert!(
+        err.to_string().contains("timing demands"),
+        "unhelpful error: {err}"
+    );
+}

@@ -25,7 +25,7 @@ fn every_registered_engine_runs_a_workload_oracle_clean() {
     for spec in EngineRegistry::builtin().specs() {
         let mit = mitigation_preset(spec.name, 500)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        assert_eq!(mit.kind, (spec.preset)(500).kind, "{}", spec.name);
+        assert_eq!(mit.engine, spec, "{}", spec.name);
         let result = run_workload_with("xz", tiny_cfg(mit, 15_000))
             .unwrap_or_else(|e| panic!("{} run failed: {e}", spec.name));
         assert_eq!(result.violations, 0, "{}: oracle violations", spec.name);
@@ -37,6 +37,34 @@ fn every_registered_engine_runs_a_workload_oracle_clean() {
             );
         }
     }
+}
+
+#[test]
+fn presets_name_their_own_spec() {
+    let reg = EngineRegistry::builtin();
+    for spec in reg.specs() {
+        for t_rh in [125, 250, 500, 1000, 2000, 4000] {
+            let cfg = (spec.preset)(t_rh);
+            assert_eq!(cfg.engine.name, spec.name, "preset at T_RH {t_rh}");
+            assert_eq!(cfg.engine, spec, "preset at T_RH {t_rh}");
+        }
+    }
+
+    let d = reg.get("mopac-d").unwrap();
+    let nup = reg.get("mopac-d-nup").unwrap();
+    assert_ne!(d, nup);
+    assert_ne!(
+        MitigationConfig::mopac_d(500).engine,
+        MitigationConfig::mopac_d_nup(500).engine
+    );
+
+    let untracked: Vec<&str> = reg
+        .specs()
+        .iter()
+        .filter(|s| !s.tracks())
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(untracked, ["baseline"]);
 }
 
 #[test]

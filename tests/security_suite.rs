@@ -95,7 +95,7 @@ fn multi_bank_round_robin_contained() {
         MitigationConfig::mopac_d(250),
     ] {
         let r = attack_tiny(mit, &mut p);
-        assert_eq!(r.violations, 0, "{:?}", mit.kind);
+        assert_eq!(r.violations, 0, "{:?}", mit.engine);
     }
 }
 
@@ -198,6 +198,6 @@ fn row_press_hardened_configs_remain_secure_against_hammering() {
     ] {
         let mut p = DoubleSidedHammer::new(BankRef::new(0, 0), 55);
         let r = attack_tiny(mit, &mut p);
-        assert_eq!(r.violations, 0, "{:?}", mit.kind);
+        assert_eq!(r.violations, 0, "{:?}", mit.engine);
     }
 }
