@@ -159,7 +159,8 @@ if [[ $fast -eq 0 ]]; then
   echo "kill-and-resume OK: CSVs byte-identical ($committed cell(s) survived the SIGKILL)"
 
   # Crash-safety gate 2: periodic snapshots on a saturated attack run
-  # (every 32 REF windows) must cost < 5% wall-clock.
+  # at the paper geometry (every 32 REF windows) must cost < 5%
+  # wall-clock.
   step "snapshot overhead gate (saturated attack, < 5%)"
   overhead=$(MOPAC_ATTACK_CYCLES=20000000 ./target/release/snapshot_overhead \
     | tee /dev/stderr | awk -F': ' '/snapshot_overhead_pct/ {print $2}')

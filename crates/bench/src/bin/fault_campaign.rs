@@ -24,30 +24,22 @@
 //!   re-executing, and the final CSV is byte-identical to an
 //!   uninterrupted run (kill-and-resume is gated in `ci.sh`).
 
-use mopac_bench::{IncrementalCsv, Report};
+use mopac_bench::{u64_knob, IncrementalCsv, Report};
 use mopac_sim::campaign::{
     fault_cells, run_fault_campaign, CheckpointedFaultCampaign, FaultCampaignSpec,
     FAULT_CAMPAIGN_HEADERS,
 };
 use mopac_sim::runner::RunStatus;
+use mopac_types::MopacResult;
 use std::time::Duration;
 
-fn spec_from_env() -> FaultCampaignSpec {
+fn spec_from_env() -> MopacResult<FaultCampaignSpec> {
     let mut spec = FaultCampaignSpec::default();
-    if let Some(instrs) = std::env::var("MOPAC_FAULT_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        spec.instrs = instrs;
-    }
-    if let Some(secs) = std::env::var("MOPAC_FAULT_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        spec.timeout = Duration::from_secs(secs);
-    }
+    spec.instrs = u64_knob("MOPAC_FAULT_INSTRS", spec.instrs)?;
+    let secs = u64_knob("MOPAC_FAULT_TIMEOUT_SECS", spec.timeout.as_secs())?;
+    spec.timeout = Duration::from_secs(secs);
     spec.inject_panic = std::env::var("MOPAC_INJECT_PANIC").ok();
-    spec
+    Ok(spec)
 }
 
 fn main() {
@@ -58,7 +50,7 @@ fn main() {
         "Fault-injection campaign: graceful degradation per (mitigation x fault)",
         &FAULT_CAMPAIGN_HEADERS,
     );
-    let spec = spec_from_env();
+    let spec = spec_from_env().unwrap_or_else(|e| panic!("{e}"));
     let mut escapes = 0u64;
     let mut not_done = 0u64;
     let sink = |outcome: mopac_sim::FaultCellOutcome| {

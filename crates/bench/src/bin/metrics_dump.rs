@@ -16,23 +16,22 @@
 //! `MOPAC_TRACE_CAPACITY` (ring size, default 65536).
 
 use mopac::config::MitigationConfig;
-use mopac_bench::{attack_cycle_budget, data_dir, instr_budget, workload_filter, Report};
+use mopac_bench::{attack_cycle_budget, data_dir, instr_budget, u64_knob, workload_filter, Report};
 use mopac_sim::attack::{run_attack_instrumented, AttackConfig};
 use mopac_sim::experiment::build_traces;
 use mopac_sim::system::{System, SystemConfig};
 use mopac_types::geometry::{BankRef, DramGeometry};
 use mopac_types::obs::{MetricsSnapshot, SinkConfig, TraceRing};
+use mopac_types::{MopacError, MopacResult};
 use mopac_workloads::attack::DoubleSidedHammer;
 
-fn sink_config() -> SinkConfig {
+fn sink_config() -> MopacResult<SinkConfig> {
     let mut cfg = SinkConfig::default();
-    if let Some(cap) = std::env::var("MOPAC_TRACE_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        cfg.trace_capacity = cap;
-    }
-    cfg
+    let cap = u64_knob("MOPAC_TRACE_CAPACITY", cfg.trace_capacity as u64)?;
+    cfg.trace_capacity = usize::try_from(cap).map_err(|_| {
+        MopacError::config(format!("MOPAC_TRACE_CAPACITY={cap} does not fit in usize"))
+    })?;
+    Ok(cfg)
 }
 
 /// Writes the three export files for one scenario and summarizes the
@@ -74,7 +73,7 @@ fn dump(scenario: &str, snapshot: &MetricsSnapshot, table: &mut Report) {
 }
 
 fn main() {
-    let sink_cfg = sink_config();
+    let sink_cfg = sink_config().unwrap_or_else(|e| panic!("{e}"));
     let mut table = Report::new(
         "metrics_dump",
         "Observability export: histogram summaries per scenario",

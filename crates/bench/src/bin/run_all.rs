@@ -15,6 +15,7 @@
 //! parallelism), `MOPAC_RUN_ALL_TIMEOUT_SECS` (per-binary budget,
 //! default 3600).
 
+use mopac_bench::u64_knob;
 use mopac_sim::campaign::ParallelCampaign;
 use mopac_sim::runner::{IsolatedRunner, RunReport};
 use mopac_types::error::MopacError;
@@ -61,21 +62,14 @@ struct ExperimentRun {
     secs: f32,
 }
 
-fn timeout() -> Duration {
-    let secs = std::env::var("MOPAC_RUN_ALL_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3600);
-    Duration::from_secs(secs)
-}
-
 fn main() {
+    let timeout = u64_knob("MOPAC_RUN_ALL_TIMEOUT_SECS", 3600).unwrap_or_else(|e| panic!("{e}"));
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir").to_path_buf();
     let started = Instant::now();
     let mut failures = Vec::new();
     let campaign = ParallelCampaign::new(0)
-        .with_runner(IsolatedRunner::with_timeout(timeout()));
+        .with_runner(IsolatedRunner::with_timeout(Duration::from_secs(timeout)));
     println!(
         "== run_all: {} experiments across {} worker threads ==",
         EXPERIMENTS.len(),

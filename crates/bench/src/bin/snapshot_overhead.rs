@@ -1,19 +1,20 @@
 //! Measures the wall-clock cost of periodic crash-safety snapshots on a
 //! saturated attack run.
 //!
-//! Runs the same double-sided hammer twice: once straight through, once
-//! pausing every `MOPAC_SNAP_REF_WINDOWS` (default 32) REF intervals to
-//! take a full [`AttackRun::snapshot`]. Results must stay bit-identical
-//! (the snapshot is a pure observer), and the median relative slowdown
-//! over back-to-back pairs of runs is printed as
+//! Runs the same double-sided hammer twice at the paper geometry (64K
+//! rows per bank, [`AttackConfig::new`]'s default): once straight
+//! through, once pausing every `MOPAC_SNAP_REF_WINDOWS` (default 32) REF
+//! intervals to take a full [`AttackRun::snapshot`]. Results must stay
+//! bit-identical (the snapshot is a pure observer), and the median
+//! relative slowdown over back-to-back pairs of runs is printed as
 //! `snapshot_overhead_pct: <value>` — `ci.sh` gates it below 5% in
 //! release builds.
 
 use mopac::config::MitigationConfig;
-use mopac_bench::attack_cycle_budget;
+use mopac_bench::{attack_cycle_budget, u64_knob};
 use mopac_dram::timing::TimingSet;
 use mopac_sim::{AttackConfig, AttackResult, AttackRun};
-use mopac_types::geometry::{BankRef, DramGeometry};
+use mopac_types::geometry::BankRef;
 use mopac_workloads::attack::DoubleSidedHammer;
 use std::time::Instant;
 
@@ -38,19 +39,13 @@ fn run_once(cfg: &AttackConfig, snap_interval: Option<u64>) -> (AttackResult, f6
 }
 
 fn main() {
-    let ref_windows = std::env::var("MOPAC_SNAP_REF_WINDOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32u64)
-        .max(1);
+    let ref_windows =
+        u64_knob("MOPAC_SNAP_REF_WINDOWS", 32).unwrap_or_else(|e| panic!("{e}")).max(1);
     let interval = TimingSet::ddr5_base().t_refi * ref_windows;
-    let cfg = AttackConfig {
-        geometry: DramGeometry::tiny(),
-        ..AttackConfig::new(
-            MitigationConfig::prac(500),
-            attack_cycle_budget().unwrap_or_else(|e| panic!("{e}")),
-        )
-    };
+    let cfg = AttackConfig::new(
+        MitigationConfig::prac(500),
+        attack_cycle_budget().unwrap_or_else(|e| panic!("{e}")),
+    );
 
     // Warm-up (page in code and allocator paths), then pairs of runs
     // back to back, alternating which goes first. Each pair gives one

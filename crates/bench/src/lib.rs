@@ -398,6 +398,23 @@ mod tests {
     }
 
     #[test]
+    fn bench_knobs_are_strict() {
+        let knobs = [
+            "MOPAC_SNAP_REF_WINDOWS",
+            "MOPAC_FAULT_INSTRS",
+            "MOPAC_FAULT_TIMEOUT_SECS",
+            "MOPAC_TRACE_CAPACITY",
+            "MOPAC_RUN_ALL_TIMEOUT_SECS",
+        ];
+        for name in knobs {
+            assert_eq!(parse_u64_knob(name, Some("300"), 7).unwrap(), 300);
+            let err = parse_u64_knob(name, Some("5m"), 7).unwrap_err();
+            assert!(matches!(err, MopacError::Config { .. }), "{name}: {err:?}");
+            assert!(err.to_string().contains(&format!("{name}=\"5m\"")), "{err}");
+        }
+    }
+
+    #[test]
     fn pct_and_sci_format() {
         assert_eq!(pct(0.018), "1.8%");
         assert_eq!(sci(8.48e-9), "8.48e-9");

@@ -16,12 +16,15 @@
 //!
 //! Refreshing a row `V` (periodic REF or a victim refresh during
 //! mitigation) resets `up[V-1]` and `dn[V+1]`, because `V`'s accumulated
-//! disturbance is restored. The store reports every count it raises to a
-//! [`DisturbanceView`]. The [`Oracle`] view records a violation when a
-//! count exceeds `T_RH`; it is independent of the mitigation engines —
-//! it observes the same event stream and cross-checks them. The
-//! victim-data flip plane (`mopac_dram::flip`) is the second view.
+//! disturbance is restored. Both sides are paged [`RowTable`]s, so a bank
+//! pays only for the rows it activates. The store reports every count it
+//! raises to a [`DisturbanceView`]. The [`Oracle`] view records a
+//! violation when a count exceeds `T_RH`; it is independent of the
+//! mitigation engines — it observes the same event stream and
+//! cross-checks them. The victim-data flip plane (`mopac_dram::flip`) is
+//! the second view.
 
+use mopac_types::collections::RowTable;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter};
 use mopac_types::{MopacError, MopacResult};
 use std::ops::Range;
@@ -92,8 +95,8 @@ pub enum Indexing {
 /// The per-bank disturbance store (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Disturbance {
-    up: Box<[u32]>,
-    dn: Box<[u32]>,
+    up: RowTable,
+    dn: RowTable,
 }
 
 impl Disturbance {
@@ -105,16 +108,19 @@ impl Disturbance {
     #[must_use]
     pub fn new(rows: u32) -> Self {
         assert!(rows > 0, "a bank needs at least one row");
-        Self {
-            up: vec![0; rows as usize].into_boxed_slice(),
-            dn: vec![0; rows as usize].into_boxed_slice(),
-        }
+        Self { up: RowTable::new(rows), dn: RowTable::new(rows) }
     }
 
     /// Rows in the bank.
     #[must_use]
     pub fn rows(&self) -> u32 {
-        self.up.len() as u32
+        self.up.rows()
+    }
+
+    /// Number of allocated [`RowTable`] pages, both sides together.
+    #[must_use]
+    pub fn present_pages(&self) -> usize {
+        self.up.present_pages() + self.dn.present_pages()
     }
 
     /// Records an activation of `row` (including victim-refresh
@@ -128,14 +134,13 @@ impl Disturbance {
     /// a multi-billion-activation soak can't wrap a `u32` and silently
     /// reset a victim's budget.
     pub fn activate(&mut self, row: u32, view: &mut impl DisturbanceView) {
-        let i = row as usize;
-        self.up[i] = self.up[i].saturating_add(1);
-        self.dn[i] = self.dn[i].saturating_add(1);
-        if i + 1 < self.up.len() {
-            view.disturbed(row + 1, Side::Lo, self.up[i]);
+        let up = self.up.update(row, |c| c.saturating_add(1));
+        let dn = self.dn.update(row, |c| c.saturating_add(1));
+        if row + 1 < self.rows() {
+            view.disturbed(row + 1, Side::Lo, up);
         }
         if row > 0 {
-            view.disturbed(row - 1, Side::Hi, self.dn[i]);
+            view.disturbed(row - 1, Side::Hi, dn);
         }
     }
 
@@ -143,10 +148,10 @@ impl Disturbance {
     /// refresh): its neighbours' budgets toward it reset.
     pub fn refresh_row(&mut self, row: u32, view: &mut impl DisturbanceView) {
         if row > 0 {
-            self.up[row as usize - 1] = 0;
+            self.up.set(row - 1, 0);
         }
-        if (row as usize) + 1 < self.dn.len() {
-            self.dn[row as usize + 1] = 0;
+        if row + 1 < self.rows() {
+            self.dn.set(row + 1, 0);
         }
         view.refreshed(row);
     }
@@ -167,7 +172,7 @@ impl Disturbance {
                 self.refresh_row(row - d, view);
                 self.activate(row - d, view);
             }
-            if ((row + d) as usize) < self.up.len() {
+            if row + d < self.rows() {
                 self.refresh_row(row + d, view);
                 self.activate(row + d, view);
             }
@@ -179,32 +184,39 @@ impl Disturbance {
     /// don't exist, so whatever they accumulated exposes no real victim.
     #[must_use]
     pub fn max_exposure(&self) -> u32 {
-        let [(_, up), (_, dn)] = self.sides(Indexing::Victim);
-        up.iter().chain(dn).copied().max().unwrap_or(0)
+        self.sides(Indexing::Victim).into_iter().flatten().map(|(_, c)| c).max().unwrap_or(0)
     }
 
-    /// Each side's slots, with the row index its first slot is written
-    /// under. By victim, `up[a]` disturbs row `a + 1` and `dn[a + 1]`
-    /// row `a`.
-    #[must_use]
-    pub fn sides(&self, ix: Indexing) -> [(u32, &[u32]); 2] {
-        let last = self.up.len() - 1;
+    /// Each side's non-zero slots as `(index, count)` in index order. By
+    /// aggressor the index is the slot's row. By victim, `up[a]` is
+    /// written under `a + 1` and `dn[a]` under `a - 1`, and the edge
+    /// slots toward nonexistent rows are dropped.
+    pub fn sides(&self, ix: Indexing) -> [impl Iterator<Item = (u32, u32)> + Clone + '_; 2] {
+        // `delta` is added modulo 2^32, so `u32::MAX` subtracts one.
+        fn side(
+            t: &RowTable,
+            edge: Option<u32>,
+            delta: u32,
+        ) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+            let kept = t.iter_nonzero().filter(move |&(a, _)| Some(a) != edge);
+            kept.map(move |(a, c)| (a.wrapping_add(delta), c))
+        }
         match ix {
-            Indexing::Aggressor => [(0, &self.up[..]), (0, &self.dn[..])],
-            Indexing::Victim => [(1, &self.up[..last]), (0, &self.dn[1..])],
+            Indexing::Aggressor => [side(&self.up, None, 0), side(&self.dn, None, 0)],
+            Indexing::Victim => {
+                [side(&self.up, Some(self.rows() - 1), 1), side(&self.dn, Some(0), u32::MAX)]
+            }
         }
     }
 
     /// Writes both sides sparsely: per side, the count of non-zero
-    /// slots, then `(row, count)` pairs in row order.
+    /// slots, then `(index, count)` pairs in index order.
     pub fn save_sides(&self, w: &mut SnapshotWriter, ix: Indexing) {
-        for (first, side) in self.sides(ix) {
-            w.put_usize(side.iter().filter(|&&c| c != 0).count());
-            for (i, &c) in (first..).zip(side) {
-                if c != 0 {
-                    w.put_u32(i);
-                    w.put_u32(c);
-                }
+        for side in self.sides(ix) {
+            w.put_usize(side.clone().count());
+            for (i, c) in side {
+                w.put_u32(i);
+                w.put_u32(c);
             }
         }
     }
@@ -217,19 +229,22 @@ impl Disturbance {
     /// [`MopacError::Snapshot`] on a row outside the bank or truncated
     /// input.
     pub fn load_sides(&mut self, r: &mut SnapshotReader<'_>, ix: Indexing) -> MopacResult<()> {
-        self.up.fill(0);
-        self.dn.fill(0);
-        let last = self.up.len() - 1;
-        let sides: [(u32, &mut [u32]); 2] = match ix {
-            Indexing::Aggressor => [(0, &mut self.up[..]), (0, &mut self.dn[..])],
-            Indexing::Victim => [(1, &mut self.up[..last]), (0, &mut self.dn[1..])],
+        self.up.clear();
+        self.dn.clear();
+        let rows = self.rows();
+        // Each side's table and the slot range its indices map into.
+        let sides = match ix {
+            Indexing::Aggressor => [(&mut self.up, 0, 0..rows), (&mut self.dn, 0, 0..rows)],
+            Indexing::Victim => [(&mut self.up, u32::MAX, 0..rows - 1), (&mut self.dn, 1, 1..rows)],
         };
-        for (first, side) in sides {
+        for (table, delta, slots) in sides {
             for _ in 0..r.take_usize()? {
                 let i = r.take_u32()?;
-                let slot = i.checked_sub(first).and_then(|j| side.get_mut(j as usize));
-                let err = || MopacError::snapshot(format!("disturbance row {i} out of range"));
-                *slot.ok_or_else(err)? = r.take_u32()?;
+                let a = i.wrapping_add(delta);
+                if !slots.contains(&a) {
+                    return Err(MopacError::snapshot(format!("disturbance row {i} out of range")));
+                }
+                table.set(a, r.take_u32()?);
             }
         }
         Ok(())
@@ -275,7 +290,7 @@ impl Oracle {
     /// aggressor, then the violations.
     pub fn save_section(&self, store: &Disturbance, w: &mut SnapshotWriter) {
         w.put_u32(self.t_rh);
-        w.put_usize(store.up.len());
+        w.put_usize(store.rows() as usize);
         store.save_sides(w, Indexing::Aggressor);
         w.put_u64(self.violations);
         w.put_usize(self.first_violations.len());
@@ -300,12 +315,12 @@ impl Oracle {
         let err = MopacError::snapshot;
         let t_rh = r.take_u32()?;
         let rows = r.take_usize()?;
-        if t_rh != self.t_rh || rows != store.up.len() {
+        if t_rh != self.t_rh || rows != store.rows() as usize {
             return Err(err(format!(
                 "checker shape mismatch: snapshot t_rh={t_rh}/rows={rows}, \
                  configured t_rh={}/rows={}",
                 self.t_rh,
-                store.up.len()
+                store.rows()
             )));
         }
         store.load_sides(r, Indexing::Aggressor)?;
@@ -571,6 +586,42 @@ mod tests {
         }
         assert_eq!(ck.violations(), 0);
         assert_eq!(ck.max_exposure(), 0);
+    }
+
+    #[test]
+    fn refresh_sweeps_and_reads_allocate_no_page() {
+        let rows = 64 * 1024;
+        let mut d = Disturbance::new(rows);
+        let mut oracle = Oracle::new(10);
+        d.refresh_range(0..rows, &mut oracle);
+        assert_eq!(d.max_exposure(), 0);
+        assert_eq!(d.sides(Indexing::Aggressor).into_iter().flatten().count(), 0);
+        assert_eq!(d.present_pages(), 0);
+        // One activation touches one page per side.
+        d.activate(1000, &mut oracle);
+        assert_eq!(d.present_pages(), 2);
+    }
+
+    #[test]
+    fn load_sides_drops_the_populated_pages() {
+        let rows = 64 * 1024;
+        let mut src = Disturbance::new(rows);
+        let mut oracle = Oracle::new(10);
+        src.activate(7, &mut oracle);
+        let mut w = SnapshotWriter::new();
+        src.save_sides(&mut w, Indexing::Victim);
+        let bytes = w.finish();
+
+        let mut dst = Disturbance::new(rows);
+        for row in (0..rows).step_by(1000) {
+            dst.activate(row, &mut oracle);
+        }
+        assert_eq!(dst.present_pages(), 2 * 66);
+        dst.load_sides(&mut SnapshotReader::new(&bytes).unwrap(), Indexing::Victim).unwrap();
+        assert_eq!(dst.present_pages(), 2);
+        let got: Vec<Vec<(u32, u32)>> =
+            dst.sides(Indexing::Victim).into_iter().map(Iterator::collect).collect();
+        assert_eq!(got, vec![vec![(8, 1)], vec![(6, 1)]]);
     }
 
     #[test]

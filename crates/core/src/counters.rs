@@ -5,6 +5,12 @@
 //! models one bank's worth of counters. Under plain PRAC each update adds
 //! 1; under MoPAC each (probabilistic) update adds `1/p`, and MoPAC-D's
 //! deferred updates add `1 + SCtr/p` when an SRQ entry drains.
+//!
+//! The counters live in a paged [`RowTable`]: a bank pays only for the
+//! pages its activated rows fall in, and refreshes and resets of
+//! untouched rows allocate nothing.
+
+use mopac_types::collections::RowTable;
 
 /// One bank's per-row activation counters.
 ///
@@ -21,22 +27,20 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct PracCounters {
-    counts: Box<[u32]>,
+    counts: RowTable,
 }
 
 impl PracCounters {
     /// Creates counters for a bank with `rows` rows, all zero.
     #[must_use]
     pub fn new(rows: u32) -> Self {
-        Self {
-            counts: vec![0u32; rows as usize].into_boxed_slice(),
-        }
+        Self { counts: RowTable::new(rows) }
     }
 
     /// Number of rows covered.
     #[must_use]
     pub fn rows(&self) -> u32 {
-        self.counts.len() as u32
+        self.counts.rows()
     }
 
     /// Current counter value of `row`.
@@ -46,7 +50,7 @@ impl PracCounters {
     /// Panics if `row` is out of range.
     #[must_use]
     pub fn get(&self, row: u32) -> u32 {
-        self.counts[row as usize]
+        self.counts.get(row)
     }
 
     /// Adds `amount` to the counter of `row`, saturating, and returns the
@@ -56,9 +60,7 @@ impl PracCounters {
     ///
     /// Panics if `row` is out of range.
     pub fn add(&mut self, row: u32, amount: u32) -> u32 {
-        let c = &mut self.counts[row as usize];
-        *c = c.saturating_add(amount);
-        *c
+        self.counts.update(row, |c| c.saturating_add(amount))
     }
 
     /// Resets the counter of `row` to zero (mitigation or refresh).
@@ -67,7 +69,7 @@ impl PracCounters {
     ///
     /// Panics if `row` is out of range.
     pub fn reset(&mut self, row: u32) {
-        self.counts[row as usize] = 0;
+        self.counts.set(row, 0);
     }
 
     /// Flips one bit of the counter of `row` (fault injection: a soft
@@ -78,28 +80,30 @@ impl PracCounters {
     ///
     /// Panics if `row` is out of range.
     pub fn flip_bit(&mut self, row: u32, bit: u32) -> u32 {
-        let c = &mut self.counts[row as usize];
-        *c ^= 1u32 << (bit % 32);
-        *c
+        self.counts.update(row, |c| c ^ (1u32 << (bit % 32)))
     }
 
-    /// Iterates over `(row, count)` pairs with non-zero counts.
+    /// Iterates over `(row, count)` pairs with non-zero counts, in row
+    /// order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(r, &c)| (r as u32, c))
+        self.counts.iter_nonzero()
+    }
+
+    /// Number of allocated [`RowTable`] pages.
+    #[must_use]
+    pub fn present_pages(&self) -> usize {
+        self.counts.present_pages()
     }
 }
 
 impl mopac_types::snapshot::Snapshottable for PracCounters {
-    /// Serializes sparsely: only non-zero counters are written, so a
-    /// mostly-idle 64 K-row bank costs a few bytes instead of 256 KB.
+    /// Serializes sparsely: the row count, the number of non-zero
+    /// counters, then `(row, count)` pairs in row order. Only allocated
+    /// pages are visited, so a mostly-idle 64 K-row bank costs a few
+    /// bytes and a few page scans instead of 256 KB and a full sweep.
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
         w.put_u32(self.rows());
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        w.put_usize(nonzero);
+        w.put_usize(self.iter_nonzero().count());
         for (row, count) in self.iter_nonzero() {
             w.put_u32(row);
             w.put_u32(count);
@@ -117,15 +121,17 @@ impl mopac_types::snapshot::Snapshottable for PracCounters {
                 self.rows()
             )));
         }
-        self.counts.fill(0);
+        self.counts.clear();
         let n = r.take_usize()?;
         for _ in 0..n {
             let row = r.take_u32()?;
             let count = r.take_u32()?;
-            let slot = self.counts.get_mut(row as usize).ok_or_else(|| {
-                mopac_types::MopacError::snapshot(format!("PRAC counter row {row} out of range"))
-            })?;
-            *slot = count;
+            if row >= self.rows() {
+                return Err(mopac_types::MopacError::snapshot(format!(
+                    "PRAC counter row {row} out of range"
+                )));
+            }
+            self.counts.set(row, count);
         }
         Ok(())
     }
@@ -159,6 +165,43 @@ mod tests {
         c.add(99, 7);
         let v: Vec<_> = c.iter_nonzero().collect();
         assert_eq!(v, vec![(5, 2), (99, 7)]);
+    }
+
+    #[test]
+    fn resets_and_reads_of_every_row_allocate_no_page() {
+        let rows = 64 * 1024;
+        let mut c = PracCounters::new(rows);
+        for row in 0..rows {
+            c.reset(row);
+            assert_eq!(c.get(row), 0);
+        }
+        assert_eq!(c.present_pages(), 0);
+    }
+
+    #[test]
+    fn flip_bit_on_an_absent_row_allocates_one_page() {
+        let mut c = PracCounters::new(64 * 1024);
+        assert_eq!(c.flip_bit(40_000, 33), 2);
+        assert_eq!(c.present_pages(), 1);
+    }
+
+    #[test]
+    fn load_state_drops_the_populated_pages() {
+        use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
+        let mut src = PracCounters::new(64 * 1024);
+        src.add(3, 5);
+        let mut w = SnapshotWriter::new();
+        src.save_state(&mut w);
+        let bytes = w.finish();
+
+        let mut dst = PracCounters::new(64 * 1024);
+        for row in (0..64 * 1024).step_by(1000) {
+            dst.add(row, 1);
+        }
+        assert_eq!(dst.present_pages(), 66);
+        dst.load_state(&mut SnapshotReader::new(&bytes).unwrap()).unwrap();
+        assert_eq!(dst.present_pages(), 1);
+        assert_eq!(dst.iter_nonzero().collect::<Vec<_>>(), vec![(3, 5)]);
     }
 
     #[test]

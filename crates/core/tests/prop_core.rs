@@ -1,13 +1,16 @@
 //! Property tests for the mitigation building blocks: SRQ invariants,
 //! MINT window guarantees, MOAT tracking, and the security oracle.
 
-use mopac::checker::RowhammerChecker;
+use mopac::checker::{Disturbance, Indexing, Oracle, RowhammerChecker};
+use mopac::counters::PracCounters;
 use mopac::mint::MintSampler;
 use mopac::moat::MoatTracker;
 use mopac::srq::{Srq, SrqInsert};
 use mopac_types::check::prop_check;
 use mopac_types::prop_ensure;
+use mopac_types::collections::ROW_PAGE;
 use mopac_types::rng::DetRng;
+use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 
 #[test]
 fn srq_never_exceeds_capacity_and_never_duplicates() {
@@ -260,6 +263,126 @@ fn checker_matches_naive_model_at_bank_edges() {
                 naive.victims[i]
             );
         }
+        Ok(())
+    });
+}
+
+/// Writes `(index, count)` pairs the way the sparse snapshot sections
+/// do: the number of non-zero counts, then the pairs in index order.
+fn naive_sparse(w: &mut SnapshotWriter, first: u32, counts: &[u32]) {
+    w.put_usize(counts.iter().filter(|&&c| c != 0).count());
+    for (i, &c) in (first..).zip(counts) {
+        if c != 0 {
+            w.put_u32(i);
+            w.put_u32(c);
+        }
+    }
+}
+
+/// The bytes of `save` on a fresh writer.
+fn bytes_of(save: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    save(&mut w);
+    w.finish()
+}
+
+/// Page-boundary property: on banks of 1 to 3 pages + 17 rows, with
+/// rows biased toward page edges (`k·256 − 1`, `k·256`) and bank edges,
+/// the paged disturbance store and PRAC counters match dense models:
+/// the same violations and exposure, `save_sides` (both indexings) and
+/// `save_state` bytes equal to a dense encoder's, and load → save
+/// reproduces the bytes.
+#[test]
+fn paged_state_matches_dense_model_at_page_edges() {
+    prop_check("paged_state_matches_dense_model_at_page_edges", 96, |rng| {
+        let rows = 1 + rng.below(u64::from(3 * ROW_PAGE + 17)) as usize;
+        let t_rh = 1 + rng.below(40) as u32;
+        let mut store = Disturbance::new(rows as u32);
+        let mut oracle = Oracle::new(t_rh);
+        let mut naive = NaiveChecker::new(rows, t_rh);
+        let mut counters = PracCounters::new(rows as u32);
+        let mut dense = vec![0u32; rows];
+        let pages = rows.div_ceil(ROW_PAGE as usize) as u64;
+        for _ in 0..rng.below(600) {
+            let edge = (rng.below(pages + 1) * u64::from(ROW_PAGE)) as usize;
+            let row = match rng.below(6) {
+                0 => 0,
+                1 => rows - 1,
+                2 => edge.saturating_sub(1).min(rows - 1),
+                3 => edge.min(rows - 1),
+                _ => rng.below(rows as u64) as usize,
+            };
+            let r = row as u32;
+            match rng.below(10) {
+                0 => {
+                    store.refresh_row(r, &mut oracle);
+                    naive.refresh(row);
+                }
+                1 => {
+                    let blast = 1 + rng.below(3) as u32;
+                    store.mitigate(r, blast, &mut oracle);
+                    naive.mitigate(row, blast);
+                }
+                2 => {
+                    counters.reset(r);
+                    dense[row] = 0;
+                }
+                3 => {
+                    let bit = rng.below(40) as u32;
+                    counters.flip_bit(r, bit);
+                    dense[row] ^= 1 << (bit % 32);
+                }
+                _ => {
+                    store.activate(r, &mut oracle);
+                    naive.activate(row);
+                    let amount = rng.below(9) as u32;
+                    counters.add(r, amount);
+                    dense[row] = dense[row].saturating_add(amount);
+                }
+            }
+        }
+        prop_ensure!(
+            oracle.violations() == naive.violations,
+            "violations {} != model {}",
+            oracle.violations(),
+            naive.violations
+        );
+        prop_ensure!(store.max_exposure() == naive.max_exposure(), "exposure mismatch");
+        for (v, &want) in oracle.violation_records().iter().zip(&naive.victims) {
+            prop_ensure!(v.victim == want, "victim {} != model {want}", v.victim);
+        }
+
+        let last = rows - 1;
+        for ix in [Indexing::Aggressor, Indexing::Victim] {
+            let got = bytes_of(|w| store.save_sides(w, ix));
+            let want = bytes_of(|w| match ix {
+                Indexing::Aggressor => {
+                    naive_sparse(w, 0, &naive.up);
+                    naive_sparse(w, 0, &naive.dn);
+                }
+                Indexing::Victim => {
+                    naive_sparse(w, 1, &naive.up[..last]);
+                    naive_sparse(w, 0, &naive.dn[1..]);
+                }
+            });
+            prop_ensure!(got == want, "{ix:?} save_sides bytes differ from the dense encoder");
+            let mut copy = Disturbance::new(rows as u32);
+            copy.activate(rng.below(rows as u64) as u32, &mut Oracle::new(t_rh));
+            copy.load_sides(&mut SnapshotReader::new(&got).unwrap(), ix)
+                .map_err(|e| e.to_string())?;
+            prop_ensure!(bytes_of(|w| copy.save_sides(w, ix)) == got, "{ix:?} load -> save");
+        }
+
+        let got = bytes_of(|w| counters.save_state(w));
+        let want = bytes_of(|w| {
+            w.put_u32(rows as u32);
+            naive_sparse(w, 0, &dense);
+        });
+        prop_ensure!(got == want, "PracCounters bytes differ from the dense encoder");
+        let mut copy = PracCounters::new(rows as u32);
+        copy.add(rng.below(rows as u64) as u32, 1);
+        copy.load_state(&mut SnapshotReader::new(&got).unwrap()).map_err(|e| e.to_string())?;
+        prop_ensure!(bytes_of(|w| copy.save_state(w)) == got, "PracCounters load -> save");
         Ok(())
     });
 }

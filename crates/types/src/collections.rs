@@ -7,8 +7,10 @@
 //! determinism contract (bit-identical results for a given seed) bans
 //! that. [`DetMap`] is a fixed-hash, open-addressed replacement for the
 //! `u64`-keyed maps on simulator hot paths (prefetcher line tracking),
-//! and [`DetCounter`] is the shared accumulator used by workload
-//! statistics in tests and bench binaries.
+//! [`DetCounter`] is the shared accumulator used by workload
+//! statistics in tests and bench binaries, and [`RowTable`] is the
+//! paged per-row `u32` store behind PRAC counters and the disturbance
+//! store.
 //!
 //! # Examples
 //!
@@ -329,6 +331,184 @@ impl DetCounter {
     }
 }
 
+/// Rows per [`RowTable`] page: 1 KiB of `u32`s.
+pub const ROW_PAGE: u32 = 1 << PAGE_SHIFT;
+
+const PAGE_SHIFT: u32 = 8;
+
+type Page = [u32; ROW_PAGE as usize];
+
+/// A per-row `u32` table that pays only for the pages it holds.
+///
+/// Rows are split into fixed pages of [`ROW_PAGE`] rows. A page is
+/// allocated on its first non-zero write and recorded in a presence
+/// bitmask; a read of an absent page returns 0, and a zero write to an
+/// absent page is a no-op, so refresh sweeps and resets never allocate.
+/// A bank whose hot rows are few (the expected case: only a bounded set
+/// of rows is activated per refresh window) holds a few pages; one whose
+/// rows are all non-zero holds every page, as a dense array would.
+///
+/// # Examples
+///
+/// ```
+/// use mopac_types::collections::RowTable;
+///
+/// let mut t = RowTable::new(64 * 1024);
+/// t.set(63_000, 3);
+/// assert_eq!(t.update(5, |c| c + 2), 2);
+/// t.set(9, 0); // zero write to an absent page: nothing allocated
+/// assert_eq!(t.get(63_000), 3);
+/// assert_eq!(t.present_pages(), 2);
+/// assert_eq!(t.iter_nonzero().collect::<Vec<_>>(), vec![(5, 2), (63_000, 3)]);
+/// t.clear();
+/// assert_eq!(t.present_pages(), 0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RowTable {
+    rows: u32,
+    pages: Box<[Option<Box<Page>>]>,
+    /// Bit `p % 64` of word `p / 64` is set when page `p` is allocated.
+    present: Box<[u64]>,
+}
+
+impl RowTable {
+    /// An all-zero table of `rows` rows; no page is allocated.
+    #[must_use]
+    pub fn new(rows: u32) -> Self {
+        let pages = rows.div_ceil(ROW_PAGE) as usize;
+        Self {
+            rows,
+            pages: vec![None; pages].into_boxed_slice(),
+            present: vec![0; pages.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    /// Number of rows covered.
+    #[must_use]
+    pub fn rows(&self) -> u32 {
+        self.rows
+    }
+
+    fn check(&self, row: u32) {
+        assert!(row < self.rows, "row {row} out of range for {} rows", self.rows);
+    }
+
+    /// The value of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, row: u32) -> u32 {
+        self.check(row);
+        match &self.pages[(row >> PAGE_SHIFT) as usize] {
+            Some(page) => page[(row % ROW_PAGE) as usize],
+            None => 0,
+        }
+    }
+
+    /// Replaces the value of `row` with `f(value)` and returns it. The
+    /// row's page is allocated only if it is absent and the new value
+    /// is non-zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn update(&mut self, row: u32, f: impl FnOnce(u32) -> u32) -> u32 {
+        self.check(row);
+        let p = (row >> PAGE_SHIFT) as usize;
+        let slot = (row % ROW_PAGE) as usize;
+        if let Some(page) = &mut self.pages[p] {
+            page[slot] = f(page[slot]);
+            return page[slot];
+        }
+        let v = f(0);
+        if v != 0 {
+            self.allocate(p)[slot] = v;
+        }
+        v
+    }
+
+    /// Sets the value of `row` (see [`Self::update`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn set(&mut self, row: u32, value: u32) {
+        self.update(row, |_| value);
+    }
+
+    #[cold]
+    fn allocate(&mut self, p: usize) -> &mut Page {
+        self.present[p / 64] |= 1 << (p % 64);
+        self.pages[p].insert(Box::new([0; ROW_PAGE as usize]))
+    }
+
+    /// Zeroes every row by dropping the allocated pages.
+    pub fn clear(&mut self) {
+        for (w, word) in self.present.iter_mut().enumerate() {
+            while *word != 0 {
+                self.pages[w * 64 + word.trailing_zeros() as usize] = None;
+                *word &= *word - 1;
+            }
+        }
+    }
+
+    /// Number of allocated pages.
+    #[must_use]
+    pub fn present_pages(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `(row, value)` pairs with non-zero values, in row order. Only
+    /// allocated pages are visited.
+    #[must_use]
+    pub fn iter_nonzero(&self) -> NonZeroRows<'_> {
+        let bits = self.present.first().copied().unwrap_or(0);
+        NonZeroRows { table: self, word: 0, bits, page: &[], row: 0 }
+    }
+}
+
+/// The iterator of [`RowTable::iter_nonzero`].
+#[derive(Debug, Clone)]
+pub struct NonZeroRows<'a> {
+    table: &'a RowTable,
+    /// The presence word being walked, and its pages not yet visited.
+    word: usize,
+    bits: u64,
+    /// The rest of the page being scanned, and the row of its first slot.
+    page: &'a [u32],
+    row: u32,
+}
+
+impl Iterator for NonZeroRows<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        loop {
+            while let Some((&v, rest)) = self.page.split_first() {
+                let row = self.row;
+                self.page = rest;
+                self.row = row.wrapping_add(1);
+                if v != 0 {
+                    return Some((row, v));
+                }
+            }
+            while self.bits == 0 {
+                self.word += 1;
+                self.bits = *self.table.present.get(self.word)?;
+            }
+            let p = self.word * 64 + self.bits.trailing_zeros() as usize;
+            self.bits &= self.bits - 1;
+            self.page = self.table.pages[p].as_deref().map_or(&[], |page| &page[..]);
+            self.row = (p as u32) << PAGE_SHIFT;
+        }
+    }
+}
+
 /// Pack a `(bank, row)` coordinate into a `DetCounter`/`DetMap` key.
 #[must_use]
 pub fn bank_row_key(flat_bank: u32, row: u32) -> u64 {
@@ -470,6 +650,86 @@ mod tests {
         let orig: Vec<(u64, u64)> = m.iter().map(|(k, v)| (k, *v)).collect();
         let rest: Vec<(u64, u64)> = restored.iter().map(|(k, v)| (k, *v)).collect();
         assert_eq!(orig, rest);
+    }
+
+    #[test]
+    fn row_table_zero_writes_and_reads_allocate_nothing() {
+        let rows = 64 * 1024;
+        let mut t = RowTable::new(rows);
+        for row in 0..rows {
+            t.set(row, 0);
+            assert_eq!(t.update(row, |c| c), 0);
+            assert_eq!(t.get(row), 0);
+        }
+        assert_eq!(t.present_pages(), 0);
+        assert_eq!(t.iter_nonzero().count(), 0);
+    }
+
+    #[test]
+    fn row_table_allocates_one_page_per_touched_page() {
+        let mut t = RowTable::new(3 * ROW_PAGE + 17);
+        t.set(ROW_PAGE - 1, 1);
+        assert_eq!(t.present_pages(), 1);
+        t.set(ROW_PAGE, 2);
+        t.set(ROW_PAGE + 1, 3);
+        assert_eq!(t.present_pages(), 2);
+        t.set(3 * ROW_PAGE + 16, 4);
+        assert_eq!(t.present_pages(), 3);
+        // A page zeroed by writes stays allocated but iterates as empty.
+        t.set(ROW_PAGE - 1, 0);
+        assert_eq!(t.present_pages(), 3);
+        let nonzero: Vec<_> = t.iter_nonzero().collect();
+        assert_eq!(nonzero, vec![(ROW_PAGE, 2), (ROW_PAGE + 1, 3), (3 * ROW_PAGE + 16, 4)]);
+        t.clear();
+        assert_eq!(t.present_pages(), 0);
+        assert_eq!(t.get(ROW_PAGE), 0);
+    }
+
+    /// Random writes biased toward page and table edges, against a
+    /// dense array. Over 64 pages, so the presence mask spans words.
+    #[test]
+    fn row_table_matches_dense_array() {
+        let mut rng = DetRng::from_seed(0x5A6E);
+        for rows in [1, ROW_PAGE - 1, ROW_PAGE, 70 * ROW_PAGE + 3] {
+            let mut t = RowTable::new(rows);
+            let mut dense = vec![0u32; rows as usize];
+            for _ in 0..4_000 {
+                let row = match rng.below(3) {
+                    0 => rng.below(u64::from(rows)) as u32,
+                    1 => (rng.below(u64::from(rows.div_ceil(ROW_PAGE))) as u32 * ROW_PAGE)
+                        .saturating_sub(rng.below(2) as u32)
+                        .min(rows - 1),
+                    _ => rows - 1,
+                };
+                let v = if rng.below(4) == 0 { 0 } else { rng.below(1 << 20) as u32 };
+                let i = row as usize;
+                match rng.below(50) {
+                    0 => {
+                        t.clear();
+                        dense.fill(0);
+                    }
+                    1..=24 => {
+                        t.set(row, v);
+                        dense[i] = v;
+                    }
+                    _ => {
+                        dense[i] = dense[i].saturating_add(v);
+                        assert_eq!(t.update(row, |c| c.saturating_add(v)), dense[i]);
+                    }
+                }
+                assert_eq!(t.get(row), dense[i]);
+            }
+            let want: Vec<(u32, u32)> =
+                (0..).zip(dense.iter().copied()).filter(|&(_, v)| v != 0).collect();
+            assert_eq!(t.iter_nonzero().collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn row_table_out_of_range_panics() {
+        let t = RowTable::new(ROW_PAGE + 1);
+        let _ = t.get(ROW_PAGE + 1);
     }
 
     #[test]
