@@ -128,9 +128,9 @@ if [[ $fast -eq 0 ]]; then
   # byte-identical to tests/goldens/bit_identity.txt — snapshot bytes
   # included, so the plane's disabled cost is provably zero. With the
   # plane enabled, attack runs with and without the checker must match
-  # tests/goldens/flip_bit_identity.txt: the checker and FLP1 snapshot
-  # sections, both written from the one disturbance store, plus the
-  # oracle and flip verdicts.
+  # tests/goldens/flip_bit_identity.txt: snapshot bytes holding each
+  # bank's one disturbance store, its oracle (with the checker) and its
+  # flip plane's victim words, plus the oracle and flip verdicts.
   step "bit-identity goldens, flip plane off and on (release)"
   cargo test -q -p mopac-sim --test bit_identity_goldens --release
 

@@ -14,7 +14,7 @@
 //! Knobs:
 //! - `MOPAC_FAULT_INSTRS`: per-core instructions per cell (default 40k).
 //! - `MOPAC_FAULT_TIMEOUT_SECS`: per-attempt wall-clock budget (default 300).
-//! - `MOPAC_THREADS`: worker threads (default: available parallelism).
+//! - `MOPAC_THREADS`: worker threads (unset or 0: available parallelism).
 //! - `MOPAC_INJECT_PANIC=<mitigation>/<fault>`: deliberately panic in
 //!   that cell, demonstrating that isolation keeps the rest of the
 //!   matrix alive and persisted.
@@ -24,7 +24,7 @@
 //!   re-executing, and the final CSV is byte-identical to an
 //!   uninterrupted run (kill-and-resume is gated in `ci.sh`).
 
-use mopac_bench::{u64_knob, IncrementalCsv, Report};
+use mopac_bench::{thread_budget, u64_knob, IncrementalCsv, Report};
 use mopac_sim::campaign::{
     fault_cells, run_fault_campaign, CheckpointedFaultCampaign, FaultCampaignSpec,
     FAULT_CAMPAIGN_HEADERS,
@@ -38,6 +38,7 @@ fn spec_from_env() -> MopacResult<FaultCampaignSpec> {
     spec.instrs = u64_knob("MOPAC_FAULT_INSTRS", spec.instrs)?;
     let secs = u64_knob("MOPAC_FAULT_TIMEOUT_SECS", spec.timeout.as_secs())?;
     spec.timeout = Duration::from_secs(secs);
+    spec.threads = thread_budget()?;
     spec.inject_panic = std::env::var("MOPAC_INJECT_PANIC").ok();
     Ok(spec)
 }

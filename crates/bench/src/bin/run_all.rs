@@ -11,11 +11,11 @@
 //!
 //! Budget knobs: `MOPAC_INSTRS` (per-core instructions, default 250k),
 //! `MOPAC_ATTACK_CYCLES`, `MOPAC_WORKLOADS` (comma list to restrict the
-//! sweeps), `MOPAC_THREADS` (worker threads, default: available
+//! sweeps), `MOPAC_THREADS` (worker threads; unset or 0: available
 //! parallelism), `MOPAC_RUN_ALL_TIMEOUT_SECS` (per-binary budget,
 //! default 3600).
 
-use mopac_bench::u64_knob;
+use mopac_bench::{thread_budget, u64_knob};
 use mopac_sim::campaign::ParallelCampaign;
 use mopac_sim::runner::{IsolatedRunner, RunReport};
 use mopac_types::error::MopacError;
@@ -64,12 +64,14 @@ struct ExperimentRun {
 
 fn main() {
     let timeout = u64_knob("MOPAC_RUN_ALL_TIMEOUT_SECS", 3600).unwrap_or_else(|e| panic!("{e}"));
+    let threads = thread_budget().unwrap_or_else(|e| panic!("{e}"));
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir").to_path_buf();
     let started = Instant::now();
     let mut failures = Vec::new();
     let campaign = ParallelCampaign::new(0)
-        .with_runner(IsolatedRunner::with_timeout(Duration::from_secs(timeout)));
+        .with_runner(IsolatedRunner::with_timeout(Duration::from_secs(timeout)))
+        .with_threads(threads);
     println!(
         "== run_all: {} experiments across {} worker threads ==",
         EXPERIMENTS.len(),

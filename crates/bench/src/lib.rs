@@ -7,37 +7,12 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use mopac_types::error::{MopacError, MopacResult};
+use mopac_types::error::MopacResult;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-/// Parses a `u64` knob: `value` is the raw value of the environment
-/// variable `name`, `None` when it is unset (which gives `default`).
-///
-/// # Errors
-///
-/// Returns [`MopacError::Config`], naming the variable and the value,
-/// if the value is not a plain decimal integer (`20k`, `1e6`, `-1` and
-/// the empty string are all rejected).
-pub fn parse_u64_knob(name: &str, value: Option<&str>, default: u64) -> MopacResult<u64> {
-    value.map_or(Ok(default), |v| {
-        v.parse()
-            .map_err(|_| MopacError::config(format!("{name}={v:?} is not a non-negative integer")))
-    })
-}
-
-/// Reads the `u64` knob `name` from the environment through
-/// [`parse_u64_knob`].
-///
-/// # Errors
-///
-/// Returns [`MopacError::Config`] if the variable is set to anything
-/// but a plain decimal integer.
-pub fn u64_knob(name: &str, default: u64) -> MopacResult<u64> {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_u64_knob(name, raw.as_deref(), default)
-}
+pub use mopac_types::knob::{parse_u64_knob, u64_knob};
 
 /// Per-core instruction budget for simulation experiments, overridable
 /// with `MOPAC_INSTRS` (the paper uses 100 M; defaults here are sized
@@ -46,7 +21,8 @@ pub fn u64_knob(name: &str, default: u64) -> MopacResult<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`MopacError::Config`] if `MOPAC_INSTRS` is malformed.
+/// Returns [`MopacError::Config`](mopac_types::MopacError::Config) if
+/// `MOPAC_INSTRS` is malformed.
 pub fn instr_budget() -> MopacResult<u64> {
     u64_knob("MOPAC_INSTRS", 250_000)
 }
@@ -55,10 +31,24 @@ pub fn instr_budget() -> MopacResult<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`MopacError::Config`] if `MOPAC_ATTACK_CYCLES` is
-/// malformed.
+/// Returns [`MopacError::Config`](mopac_types::MopacError::Config) if
+/// `MOPAC_ATTACK_CYCLES` is malformed.
 pub fn attack_cycle_budget() -> MopacResult<u64> {
     u64_knob("MOPAC_ATTACK_CYCLES", 1_500_000)
+}
+
+/// Campaign worker threads, overridable with `MOPAC_THREADS`; `0` (the
+/// default) means the machine's available parallelism.
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`](mopac_types::MopacError::Config) if
+/// `MOPAC_THREADS` is malformed.
+pub fn thread_budget() -> MopacResult<usize> {
+    let n = u64_knob("MOPAC_THREADS", 0)?;
+    usize::try_from(n).map_err(|_| {
+        mopac_types::MopacError::config(format!("MOPAC_THREADS={n} does not fit in usize"))
+    })
 }
 
 /// Workload subset for quick runs: `MOPAC_WORKLOADS=xz,parest` restricts
@@ -340,6 +330,7 @@ pub fn sci(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mopac_types::MopacError;
 
     #[test]
     fn table_renders_aligned() {

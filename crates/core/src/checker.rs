@@ -25,7 +25,7 @@
 //! the second view.
 
 use mopac_types::collections::RowTable;
-use mopac_types::snapshot::{SnapshotReader, SnapshotWriter};
+use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::{MopacError, MopacResult};
 use std::ops::Range;
 
@@ -80,16 +80,6 @@ impl<A: DisturbanceView, B: DisturbanceView> DisturbanceView
             b.refreshed(row);
         }
     }
-}
-
-/// How a snapshot section indexes the store's two sides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Indexing {
-    /// By aggressor: `up`, then `dn`, edge slots included.
-    Aggressor,
-    /// By victim: counts from the lower, then from the upper neighbour;
-    /// the edge slots toward nonexistent rows are dropped.
-    Victim,
 }
 
 /// The per-bank disturbance store (see the module docs).
@@ -184,67 +174,48 @@ impl Disturbance {
     /// don't exist, so whatever they accumulated exposes no real victim.
     #[must_use]
     pub fn max_exposure(&self) -> u32 {
-        self.sides(Indexing::Victim).into_iter().flatten().map(|(_, c)| c).max().unwrap_or(0)
+        let [up, dn] = self.sides();
+        let top = self.rows() - 1;
+        let real = up.filter(|&(a, _)| a != top).chain(dn.filter(|&(a, _)| a != 0));
+        real.map(|(_, c)| c).max().unwrap_or(0)
     }
 
-    /// Each side's non-zero slots as `(index, count)` in index order. By
-    /// aggressor the index is the slot's row. By victim, `up[a]` is
-    /// written under `a + 1` and `dn[a]` under `a - 1`, and the edge
-    /// slots toward nonexistent rows are dropped.
-    pub fn sides(&self, ix: Indexing) -> [impl Iterator<Item = (u32, u32)> + Clone + '_; 2] {
-        // `delta` is added modulo 2^32, so `u32::MAX` subtracts one.
-        fn side(
-            t: &RowTable,
-            edge: Option<u32>,
-            delta: u32,
-        ) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
-            let kept = t.iter_nonzero().filter(move |&(a, _)| Some(a) != edge);
-            kept.map(move |(a, c)| (a.wrapping_add(delta), c))
-        }
-        match ix {
-            Indexing::Aggressor => [side(&self.up, None, 0), side(&self.dn, None, 0)],
-            Indexing::Victim => {
-                [side(&self.up, Some(self.rows() - 1), 1), side(&self.dn, Some(0), u32::MAX)]
-            }
-        }
+    /// The non-zero slots of `up`, then of `dn`, as `(aggressor, count)`
+    /// in row order, edge slots included.
+    pub fn sides(&self) -> [impl Iterator<Item = (u32, u32)> + Clone + '_; 2] {
+        [self.up.iter_nonzero(), self.dn.iter_nonzero()]
     }
+}
 
+impl Snapshottable for Disturbance {
     /// Writes both sides sparsely: per side, the count of non-zero
-    /// slots, then `(index, count)` pairs in index order.
-    pub fn save_sides(&self, w: &mut SnapshotWriter, ix: Indexing) {
-        for side in self.sides(ix) {
+    /// slots, then `(aggressor, count)` pairs in row order.
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        for side in self.sides() {
             w.put_usize(side.clone().count());
-            for (i, c) in side {
-                w.put_u32(i);
+            for (row, c) in side {
+                w.put_u32(row);
                 w.put_u32(c);
             }
         }
     }
 
-    /// Replaces the store with sides written by [`Self::save_sides`].
-    /// Slots a [`Indexing::Victim`] section cannot hold come back 0.
+    /// Replaces the store with sides written by `save_state`.
     ///
     /// # Errors
     ///
     /// [`MopacError::Snapshot`] on a row outside the bank or truncated
     /// input.
-    pub fn load_sides(&mut self, r: &mut SnapshotReader<'_>, ix: Indexing) -> MopacResult<()> {
-        self.up.clear();
-        self.dn.clear();
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
         let rows = self.rows();
-        // Each side's table and the slot range its indices map into.
-        let sides = match ix {
-            Indexing::Aggressor => [(&mut self.up, 0, 0..rows), (&mut self.dn, 0, 0..rows)],
-            Indexing::Victim => [(&mut self.up, u32::MAX, 0..rows - 1), (&mut self.dn, 1, 1..rows)],
-        };
-        for (table, delta, slots) in sides {
+        for table in [&mut self.up, &mut self.dn] {
+            table.clear();
             for _ in 0..r.take_usize()? {
-                let i = r.take_u32()?;
-                let a = i.wrapping_add(delta);
-                if !slots.contains(&a) {
-                    return Err(MopacError::snapshot(format!("disturbance row {i} out of range")));
+                let row = r.take_u32()?;
+                if row >= rows {
+                    return Err(MopacError::snapshot(format!("disturbance row {row} out of range")));
                 }
-                table.set(a, r.take_u32()?);
+                table.set(row, r.take_u32()?);
             }
         }
         Ok(())
@@ -285,13 +256,11 @@ impl Oracle {
     pub fn violation_records(&self) -> &[Violation] {
         &self.first_violations
     }
+}
 
-    /// Writes the checker snapshot section: threshold, rows, `store` by
-    /// aggressor, then the violations.
-    pub fn save_section(&self, store: &Disturbance, w: &mut SnapshotWriter) {
-        w.put_u32(self.t_rh);
-        w.put_usize(store.rows() as usize);
-        store.save_sides(w, Indexing::Aggressor);
+impl Snapshottable for Oracle {
+    /// Writes the violation count and records; `T_RH` is configuration.
+    fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.violations);
         w.put_usize(self.first_violations.len());
         for v in &self.first_violations {
@@ -301,33 +270,17 @@ impl Oracle {
         }
     }
 
-    /// Reads a [`Self::save_section`] section into this oracle and
-    /// `store`.
-    ///
     /// # Errors
     ///
-    /// [`MopacError::Snapshot`] on a shape mismatch or corrupt input.
-    pub fn load_section(
-        &mut self,
-        store: &mut Disturbance,
-        r: &mut SnapshotReader<'_>,
-    ) -> MopacResult<()> {
-        let err = MopacError::snapshot;
-        let t_rh = r.take_u32()?;
-        let rows = r.take_usize()?;
-        if t_rh != self.t_rh || rows != store.rows() as usize {
-            return Err(err(format!(
-                "checker shape mismatch: snapshot t_rh={t_rh}/rows={rows}, \
-                 configured t_rh={}/rows={}",
-                self.t_rh,
-                store.rows()
-            )));
-        }
-        store.load_sides(r, Indexing::Aggressor)?;
+    /// [`MopacError::Snapshot`] on more than 16 violation records or
+    /// truncated input.
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
         self.violations = r.take_u64()?;
         let n = r.take_usize()?;
         if n > MAX_RECORDED {
-            return Err(err(format!("checker holds {n} violation records, max {MAX_RECORDED}")));
+            return Err(MopacError::snapshot(format!(
+                "checker holds {n} violation records, max {MAX_RECORDED}"
+            )));
         }
         self.first_violations.clear();
         for _ in 0..n {
@@ -595,7 +548,7 @@ mod tests {
         let mut oracle = Oracle::new(10);
         d.refresh_range(0..rows, &mut oracle);
         assert_eq!(d.max_exposure(), 0);
-        assert_eq!(d.sides(Indexing::Aggressor).into_iter().flatten().count(), 0);
+        assert_eq!(d.sides().into_iter().flatten().count(), 0);
         assert_eq!(d.present_pages(), 0);
         // One activation touches one page per side.
         d.activate(1000, &mut oracle);
@@ -609,7 +562,7 @@ mod tests {
         let mut oracle = Oracle::new(10);
         src.activate(7, &mut oracle);
         let mut w = SnapshotWriter::new();
-        src.save_sides(&mut w, Indexing::Victim);
+        src.save_state(&mut w);
         let bytes = w.finish();
 
         let mut dst = Disturbance::new(rows);
@@ -617,31 +570,24 @@ mod tests {
             dst.activate(row, &mut oracle);
         }
         assert_eq!(dst.present_pages(), 2 * 66);
-        dst.load_sides(&mut SnapshotReader::new(&bytes).unwrap(), Indexing::Victim).unwrap();
+        dst.load_state(&mut SnapshotReader::new(&bytes).unwrap()).unwrap();
         assert_eq!(dst.present_pages(), 2);
-        let got: Vec<Vec<(u32, u32)>> =
-            dst.sides(Indexing::Victim).into_iter().map(Iterator::collect).collect();
-        assert_eq!(got, vec![vec![(8, 1)], vec![(6, 1)]]);
+        let got: Vec<Vec<(u32, u32)>> = dst.sides().into_iter().map(Iterator::collect).collect();
+        assert_eq!(got, vec![vec![(7, 1)], vec![(7, 1)]]);
     }
 
     #[test]
     fn exposure_saturates_instead_of_wrapping() {
-        use mopac_types::snapshot::{SnapshotReader, SnapshotWriter};
         // Preload a near-wrap exposure via the snapshot seam (activating
         // u32::MAX times for real is infeasible in a test).
         let mut ck = RowhammerChecker::new(4, u32::MAX - 10);
         let mut w = SnapshotWriter::new();
-        w.put_u32(u32::MAX - 10); // t_rh
-        w.put_usize(4); // rows
         w.put_usize(1); // up: one nonzero entry
         w.put_u32(1);
         w.put_u32(u32::MAX - 1);
         w.put_usize(0); // dn: empty
-        w.put_u64(0); // violations
-        w.put_usize(0); // records
         let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        ck.oracle.load_section(&mut ck.store, &mut r).unwrap();
+        ck.store.load_state(&mut SnapshotReader::new(&bytes).unwrap()).unwrap();
         for _ in 0..8 {
             ck.on_activate(1);
         }

@@ -97,12 +97,11 @@ impl PracCounters {
 }
 
 impl mopac_types::snapshot::Snapshottable for PracCounters {
-    /// Serializes sparsely: the row count, the number of non-zero
-    /// counters, then `(row, count)` pairs in row order. Only allocated
+    /// Serializes sparsely: the number of non-zero counters, then
+    /// `(row, count)` pairs in row order. Only allocated
     /// pages are visited, so a mostly-idle 64 K-row bank costs a few
     /// bytes and a few page scans instead of 256 KB and a full sweep.
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_u32(self.rows());
         w.put_usize(self.iter_nonzero().count());
         for (row, count) in self.iter_nonzero() {
             w.put_u32(row);
@@ -114,13 +113,6 @@ impl mopac_types::snapshot::Snapshottable for PracCounters {
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
-        let rows = r.take_u32()?;
-        if rows != self.rows() {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "PRAC counter row-count mismatch: snapshot {rows}, configured {}",
-                self.rows()
-            )));
-        }
         self.counts.clear();
         let n = r.take_usize()?;
         for _ in 0..n {

@@ -186,9 +186,11 @@ pub trait MitigationEngine: std::fmt::Debug + Send {
 
     /// Restores runtime state previously written by
     /// [`MitigationEngine::save_state`] into a freshly built engine of
-    /// the same configuration. Configuration-derived shape (row count,
-    /// thresholds, queue capacities) is validated, not restored;
-    /// mismatches are reported as [`mopac_types::MopacError::Snapshot`].
+    /// the same configuration. Configuration (row count, thresholds,
+    /// queue capacities) is not in the stream: the device checks its
+    /// whole configuration once before any engine loads. Lengths and
+    /// rows read from the stream are still bounds-checked; a violation
+    /// is [`mopac_types::MopacError::Snapshot`].
     fn load_state(
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,

@@ -206,7 +206,6 @@ impl MitigationEngine for MopacDEngine {
 
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
         use mopac_types::snapshot::Snapshottable;
-        w.put_usize(self.chips.len());
         for chip in &self.chips {
             chip.counters.save_state(w);
             chip.moat.save_state(w);
@@ -222,13 +221,6 @@ impl MitigationEngine for MopacDEngine {
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
         use mopac_types::snapshot::Snapshottable;
-        let n = r.take_usize()?;
-        if n != self.chips.len() {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "chip count mismatch: snapshot {n}, configured {}",
-                self.chips.len()
-            )));
-        }
         for chip in &mut self.chips {
             chip.counters.load_state(r)?;
             chip.moat.load_state(r)?;

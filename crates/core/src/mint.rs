@@ -78,7 +78,6 @@ impl MintSampler {
 
 impl mopac_types::snapshot::Snapshottable for MintSampler {
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_u32(self.window);
         w.put_u32(self.pos);
         w.put_u32(self.chosen_pos);
         w.put_opt_u32(self.pending);
@@ -89,13 +88,6 @@ impl mopac_types::snapshot::Snapshottable for MintSampler {
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
-        let window = r.take_u32()?;
-        if window != self.window {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "MINT window mismatch: snapshot {window}, configured {}",
-                self.window
-            )));
-        }
         self.pos = r.take_u32()?;
         self.chosen_pos = r.take_u32()?;
         self.pending = r.take_opt_u32()?;

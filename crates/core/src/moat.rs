@@ -106,10 +106,6 @@ impl MoatTracker {
 
 impl mopac_types::snapshot::Snapshottable for MoatTracker {
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        // ATH/ETH are configuration; only the tracked entry is runtime
-        // state. They are written anyway as a shape check.
-        w.put_u32(self.ath);
-        w.put_u32(self.eth);
         match self.tracked {
             Some((row, count)) => {
                 w.put_bool(true);
@@ -124,15 +120,6 @@ impl mopac_types::snapshot::Snapshottable for MoatTracker {
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
-        let ath = r.take_u32()?;
-        let eth = r.take_u32()?;
-        if ath != self.ath || eth != self.eth {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "MOAT threshold mismatch: snapshot ATH={ath}/ETH={eth}, \
-                 configured ATH={}/ETH={}",
-                self.ath, self.eth
-            )));
-        }
         self.tracked = if r.take_bool()? {
             Some((r.take_u32()?, r.take_u32()?))
         } else {

@@ -171,7 +171,6 @@ impl mopac_types::snapshot::Snapshottable for Srq {
     /// removal uses `swap_remove`, so re-inserting in any other order
     /// would change future drain behavior.
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_usize(self.capacity);
         w.put_usize(self.entries.len());
         for e in &self.entries {
             w.put_u32(e.row);
@@ -184,17 +183,11 @@ impl mopac_types::snapshot::Snapshottable for Srq {
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
-        let capacity = r.take_usize()?;
-        if capacity != self.capacity {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "SRQ capacity mismatch: snapshot {capacity}, configured {}",
-                self.capacity
-            )));
-        }
         let n = r.take_usize()?;
-        if n > capacity {
+        if n > self.capacity {
             return Err(mopac_types::MopacError::snapshot(format!(
-                "SRQ holds {n} entries but capacity is {capacity}"
+                "SRQ holds {n} entries but capacity is {}",
+                self.capacity
             )));
         }
         self.entries.clear();

@@ -1,7 +1,7 @@
 //! Property tests for the mitigation building blocks: SRQ invariants,
 //! MINT window guarantees, MOAT tracking, and the security oracle.
 
-use mopac::checker::{Disturbance, Indexing, Oracle, RowhammerChecker};
+use mopac::checker::{Disturbance, Oracle, RowhammerChecker};
 use mopac::counters::PracCounters;
 use mopac::mint::MintSampler;
 use mopac::moat::MoatTracker;
@@ -267,11 +267,11 @@ fn checker_matches_naive_model_at_bank_edges() {
     });
 }
 
-/// Writes `(index, count)` pairs the way the sparse snapshot sections
-/// do: the number of non-zero counts, then the pairs in index order.
-fn naive_sparse(w: &mut SnapshotWriter, first: u32, counts: &[u32]) {
+/// Writes `(row, count)` pairs the way the sparse snapshot sections
+/// do: the number of non-zero counts, then the pairs in row order.
+fn naive_sparse(w: &mut SnapshotWriter, counts: &[u32]) {
     w.put_usize(counts.iter().filter(|&&c| c != 0).count());
-    for (i, &c) in (first..).zip(counts) {
+    for (i, &c) in (0u32..).zip(counts) {
         if c != 0 {
             w.put_u32(i);
             w.put_u32(c);
@@ -289,9 +289,8 @@ fn bytes_of(save: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
 /// Page-boundary property: on banks of 1 to 3 pages + 17 rows, with
 /// rows biased toward page edges (`k·256 − 1`, `k·256`) and bank edges,
 /// the paged disturbance store and PRAC counters match dense models:
-/// the same violations and exposure, `save_sides` (both indexings) and
-/// `save_state` bytes equal to a dense encoder's, and load → save
-/// reproduces the bytes.
+/// the same violations and exposure, `save_state` bytes equal to a
+/// dense encoder's, and load → save reproduces the bytes.
 #[test]
 fn paged_state_matches_dense_model_at_page_edges() {
     prop_check("paged_state_matches_dense_model_at_page_edges", 96, |rng| {
@@ -352,32 +351,19 @@ fn paged_state_matches_dense_model_at_page_edges() {
             prop_ensure!(v.victim == want, "victim {} != model {want}", v.victim);
         }
 
-        let last = rows - 1;
-        for ix in [Indexing::Aggressor, Indexing::Victim] {
-            let got = bytes_of(|w| store.save_sides(w, ix));
-            let want = bytes_of(|w| match ix {
-                Indexing::Aggressor => {
-                    naive_sparse(w, 0, &naive.up);
-                    naive_sparse(w, 0, &naive.dn);
-                }
-                Indexing::Victim => {
-                    naive_sparse(w, 1, &naive.up[..last]);
-                    naive_sparse(w, 0, &naive.dn[1..]);
-                }
-            });
-            prop_ensure!(got == want, "{ix:?} save_sides bytes differ from the dense encoder");
-            let mut copy = Disturbance::new(rows as u32);
-            copy.activate(rng.below(rows as u64) as u32, &mut Oracle::new(t_rh));
-            copy.load_sides(&mut SnapshotReader::new(&got).unwrap(), ix)
-                .map_err(|e| e.to_string())?;
-            prop_ensure!(bytes_of(|w| copy.save_sides(w, ix)) == got, "{ix:?} load -> save");
-        }
+        let got = bytes_of(|w| store.save_state(w));
+        let want = bytes_of(|w| {
+            naive_sparse(w, &naive.up);
+            naive_sparse(w, &naive.dn);
+        });
+        prop_ensure!(got == want, "Disturbance bytes differ from the dense encoder");
+        let mut copy = Disturbance::new(rows as u32);
+        copy.activate(rng.below(rows as u64) as u32, &mut Oracle::new(t_rh));
+        copy.load_state(&mut SnapshotReader::new(&got).unwrap()).map_err(|e| e.to_string())?;
+        prop_ensure!(bytes_of(|w| copy.save_state(w)) == got, "Disturbance load -> save");
 
         let got = bytes_of(|w| counters.save_state(w));
-        let want = bytes_of(|w| {
-            w.put_u32(rows as u32);
-            naive_sparse(w, 0, &dense);
-        });
+        let want = bytes_of(|w| naive_sparse(w, &dense));
         prop_ensure!(got == want, "PracCounters bytes differ from the dense encoder");
         let mut copy = PracCounters::new(rows as u32);
         copy.add(rng.below(rows as u64) as u32, 1);

@@ -6,7 +6,9 @@ use crate::flip::VictimWords;
 use crate::timing::TimingSet;
 use mopac::checker::{Disturbance, Oracle};
 use mopac::engine::MitigationEngine;
+use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::Cycle;
+use mopac_types::MopacResult;
 use std::ops::Range;
 
 /// Which flavour of precharge closes the row.
@@ -55,10 +57,10 @@ pub struct Bank {
     checker: Option<Oracle>,
     /// Per-subarray deferred counter-update completion times, indexed
     /// by subarray. Empty for designs without subarray-deferred updates
-    /// (the historical flat-bank model — zero bytes of snapshot state).
+    /// (the historical flat-bank model, with no snapshot state).
     cu_ready: Vec<Cycle>,
     /// Victim-data bit-flip view of `disturbance`. `None` (the
-    /// default) costs zero state and zero snapshot bytes.
+    /// default) costs zero state and no snapshot state.
     flip: Option<VictimWords>,
 }
 
@@ -320,8 +322,8 @@ impl Bank {
     }
 }
 
-impl mopac_types::snapshot::Snapshottable for Bank {
-    fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
+impl Snapshottable for Bank {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         match self.open {
             Some(o) => {
                 w.put_bool(true);
@@ -335,37 +337,22 @@ impl mopac_types::snapshot::Snapshottable for Bank {
         w.put_u64(self.pre_allowed);
         w.put_u64(self.col_allowed);
         self.mitigation.save_state(w);
-        w.put_bool(self.checker.is_some());
-        if let (Some(ck), Some(d)) = (&self.checker, &self.disturbance) {
-            ck.save_section(d, w);
+        // The device's configuration fixes which of these are present.
+        if let Some(d) = &self.disturbance {
+            d.save_state(w);
         }
-        // Subarray slots are configuration-derived shape: when present,
-        // a sentinel guards the section so a cross-shape restore fails
-        // with a typed error instead of misinterpreting the stream. A
-        // slot-less bank writes nothing here — byte-identical to the
-        // pre-subarray format.
-        if !self.cu_ready.is_empty() {
-            w.put_u32(CU_SECTION_SENTINEL);
-            w.put_usize(self.cu_ready.len());
-            for &c in &self.cu_ready {
-                w.put_u64(c);
-            }
+        if let Some(ck) = &self.checker {
+            ck.save_state(w);
         }
-        // Flip-plane section: same shape-gated sentinel pattern. A
-        // plane-less bank writes nothing, keeping disabled-mode
-        // snapshots byte-identical to the pre-flip-plane format. With
-        // the checker on too, the store is written twice, once per
-        // section layout.
-        if let (Some(f), Some(d)) = (&self.flip, &self.disturbance) {
-            w.put_u32(FLIP_SECTION_SENTINEL);
-            f.save_section(d, w);
+        for &c in &self.cu_ready {
+            w.put_u64(c);
+        }
+        if let Some(f) = &self.flip {
+            f.save_section(w);
         }
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut mopac_types::snapshot::SnapshotReader<'_>,
-    ) -> mopac_types::MopacResult<()> {
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
         self.open = if r.take_bool()? {
             Some(OpenRow {
                 row: r.take_u32()?,
@@ -379,57 +366,21 @@ impl mopac_types::snapshot::Snapshottable for Bank {
         self.pre_allowed = r.take_u64()?;
         self.col_allowed = r.take_u64()?;
         self.mitigation.load_state(r)?;
-        let had_checker = r.take_bool()?;
-        if had_checker != self.checker.is_some() {
-            return Err(mopac_types::MopacError::snapshot(format!(
-                "checker mode mismatch: snapshot {}, configured {}",
-                if had_checker { "enabled" } else { "disabled" },
-                if self.checker.is_some() { "enabled" } else { "disabled" },
-            )));
+        if let Some(d) = self.disturbance.as_mut() {
+            d.load_state(r)?;
         }
-        if let (Some(ck), Some(d)) = (self.checker.as_mut(), self.disturbance.as_mut()) {
-            ck.load_section(d, r)?;
+        if let Some(ck) = self.checker.as_mut() {
+            ck.load_state(r)?;
         }
-        if !self.cu_ready.is_empty() {
-            let sentinel = r.take_u32()?;
-            if sentinel != CU_SECTION_SENTINEL {
-                return Err(mopac_types::MopacError::snapshot(format!(
-                    "subarray update-slot section missing (sentinel {sentinel:#x}): \
-                     snapshot was taken on a flat-bank configuration"
-                )));
-            }
-            let n = r.take_usize()?;
-            if n != self.cu_ready.len() {
-                return Err(mopac_types::MopacError::snapshot(format!(
-                    "subarray update-slot count mismatch: snapshot {n}, configured {}",
-                    self.cu_ready.len()
-                )));
-            }
-            for c in &mut self.cu_ready {
-                *c = r.take_u64()?;
-            }
+        for c in &mut self.cu_ready {
+            *c = r.take_u64()?;
         }
-        if let (Some(f), Some(d)) = (self.flip.as_mut(), self.disturbance.as_mut()) {
-            let sentinel = r.take_u32()?;
-            if sentinel != FLIP_SECTION_SENTINEL {
-                return Err(mopac_types::MopacError::snapshot(format!(
-                    "flip-plane section missing (sentinel {sentinel:#x}): snapshot \
-                     was taken on a flip-plane-disabled configuration"
-                )));
-            }
-            // The checker section already loaded the store; `FLP1` must
-            // then agree with it rather than overwrite it.
-            f.load_section(d, self.checker.is_some(), r)?;
+        if let (Some(f), Some(d)) = (self.flip.as_mut(), &self.disturbance) {
+            f.load_section(d.rows(), r)?;
         }
         Ok(())
     }
 }
-
-/// Guards the optional per-subarray slot section of a bank snapshot.
-const CU_SECTION_SENTINEL: u32 = 0x5355_4231; // "SUB1"
-
-/// Guards the optional flip-plane section of a bank snapshot.
-const FLIP_SECTION_SENTINEL: u32 = 0x464C_5031; // "FLP1"
 
 #[cfg(test)]
 mod tests {
@@ -439,8 +390,6 @@ mod tests {
     use mopac::config::MitigationConfig;
     use mopac::engine::build_engine;
     use mopac_types::rng::{mix64, DetRng};
-    use mopac_types::snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, Snapshottable};
-    use mopac_types::{MopacError, MopacResult};
 
     fn bank() -> Bank {
         let cfg = MitigationConfig::baseline();
@@ -630,32 +579,8 @@ mod tests {
         }
     }
 
-    /// With both views on, the store is in the snapshot twice; a `FLP1`
-    /// section whose counts disagree with the checker section's is
-    /// refused with a typed error instead of silently overriding it.
-    #[test]
-    fn flip_section_must_agree_with_checker_section() {
-        let mut b = ledger_bank(true);
-        hammer(&mut b, &[5; 20]);
-        let mut bytes = save(&b);
-        load(&mut ledger_bank(true), &bytes).unwrap();
-        // After the FLP1 sentinel: dist, ecc and rows (u32 each), the
-        // lower side's entry count (u64), then its first (row, count)
-        // pair — victim 6, count 20.
-        let sentinel = FLIP_SECTION_SENTINEL.to_le_bytes();
-        let at = bytes.windows(4).position(|w| w == sentinel).unwrap();
-        let count_at = at + 4 + 12 + 8 + 4;
-        assert_eq!(bytes[count_at], 20);
-        bytes[count_at] ^= 1;
-        let body = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        let err = load(&mut ledger_bank(true), &bytes).unwrap_err();
-        assert!(matches!(err, MopacError::Snapshot { .. }), "{err:?}");
-        assert!(err.to_string().contains("disagree"), "{err}");
-    }
-
-    /// Without the checker, `FLP1` alone carries the store.
+    /// Without the checker, the flip plane alone keeps the store, and
+    /// the bank still saves and restores it.
     #[test]
     fn flip_only_bank_restores_its_store_from_the_flip_section() {
         let mut a = ledger_bank(false);

@@ -14,7 +14,7 @@ use crate::timing::{AboTiming, TimingSet};
 use mopac::bank::AlertCause;
 use mopac::checker::{Oracle, Violation};
 use mopac::config::MitigationConfig;
-use mopac::engine::{RecoveryScope, TimingDemands};
+use mopac::engine::TimingDemands;
 use mopac_types::bankmask::BankMask;
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
@@ -25,15 +25,6 @@ use mopac_types::time::{Cycle, MemClock};
 
 /// Number of refresh groups per bank (tREFW / tREFI).
 const REFRESH_GROUPS: u32 = 8192;
-
-/// Sentinel ("SUBR") opening the device snapshot's subarray/bank-scope
-/// extension section, present only for configurations that use it.
-const SUBARRAY_SECTION_MAGIC: u32 = 0x5355_4252;
-
-/// Sentinel ("FLPD") opening the device snapshot's flip-plane marker,
-/// present only when [`DramConfig::flip`] is set (the per-bank plane
-/// sections carry the actual state and shape tags).
-const FLIP_SECTION_MAGIC: u32 = 0x464C_5044;
 
 /// Device-level configuration.
 #[derive(Debug, Clone)]
@@ -53,8 +44,8 @@ pub struct DramConfig {
     /// for single-channel systems).
     pub channel: u32,
     /// Victim-data bit-flip plane ([`crate::flip`]). `None` (the
-    /// default everywhere) disables it: zero state, zero snapshot
-    /// bytes, bit-identical to the pre-flip-plane simulator.
+    /// default everywhere) disables it: zero state, no snapshot state,
+    /// bit-identical to the pre-flip-plane simulator.
     pub flip: Option<FlipPlaneConfig>,
 }
 
@@ -212,8 +203,8 @@ impl DramDevice {
         let rng = DetRng::from_seed(cfg.seed);
         let demands = TimingDemands::for_config(&cfg.mitigation);
         // Subarray deferred-update slots exist only when the engine
-        // demands them; every other design keeps the slot-less (and
-        // snapshot-byte-identical) flat-bank shape.
+        // demands them; every other design keeps the slot-less
+        // flat-bank shape.
         let cu_slots = if demands.subarray_parallel_updates {
             geom.subarrays_per_bank
         } else {
@@ -756,7 +747,7 @@ impl DramDevice {
 
     /// Banks of `sc` whose mitigation engine currently demands ABO
     /// service — the targets of a bank-scoped RFM under
-    /// [`RecoveryScope::Bank`].
+    /// [`RecoveryScope::Bank`](mopac::engine::RecoveryScope::Bank).
     #[must_use]
     pub fn alerting_banks(&self, sc: u32) -> BankMask {
         let mut m = BankMask::empty();
@@ -788,7 +779,8 @@ impl DramDevice {
     /// the banks in `mask` and blocking only them for the ABO stall
     /// time; the sub-channel's other banks (and its shared
     /// `blocked_until`) are untouched. This is PRACtical's
-    /// bank-isolated recovery ([`RecoveryScope::Bank`]).
+    /// bank-isolated recovery
+    /// ([`RecoveryScope::Bank`](mopac::engine::RecoveryScope::Bank)).
     ///
     /// Injected RFM faults apply as for [`Self::rfm`]: a dropped RFM
     /// pays the full stall on the masked banks without service; an RFM
@@ -1022,14 +1014,6 @@ impl DramDevice {
         }
     }
 
-    /// Whether this configuration serializes the subarray/bank-scope
-    /// snapshot extension.
-    fn extended_snapshot(&self) -> bool {
-        self.cfg.geometry.subarrays_per_bank > 1
-            || self.demands.recovery_scope == RecoveryScope::Bank
-            || self.demands.subarray_parallel_updates
-    }
-
     fn sub(&self, sc: u32) -> &SubChannel {
         &self.subchannels[sc as usize]
     }
@@ -1041,7 +1025,6 @@ impl DramDevice {
     /// Serializes one sub-channel's shared state (banks delegate to
     /// their own [`Snapshottable`] impls).
     fn save_sub(s: &SubChannel, w: &mut SnapshotWriter) {
-        w.put_usize(s.banks.len());
         for b in &s.banks {
             b.save_state(w);
         }
@@ -1060,13 +1043,6 @@ impl DramDevice {
     }
 
     fn load_sub(s: &mut SubChannel, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        let n = r.take_usize()?;
-        if n != s.banks.len() {
-            return Err(MopacError::snapshot(format!(
-                "bank count mismatch: snapshot {n}, configured {}",
-                s.banks.len()
-            )));
-        }
         for b in &mut s.banks {
             b.load_state(r)?;
         }
@@ -1124,56 +1100,31 @@ impl DramDevice {
     }
 }
 
+/// The device section opens with the device's identity, the `Debug`
+/// form of its [`DramConfig`]: engine and every mitigation parameter,
+/// geometry, checker, flip plane, seed and channel. Restore compares it
+/// before reading anything else, so no section below echoes
+/// configuration. Snapshots are restored only in-process by the same
+/// build, which keeps the `Debug` form stable.
 impl Snapshottable for DramDevice {
     fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.subchannels.len());
+        w.put_str(&format!("{:?}", self.cfg));
         for s in &self.subchannels {
             Self::save_sub(s, w);
         }
         self.stats.save_state(w);
         w.put_u32(self.drop_rfms);
         w.put_u64(self.rfm_extra_stall);
-        // Layout v1 carries a demands generation word and one demands
-        // epoch word per bank from a retired runtime-demands channel;
-        // they are written as zeros so the format stays unchanged.
-        let banks = self.cfg.geometry.total_banks() as usize;
-        w.put_u64(0);
-        w.put_usize(banks);
-        for _ in 0..banks {
-            w.put_u64(0);
-        }
-        // The demands themselves, checked against the configured design
-        // on restore.
-        w.put_bool(self.demands.always_prac_timings);
-        w.put_opt_f64(self.demands.precu_probability);
-        w.put_opt_f64(self.demands.row_open_cap_ns);
-        // Subarray/bank-scope extension: only shapes that use it pay
-        // for it, so legacy configurations keep byte-identical streams.
-        if self.extended_snapshot() {
-            w.put_u32(SUBARRAY_SECTION_MAGIC);
-            w.put_u32(self.cfg.geometry.subarrays_per_bank);
-            w.put_u32(match self.demands.recovery_scope {
-                RecoveryScope::SubChannel => 0,
-                RecoveryScope::Bank => 1,
-            });
-            w.put_bool(self.demands.subarray_parallel_updates);
-        }
-        // Flip-plane marker: present only when the plane is configured
-        // (the per-bank sections above carry the actual state and the
-        // distribution/ECC shape tags). Disabled configurations write
-        // nothing, keeping legacy streams byte-identical.
-        if self.cfg.flip.is_some() {
-            w.put_u32(FLIP_SECTION_MAGIC);
-        }
         self.sink.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        let n = r.take_usize()?;
-        if n != self.subchannels.len() {
+        let saved = r.take_str()?;
+        let configured = format!("{:?}", self.cfg);
+        if saved != configured {
             return Err(MopacError::snapshot(format!(
-                "sub-channel count mismatch: snapshot {n}, configured {}",
-                self.subchannels.len()
+                "snapshot of another device configuration: snapshot {saved}, \
+                 configured {configured}"
             )));
         }
         for s in &mut self.subchannels {
@@ -1182,68 +1133,6 @@ impl Snapshottable for DramDevice {
         self.stats.load_state(r)?;
         self.drop_rfms = r.take_u32()?;
         self.rfm_extra_stall = r.take_u64()?;
-        if r.take_u64()? != 0 {
-            return Err(MopacError::snapshot("non-zero timing-demands generation word"));
-        }
-        let n = r.take_usize()?;
-        let banks = self.cfg.geometry.total_banks() as usize;
-        if n != banks {
-            return Err(MopacError::snapshot(format!(
-                "demands-epoch table mismatch: snapshot {n}, configured {banks}"
-            )));
-        }
-        for _ in 0..n {
-            if r.take_u64()? != 0 {
-                return Err(MopacError::snapshot("non-zero timing-demands epoch word"));
-            }
-        }
-        let mut saved = TimingDemands {
-            always_prac_timings: r.take_bool()?,
-            precu_probability: r.take_opt_f64()?,
-            row_open_cap_ns: r.take_opt_f64()?,
-            ..self.demands
-        };
-        if self.extended_snapshot() {
-            let magic = r.take_u32()?;
-            if magic != SUBARRAY_SECTION_MAGIC {
-                return Err(MopacError::snapshot(
-                    "missing subarray section: snapshot was taken on a flat-bank, \
-                     sub-channel-scope configuration",
-                ));
-            }
-            let sab = r.take_u32()?;
-            if sab != self.cfg.geometry.subarrays_per_bank {
-                return Err(MopacError::snapshot(format!(
-                    "subarrays-per-bank mismatch: snapshot {sab}, configured {}",
-                    self.cfg.geometry.subarrays_per_bank
-                )));
-            }
-            saved.recovery_scope = match r.take_u32()? {
-                0 => RecoveryScope::SubChannel,
-                1 => RecoveryScope::Bank,
-                v => {
-                    return Err(MopacError::snapshot(format!(
-                        "unknown recovery-scope tag {v} in snapshot"
-                    )));
-                }
-            };
-            saved.subarray_parallel_updates = r.take_bool()?;
-        }
-        if saved != self.demands {
-            return Err(MopacError::snapshot(format!(
-                "timing demands mismatch: snapshot {saved:?}, configured {:?} ({})",
-                self.demands, self.cfg.mitigation.engine.name
-            )));
-        }
-        if self.cfg.flip.is_some() {
-            let magic = r.take_u32()?;
-            if magic != FLIP_SECTION_MAGIC {
-                return Err(MopacError::snapshot(
-                    "missing flip-plane device section: snapshot was taken \
-                     on a flip-plane-disabled configuration",
-                ));
-            }
-        }
         self.sink.load_state(r)
     }
 }

@@ -41,7 +41,7 @@
 //!   instant, which makes ECC-on corruption ≤ ECC-off corruption a
 //!   structural guarantee rather than a statistical tendency.
 
-use mopac::checker::{Disturbance, DisturbanceView, Indexing, Side};
+use mopac::checker::{Disturbance, DisturbanceView, Side};
 use mopac_types::rng::mix64;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::{MopacError, MopacResult};
@@ -78,18 +78,6 @@ pub enum TrhDistribution {
     },
 }
 
-impl TrhDistribution {
-    /// Stable tag for snapshot shape checks.
-    #[must_use]
-    fn tag(self) -> u32 {
-        match self {
-            TrhDistribution::Constant(_) => 0,
-            TrhDistribution::Uniform { .. } => 1,
-            TrhDistribution::LogNormal { .. } => 2,
-        }
-    }
-}
-
 /// On-die ECC model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EccMode {
@@ -100,21 +88,10 @@ pub enum EccMode {
     Sec,
 }
 
-impl EccMode {
-    /// Stable tag for snapshot shape checks.
-    #[must_use]
-    fn tag(self) -> u32 {
-        match self {
-            EccMode::None => 0,
-            EccMode::Sec => 1,
-        }
-    }
-}
-
 /// Flip-plane configuration. Attached to
 /// [`crate::device::DramConfig::flip`]; `None` there disables the
-/// plane entirely (zero state, zero snapshot bytes, bit-identical to
-/// the pre-flip-plane simulator).
+/// plane entirely (zero state, no snapshot state, bit-identical to the
+/// pre-flip-plane simulator).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlipPlaneConfig {
     /// Per-row threshold distribution.
@@ -156,8 +133,8 @@ impl FlipPlaneConfig {
 mopac_types::counter_struct! {
     /// Aggregate flip-plane statistics. Deliberately *not* part of
     /// [`crate::device::DramStats`]: that struct serializes field-by-field
-    /// into every legacy snapshot, and the flip plane must cost zero bytes
-    /// when disabled.
+    /// into every device snapshot, and the flip plane must cost no
+    /// snapshot state when disabled.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct FlipStats {
         /// Victim-word bits flipped by disturbance (newly set bits only; a
@@ -293,13 +270,9 @@ impl VictimWords {
         self.stats
     }
 
-    /// Writes the `FLP1` section: config tags and shape, the store by
-    /// victim, the victim words and the stats.
-    pub fn save_section(&self, store: &Disturbance, w: &mut SnapshotWriter) {
-        w.put_u32(self.cfg.t_rh.tag());
-        w.put_u32(self.cfg.ecc.tag());
-        w.put_u32(store.rows());
-        store.save_sides(w, Indexing::Victim);
+    /// Writes the plane's snapshot section: the flipped victim words,
+    /// then the stats. The disturbance store is the bank's to write.
+    pub fn save_section(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.flips.len());
         for (&row, &word) in &self.flips {
             w.put_u32(row);
@@ -308,53 +281,18 @@ impl VictimWords {
         self.stats.save_state(w);
     }
 
-    /// Reads a [`Self::save_section`] section. With `shared` the checker
-    /// section has already loaded `store`, and this section's counts
-    /// must agree with it; otherwise they load it.
+    /// Reads a [`Self::save_section`] section for a bank of `rows` rows.
     ///
     /// # Errors
     ///
-    /// [`MopacError::Snapshot`] on a shape mismatch, counts that
-    /// disagree with a shared store, or corrupt input.
-    pub fn load_section(
-        &mut self,
-        store: &mut Disturbance,
-        shared: bool,
-        r: &mut SnapshotReader<'_>,
-    ) -> MopacResult<()> {
-        let err = MopacError::snapshot;
-        let dist = r.take_u32()?;
-        let ecc = r.take_u32()?;
-        let rows = r.take_u32()?;
-        if dist != self.cfg.t_rh.tag() || ecc != self.cfg.ecc.tag() || rows != store.rows() {
-            return Err(err(format!(
-                "flip-plane shape mismatch: snapshot dist={dist}/ecc={ecc}/rows={rows}, \
-                 configured dist={}/ecc={}/rows={}",
-                self.cfg.t_rh.tag(),
-                self.cfg.ecc.tag(),
-                store.rows()
-            )));
-        }
-        if shared {
-            let disagree = || err("flip-plane counts disagree with the checker section".into());
-            for side in store.sides(Indexing::Victim) {
-                if r.take_usize()? != side.clone().count() {
-                    return Err(disagree());
-                }
-                for pair in side {
-                    if (r.take_u32()?, r.take_u32()?) != pair {
-                        return Err(disagree());
-                    }
-                }
-            }
-        } else {
-            store.load_sides(r, Indexing::Victim)?;
-        }
+    /// [`MopacError::Snapshot`] on a flipped row outside the bank or
+    /// corrupt input.
+    pub fn load_section(&mut self, rows: u32, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
         self.flips.clear();
         for _ in 0..r.take_usize()? {
             let row = r.take_u32()?;
             if row >= rows {
-                return Err(err(format!("flip-plane flipped row {row} out of range")));
+                return Err(MopacError::snapshot(format!("flip-plane flipped row {row} out of range")));
             }
             let word = r.take_u64()?;
             self.flips.insert(row, word);
@@ -488,8 +426,9 @@ mod tests {
 
     /// Disturbance accumulated on `row` from both neighbours.
     fn disturbance(p: &FlipPlane, row: u32) -> u32 {
-        let sides = p.store.sides(Indexing::Victim).into_iter().flatten();
-        sides.filter(|&(v, _)| v == row).map(|(_, c)| c).sum()
+        let [up, dn] = p.store.sides();
+        let from_lo = up.filter(|&(a, _)| a + 1 == row);
+        from_lo.chain(dn.filter(|&(a, _)| a == row + 1)).map(|(_, c)| c).sum()
     }
 
     #[test]
@@ -649,11 +588,13 @@ mod tests {
             a.on_activate(i % 60);
         }
         let mut w = SnapshotWriter::new();
-        a.words.save_section(&a.store, &mut w);
+        a.store.save_state(&mut w);
+        a.words.save_section(&mut w);
         let bytes = w.finish();
         let mut b = plane(cfg);
         let mut r = SnapshotReader::new(&bytes).unwrap();
-        b.words.load_section(&mut b.store, false, &mut r).unwrap();
+        b.store.load_state(&mut r).unwrap();
+        b.words.load_section(64, &mut r).unwrap();
         // Continue both identically.
         for i in 0..200u32 {
             assert_eq!(a.on_activate(i % 60), b.on_activate(i % 60));
@@ -663,17 +604,22 @@ mod tests {
         assert_eq!(a.words().stats(), b.words().stats());
     }
 
+    /// A victim word flipped past the end of a smaller bank is refused
+    /// with a typed error, not inserted out of range.
     #[test]
     fn snapshot_rejects_cross_shape() {
+        let cfg = FlipPlaneConfig::new(TrhDistribution::Constant(2)).with_flip_probability(1.0);
+        let mut p = plane(cfg);
+        for _ in 0..10 {
+            p.on_activate(60);
+        }
+        assert!(p.words().stats().bit_flips > 0);
         let mut w = SnapshotWriter::new();
-        let p = plane(FlipPlaneConfig::new(TrhDistribution::Constant(100)));
-        p.words.save_section(&p.store, &mut w);
+        p.words.save_section(&mut w);
         let bytes = w.finish();
-        let mut other = plane(
-            FlipPlaneConfig::new(TrhDistribution::Constant(100)).with_ecc(EccMode::Sec),
-        );
+        let mut other = FlipPlane::new(cfg, 16, FlipPlane::bank_salt(0xD0_5E_ED, 0));
         let mut r = SnapshotReader::new(&bytes).unwrap();
-        let e = other.words.load_section(&mut other.store, false, &mut r).unwrap_err();
+        let e = other.words.load_section(16, &mut r).unwrap_err();
         assert!(matches!(e, MopacError::Snapshot { .. }), "{e:?}");
     }
 }

@@ -1297,7 +1297,6 @@ impl Snapshottable for MemoryController {
         self.dram.save_state(w);
         self.rng.save_state(w);
         self.stats.save_state(w);
-        w.put_usize(self.subs.len());
         let save_queue = |q: &VecDeque<Pending>, w: &mut SnapshotWriter| {
             w.put_usize(q.len());
             for p in q {
@@ -1311,7 +1310,6 @@ impl Snapshottable for MemoryController {
             save_queue(&s.writes, w);
             w.put_bool(s.draining_writes);
             w.put_u64(s.next_ref);
-            w.put_usize(s.last_use.len());
             for &c in &s.last_use {
                 w.put_u64(c);
             }
@@ -1319,11 +1317,6 @@ impl Snapshottable for MemoryController {
                 w.put_u32(c);
             }
         }
-        w.put_opt_f64(self.precu_p);
-        w.put_opt_u64(self.row_press_cap);
-        // Layout v1's demands generation word, from a retired
-        // runtime-demands channel: always zero.
-        w.put_u64(0);
         self.sink.save_state(w);
     }
 
@@ -1331,13 +1324,6 @@ impl Snapshottable for MemoryController {
         self.dram.load_state(r)?;
         self.rng.load_state(r)?;
         self.stats.load_state(r)?;
-        let n = r.take_usize()?;
-        if n != self.subs.len() {
-            return Err(MopacError::snapshot(format!(
-                "sub-channel count mismatch: snapshot {n}, configured {}",
-                self.subs.len()
-            )));
-        }
         let load_queue = |q: &mut VecDeque<Pending>, r: &mut SnapshotReader<'_>| {
             let n = r.take_usize()?;
             q.clear();
@@ -1356,32 +1342,12 @@ impl Snapshottable for MemoryController {
             load_queue(&mut s.writes, r)?;
             s.draining_writes = r.take_bool()?;
             s.next_ref = r.take_u64()?;
-            let n = r.take_usize()?;
-            if n != banks {
-                return Err(MopacError::snapshot(format!(
-                    "bank count mismatch: snapshot {n}, configured {banks}"
-                )));
-            }
             for c in &mut s.last_use {
                 *c = r.take_u64()?;
             }
             for c in &mut s.cols_since_act {
                 *c = r.take_u32()?;
             }
-        }
-        // The demand-derived knobs are configuration, not state: the
-        // snapshot's copies must match this controller's.
-        let precu_p = r.take_opt_f64()?;
-        let row_press_cap = r.take_opt_u64()?;
-        if (precu_p, row_press_cap) != (self.precu_p, self.row_press_cap) {
-            return Err(MopacError::snapshot(format!(
-                "controller demands mismatch: snapshot PREcu p {precu_p:?}, row-open cap \
-                 {row_press_cap:?}; configured {:?}, {:?}",
-                self.precu_p, self.row_press_cap
-            )));
-        }
-        if r.take_u64()? != 0 {
-            return Err(MopacError::snapshot("non-zero timing-demands generation word"));
         }
         self.sink.load_state(r)?;
         // The scheduler index is pure cache: rebuild the per-bank queue

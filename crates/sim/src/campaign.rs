@@ -37,18 +37,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Worker-count default: `MOPAC_THREADS` if set and positive, else the
-/// machine's available parallelism.
+/// Worker-count default: the machine's available parallelism.
 #[must_use]
 pub fn default_threads() -> usize {
-    std::env::var("MOPAC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, NonZeroUsize::get)
-        })
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Recovers a usable guard from a poisoned lock: campaign state is
@@ -374,7 +366,7 @@ pub struct FaultCampaignSpec {
     pub instrs: u64,
     /// Per-attempt wall-clock budget.
     pub timeout: Duration,
-    /// Worker threads (`0` = default / `MOPAC_THREADS`).
+    /// Worker threads (`0` = [`default_threads`]).
     pub threads: usize,
     /// Deliberately panic in the named `mitigation/fault` cell
     /// (isolation demo; `MOPAC_INJECT_PANIC`).

@@ -22,16 +22,11 @@
 //!    deterministic failures (bad config, unknown workload) are not
 //!    retried. When a retryable failure survives every retry the final
 //!    error is wrapped in the typed [`MopacError::RetriesExhausted`],
-//!    preserving the last underlying error. An optional exponential
-//!    backoff ([`IsolatedRunner::with_backoff`]) spaces the retries;
-//!    the sleep function is injectable
-//!    ([`IsolatedRunner::with_sleeper`]) so tests can record the exact
-//!    delays deterministically instead of sleeping.
+//!    preserving the last underlying error.
 
 use mopac_types::error::{MopacError, MopacResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How an isolated experiment ended.
@@ -83,30 +78,12 @@ impl<T> RunReport<T> {
 }
 
 /// Executes experiments with panic isolation, timeouts and retries.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct IsolatedRunner {
     /// Wall-clock budget per attempt.
     pub timeout: Duration,
     /// Retries after a retryable failure (default 1).
     pub retries: u32,
-    /// Base delay of the exponential backoff between retries: retry `k`
-    /// waits `backoff_base * 2^(k-1)`. Zero (the default) retries
-    /// immediately.
-    pub backoff_base: Duration,
-    /// The function that performs the backoff wait. Production uses
-    /// [`std::thread::sleep`]; tests inject a recorder so the schedule
-    /// is asserted deterministically without wall-clock sleeping.
-    sleeper: Arc<dyn Fn(Duration) + Send + Sync>,
-}
-
-impl std::fmt::Debug for IsolatedRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IsolatedRunner")
-            .field("timeout", &self.timeout)
-            .field("retries", &self.retries)
-            .field("backoff_base", &self.backoff_base)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for IsolatedRunner {
@@ -114,8 +91,6 @@ impl Default for IsolatedRunner {
         Self {
             timeout: Duration::from_secs(600),
             retries: 1,
-            backoff_base: Duration::ZERO,
-            sleeper: Arc::new(std::thread::sleep),
         }
     }
 }
@@ -140,21 +115,6 @@ impl IsolatedRunner {
     #[must_use]
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Sets the exponential-backoff base delay (builder style).
-    #[must_use]
-    pub fn with_backoff(mut self, base: Duration) -> Self {
-        self.backoff_base = base;
-        self
-    }
-
-    /// Replaces the backoff sleep function (builder style); tests use
-    /// this to record the delay schedule instead of sleeping.
-    #[must_use]
-    pub fn with_sleeper(mut self, sleeper: impl Fn(Duration) + Send + Sync + 'static) -> Self {
-        self.sleeper = Arc::new(sleeper);
         self
     }
 
@@ -232,13 +192,6 @@ impl IsolatedRunner {
                     value,
                     error,
                 };
-            }
-            if self.backoff_base > Duration::ZERO {
-                // Retry k (about to run attempt k+1) waits base * 2^(k-1);
-                // the shift is clamped so a huge retry budget cannot
-                // overflow the multiplier.
-                let factor = 1u32 << (attempts - 1).min(16);
-                (self.sleeper)(self.backoff_base.saturating_mul(factor));
             }
         }
     }
@@ -365,49 +318,5 @@ mod tests {
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn backoff_schedule_is_exponential_and_injectable() {
-        let sleeps = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let rec = sleeps.clone();
-        let r: RunReport<()> = runner()
-            .with_retries(3)
-            .with_backoff(Duration::from_millis(10))
-            .with_sleeper(move |d| rec.lock().unwrap().push(d))
-            .run("flappy", |_| {
-                Err(MopacError::Livelock {
-                    cycle: 1,
-                    stalled_for: 1,
-                    retired: 0,
-                })
-            });
-        assert_eq!(r.attempts, 4);
-        let recorded = sleeps.lock().unwrap().clone();
-        assert_eq!(
-            recorded,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(40),
-            ]
-        );
-    }
-
-    #[test]
-    fn zero_backoff_never_sleeps() {
-        let sleeps = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let rec = sleeps.clone();
-        let r: RunReport<()> = runner()
-            .with_sleeper(move |d| rec.lock().unwrap().push(d))
-            .run("quick-fail", |_| {
-                Err(MopacError::Livelock {
-                    cycle: 1,
-                    stalled_for: 1,
-                    retired: 0,
-                })
-            });
-        assert_eq!(r.attempts, 2);
-        assert!(sleeps.lock().unwrap().is_empty());
     }
 }

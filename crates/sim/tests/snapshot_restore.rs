@@ -179,10 +179,11 @@ fn restore_rejects_cross_subarray_shape_snapshots() {
     assert_eq!(reference, same.run_to_completion().unwrap());
 }
 
-/// Timing demands are a fixed property of the configured design: a
-/// MoPAC-C snapshot restored into a PRAC run with the same alert
-/// thresholds must be rejected, not continue under MoPAC-C's PREcu coin
-/// and base timings.
+/// A snapshot names its design: restoring it into another design with
+/// the same alert thresholds must be rejected, not continue under the
+/// other design's sampling or timings. Two pairs: MoPAC-C into PRAC
+/// (they differ in timing demands) and MoPAC-D into MoPAC-D with
+/// non-uniform sampling (equal demands, a different design).
 #[test]
 fn restore_rejects_snapshots_of_another_design() {
     use mopac::config::MitigationConfig;
@@ -195,30 +196,36 @@ fn restore_rejects_snapshots_of_another_design() {
         geometry: DramGeometry::tiny(),
         ..AttackConfig::new(mitigation, 200_000)
     };
-    let mopac_c = attack(MitigationConfig::mopac_c(500));
-    let prac = attack(MitigationConfig::prac(500).with_alert_threshold(176));
-    // Both pass the MOAT threshold checks, so only the timing demands
-    // tell the two designs apart on restore.
-    let thresholds =
-        |c: &AttackConfig| (c.mitigation.alert_threshold, c.mitigation.eligibility_threshold);
-    assert_eq!(thresholds(&mopac_c), thresholds(&prac));
+    let pairs = [
+        (MitigationConfig::mopac_c(500), MitigationConfig::prac(500).with_alert_threshold(176)),
+        (MitigationConfig::mopac_d(500), MitigationConfig::mopac_d_nup(500).with_alert_threshold(152)),
+    ];
+    for (from, into) in pairs {
+        let (from, into) = (attack(from), attack(into));
+        // Both pass the MOAT threshold checks, so only the design
+        // itself tells the two apart on restore.
+        let thresholds =
+            |c: &AttackConfig| (c.mitigation.alert_threshold, c.mitigation.eligibility_threshold);
+        assert_eq!(thresholds(&from), thresholds(&into));
 
-    let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
-    let mut src = AttackRun::new(&mopac_c, &mut pattern);
-    src.run_until(50_000).unwrap();
-    let snap = src.snapshot();
+        let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
+        let mut src = AttackRun::new(&from, &mut pattern);
+        src.run_until(50_000).unwrap();
+        let snap = src.snapshot();
 
-    let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
-    let mut dst = AttackRun::new(&prac, &mut pattern);
-    let err = dst
-        .restore(&snap)
-        .expect_err("MoPAC-C snapshot restored into a PRAC run");
-    assert!(
-        matches!(&err, MopacError::Snapshot { .. }),
-        "wrong error kind: {err:?}"
-    );
-    assert!(
-        err.to_string().contains("timing demands"),
-        "unhelpful error: {err}"
-    );
+        let (a, b) = (from.mitigation.engine.name, into.mitigation.engine.name);
+        let mut pattern = DoubleSidedHammer::new(BankRef::new(0, 0), 100);
+        let mut dst = AttackRun::new(&into, &mut pattern);
+        let err = dst
+            .restore(&snap)
+            .expect_err(&format!("{a} snapshot restored into a {b} run"));
+        assert!(
+            matches!(&err, MopacError::Snapshot { .. }),
+            "wrong error kind: {err:?}"
+        );
+        let msg = err.to_string();
+        for name in [a, b] {
+            assert!(msg.contains(&format!("engine: {name},")), "{name} not named: {msg}");
+        }
+    }
 }

@@ -7,8 +7,9 @@
 //! number of cases with seeds derived deterministically from the property
 //! name, so failures reproduce exactly and report the offending seed.
 //!
-//! Set `MOPAC_PROP_CASES` to scale the case count (e.g. `=1000` for a
-//! deeper local run).
+//! Set `MOPAC_PROP_CASES` to override the case count (e.g. `=1000` for a
+//! deeper local run); a value that is not a non-negative integer
+//! panics rather than falling back to the default.
 //!
 //! # Examples
 //!
@@ -38,13 +39,17 @@ fn name_seed(name: &str) -> u64 {
     h
 }
 
-/// Number of cases to run: `cases` scaled by `MOPAC_PROP_CASES` if set.
+/// Number of cases to run: `MOPAC_PROP_CASES` if set, else `cases`.
+///
+/// # Panics
+///
+/// Panics if `MOPAC_PROP_CASES` is not a non-negative integer that fits
+/// a `u32`.
 #[must_use]
 fn case_count(cases: u32) -> u32 {
-    match std::env::var("MOPAC_PROP_CASES") {
-        Ok(v) => v.parse().unwrap_or(cases),
-        Err(_) => cases,
-    }
+    let n = crate::knob::u64_knob("MOPAC_PROP_CASES", u64::from(cases))
+        .unwrap_or_else(|e| panic!("{e}"));
+    u32::try_from(n).unwrap_or_else(|_| panic!("MOPAC_PROP_CASES={n} does not fit in u32"))
 }
 
 /// Runs `property` for `cases` deterministic cases.

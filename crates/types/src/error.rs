@@ -106,8 +106,8 @@ pub enum MopacError {
         message: String,
     },
     /// A snapshot could not be written or restored (bad magic, version
-    /// mismatch, checksum failure, or a shape mismatch against the
-    /// current configuration).
+    /// mismatch, checksum failure, a device configuration other than the
+    /// snapshot's, or a length or index out of bounds).
     Snapshot {
         /// What was wrong.
         message: String,

@@ -26,6 +26,7 @@ pub mod collections;
 pub mod error;
 pub mod geometry;
 pub mod jedec;
+pub mod knob;
 pub mod obs;
 pub mod persist;
 pub mod rng;

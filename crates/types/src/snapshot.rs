@@ -1,10 +1,21 @@
 //! Versioned, self-describing binary snapshot format.
 //!
-//! Checkpointed campaigns (ROADMAP item 5) need to persist the full
-//! mutable state of a `System` mid-run and restore it bit-identically —
-//! RNG streams included. This module is the wire format those snapshots
-//! use: a hand-rolled writer/reader pair with no external dependencies,
-//! so the workspace stays dependency-free.
+//! A snapshot holds the full mutable state of a `System` or an attack
+//! run mid-run, RNG streams included, and restores it bit-identically
+//! into a freshly built value of the same configuration. This module is
+//! the wire format: a hand-rolled writer/reader pair with no external
+//! dependencies, so the workspace stays dependency-free.
+//!
+//! Configuration is recorded once. Each DRAM device's section opens
+//! with the device identity, the `Debug` form of its configuration
+//! (engine and every mitigation parameter, geometry, checker, flip
+//! plane, seed and channel), and restore compares it before loading
+//! anything else. Every other section holds only mutable state and
+//! never echoes configuration; the configuration also fixes which
+//! optional sections are present. Lengths and indices read from the
+//! stream are still bounds-checked, since they are input from outside
+//! the program. Snapshots are restored only in-process by the same
+//! build.
 //!
 //! # Layout
 //!
@@ -17,10 +28,9 @@
 //!
 //! All integers are little-endian and fixed-width; `f64` values travel as
 //! their IEEE-754 bit patterns so NaN payloads and signed zeros survive.
-//! Section tags make the format self-describing enough that a reader can
-//! fail loudly (instead of misinterpreting bytes) when the writer and
-//! reader disagree about structure — the common failure when a snapshot
-//! from an older build is fed to a newer one.
+//! Section tags and the version word make a reader fail loudly, instead
+//! of misinterpreting bytes, when the writer and reader disagree about
+//! structure.
 //!
 //! # Examples
 //!
@@ -48,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"MPSN";
 
 /// Current format version. Bump on any layout change; readers reject
 /// mismatched versions rather than guessing.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash — the snapshot checksum and the digest used by the
 /// campaign manifest. Small, dependency-free, and stable across
@@ -69,8 +79,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The contract: `load_state` on a freshly constructed value (same
 /// configuration) followed by any sequence of operations must behave
 /// bit-identically to the original value under that same sequence.
-/// Configuration-derived state is *not* serialized — restore always
-/// starts from a fresh construction.
+/// Configuration is *not* serialized and not re-checked here: restore
+/// always starts from a fresh construction, and the device identity
+/// (see the module docs) has already matched the configuration.
 pub trait Snapshottable {
     /// Appends this component's mutable state to the snapshot.
     fn save_state(&self, w: &mut SnapshotWriter);
@@ -81,7 +92,7 @@ pub trait Snapshottable {
     ///
     /// Returns [`MopacError::Snapshot`] when the snapshot bytes do not
     /// match what `save_state` wrote (wrong tag, truncated section, or a
-    /// shape mismatch against the current configuration).
+    /// length or index out of bounds).
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()>;
 }
 

@@ -11,8 +11,8 @@
 //!
 //! A second golden file, `flip_bit_identity.txt`, pins the same kind of
 //! digest for attack runs with the victim-data flip plane enabled, with
-//! and without the checker, so the `FLP1` snapshot section and the flip
-//! verdicts are fixed too.
+//! and without the checker, so the disturbance store, the flip plane's
+//! victim words and the flip verdicts are fixed too.
 //!
 //! Regenerate (only legitimate when a PR intentionally changes the
 //! snapshot format or simulation behavior) with:
@@ -147,9 +147,9 @@ fn check_goldens(path: &Path, header: &str, lines: &[String]) {
 /// One flip-plane golden line: an attack run on the tiny geometry with
 /// the victim-data plane on, hammering double-sided around `victim`.
 /// Records the FNV-1a-64 digest of a mid-run [`AttackRun::snapshot`]
-/// (device, checker section and `FLP1` flip section included), the
-/// digest of the final snapshot after the readback pass, and the final
-/// oracle and flip-plane verdicts.
+/// (device identity, disturbance store, oracle and flip plane
+/// included), the digest of the final snapshot after the readback pass,
+/// and the final oracle and flip-plane verdicts.
 fn flip_golden_line(label: &str, mitigation: MitigationConfig, victim: u32) -> String {
     const CYCLES: u64 = 200_000;
     let cfg = AttackConfig {
@@ -187,9 +187,9 @@ fn flip_golden_line(label: &str, mitigation: MitigationConfig, victim: u32) -> S
     )
 }
 
-/// Pins the flip-plane snapshot bytes (`FLP1`) and verdicts. `prac`
-/// tracks, so its snapshots carry both the checker section and `FLP1`;
-/// `baseline` does not, so its snapshots carry `FLP1` alone.
+/// Pins the flip-plane snapshot bytes and verdicts. `prac` tracks, so
+/// its banks save the oracle and the flip plane next to the store;
+/// `baseline` does not, so its banks save the flip plane alone.
 /// `prac-noalert` (T_RH 200, alert threshold out of reach) never
 /// mitigates, so the oracle records violations. Victim 1
 /// makes row 0 an aggressor (the bottom edge slot), victim 100 is

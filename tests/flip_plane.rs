@@ -140,8 +140,8 @@ fn flip_state_survives_snapshot_restore_bit_identically() {
 }
 
 /// A snapshot taken with the plane disabled must refuse to restore into
-/// a flip-enabled run with a typed snapshot error (same contract as the
-/// subarray section's SUBR sentinel).
+/// a flip-enabled run with a typed snapshot error: the device identity
+/// records the flip configuration.
 #[test]
 fn cross_shape_restore_fails_typed() {
     let plain = AttackConfig {
