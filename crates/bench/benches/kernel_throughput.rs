@@ -14,17 +14,20 @@
 //! - `mixed_phase`: alternating idle and attack bursts, exercising the
 //!   cache-invalidate/recompute churn at every phase boundary.
 //!
-//! Results print as a table and land in workspace-root
-//! `BENCH_kernel.json` for the CI trend line. Each workload times its
-//! two kernels in alternating pairs and also records the median
-//! per-pair event/lockstep ratio, a same-run figure that host speed
-//! cancels out of; ci.sh fails if `saturated_attack`'s ratio drops more
-//! than 10% below the committed one.
+//! Results print as a table and land in `target/BENCH_kernel.json`
+//! under the workspace root. Each workload times its two kernels in
+//! alternating pairs and also records the median per-pair
+//! event/lockstep ratio, a same-run figure that host speed cancels out
+//! of; ci.sh fails if `saturated_attack`'s ratio drops more than 10%
+//! below the one in the committed workspace-root `BENCH_kernel.json`.
+//! A run never rewrites the committed file: copy the run's output over
+//! it to move the baseline on purpose.
 //!
 //! `MOPAC_METRICS=1` runs the same matrix with the observability sink
-//! enabled and writes `BENCH_kernel_metrics.json` instead — ci.sh
-//! gates that run against the metrics-off run just before it, bounding
-//! the sink's overhead.
+//! enabled and writes `target/BENCH_kernel_metrics.json` instead —
+//! ci.sh gates that run against the metrics-off run just before it,
+//! bounding the sink's overhead. `MOPAC_METRICS` parses strictly
+//! (unset or `0`: off, `1`: on, anything else is an error).
 
 use mopac::config::MitigationConfig;
 use mopac_cpu::trace::{ReplayTrace, TraceRecord, TraceSource};
@@ -35,7 +38,9 @@ use mopac_types::obs::SinkConfig;
 use std::time::Instant;
 
 fn metrics_enabled() -> bool {
-    std::env::var("MOPAC_METRICS").is_ok_and(|v| v == "1")
+    let raw = std::env::var_os("MOPAC_METRICS").map(|v| v.to_string_lossy().into_owned());
+    mopac_types::knob::parse_flag_knob("MOPAC_METRICS", raw.as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn config(instrs: u64, kernel: KernelMode) -> SystemConfig {
@@ -308,10 +313,12 @@ fn main() {
     } else {
         "BENCH_kernel.json"
     };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .map_or_else(|| std::path::PathBuf::from(file), |root| root.join(file));
+        .map_or_else(|| std::path::PathBuf::from("target"), |root| root.join("target"));
+    std::fs::create_dir_all(&dir).expect("create target dir");
+    let path = dir.join(file);
     std::fs::write(&path, json).expect("write kernel bench json");
     println!("wrote {}", path.display());
 }

@@ -191,13 +191,8 @@ impl Snapshottable for Disturbance {
     /// Writes both sides sparsely: per side, the count of non-zero
     /// slots, then `(aggressor, count)` pairs in row order.
     fn save_state(&self, w: &mut SnapshotWriter) {
-        for side in self.sides() {
-            w.put_usize(side.clone().count());
-            for (row, c) in side {
-                w.put_u32(row);
-                w.put_u32(c);
-            }
-        }
+        self.up.save_nonzero(w);
+        self.dn.save_nonzero(w);
     }
 
     /// Replaces the store with sides written by `save_state`.
@@ -207,18 +202,8 @@ impl Snapshottable for Disturbance {
     /// [`MopacError::Snapshot`] on a row outside the bank or truncated
     /// input.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        let rows = self.rows();
-        for table in [&mut self.up, &mut self.dn] {
-            table.clear();
-            for _ in 0..r.take_usize()? {
-                let row = r.take_u32()?;
-                if row >= rows {
-                    return Err(MopacError::snapshot(format!("disturbance row {row} out of range")));
-                }
-                table.set(row, r.take_u32()?);
-            }
-        }
-        Ok(())
+        self.up.load_nonzero(r, "disturbance")?;
+        self.dn.load_nonzero(r, "disturbance")
     }
 }
 

@@ -102,30 +102,14 @@ impl mopac_types::snapshot::Snapshottable for PracCounters {
     /// pages are visited, so a mostly-idle 64 K-row bank costs a few
     /// bytes and a few page scans instead of 256 KB and a full sweep.
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
-        w.put_usize(self.iter_nonzero().count());
-        for (row, count) in self.iter_nonzero() {
-            w.put_u32(row);
-            w.put_u32(count);
-        }
+        self.counts.save_nonzero(w);
     }
 
     fn load_state(
         &mut self,
         r: &mut mopac_types::snapshot::SnapshotReader<'_>,
     ) -> mopac_types::MopacResult<()> {
-        self.counts.clear();
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let row = r.take_u32()?;
-            let count = r.take_u32()?;
-            if row >= self.rows() {
-                return Err(mopac_types::MopacError::snapshot(format!(
-                    "PRAC counter row {row} out of range"
-                )));
-            }
-            self.counts.set(row, count);
-        }
-        Ok(())
+        self.counts.load_nonzero(r, "PRAC counter")
     }
 }
 

@@ -143,8 +143,37 @@ struct SubChannel {
     acts_since_alert: u64,
     /// Bit `b` set iff bank `b` has an open row. Maintained on
     /// ACT/PRE so the controller's scheduler index can sweep open banks
-    /// without polling every bank's row state.
+    /// without polling every bank's row state. Derived: never
+    /// serialized, rebuilt on restore.
     open_mask: BankMask,
+    /// The ALERT set: bit `b` set iff bank `b`'s engine reports an
+    /// `alert_cause()`, re-read only for the banks a command reached
+    /// (DESIGN.md §9). Derived: never serialized, rebuilt on restore.
+    alerting: BankMask,
+}
+
+impl SubChannel {
+    /// Re-reads bank `bank`'s engine into the ALERT set.
+    fn reassess_alert(&mut self, bank: u32) {
+        let on = self.banks[bank as usize].mitigation().alert_cause().is_some();
+        self.alerting.assign(bank, on);
+    }
+
+    /// The open-bank and ALERT sets recomputed from the banks' state.
+    fn scan_masks(&self) -> (BankMask, BankMask) {
+        let (mut open, mut alerting) = (BankMask::empty(), BankMask::empty());
+        for (i, b) in self.banks.iter().enumerate() {
+            open.assign(i as u32, b.open_row().is_some());
+            alerting.assign(i as u32, b.mitigation().alert_cause().is_some());
+        }
+        (open, alerting)
+    }
+
+    /// The cause ALERT would assert with now: the lowest alerting bank's.
+    fn pending_cause(&self) -> Option<AlertCause> {
+        let bank = self.alerting.first_set()?;
+        self.banks[bank as usize].mitigation().alert_cause()
+    }
 }
 
 /// The simulated DRAM device.
@@ -189,12 +218,13 @@ impl DramDevice {
             "subarrays_per_bank must be a power of two dividing rows_per_bank"
         );
         assert!(
-            geom.channels == 1 && geom.ranks == 1,
+            geom.channels == 1,
             "a DramDevice simulates one channel; build per-channel \
              instances from DramGeometry::channel_view"
         );
-        // The open-banks mask (and the controller's scheduler-index
-        // masks layered on it) pack one bit per bank into a BankMask.
+        // The open-banks and ALERT sets (and the controller's
+        // scheduler-index masks layered on them) pack one bit per bank
+        // into a one-word BankMask.
         assert!(
             geom.banks_per_subchannel <= BankMask::CAPACITY,
             "bank masks hold at most {} banks per sub-channel",
@@ -247,6 +277,7 @@ impl DramDevice {
                     alert_since: None,
                     acts_since_alert: 1,
                     open_mask: BankMask::empty(),
+                    alerting: BankMask::empty(),
                 }
             })
             .collect();
@@ -468,6 +499,7 @@ impl DramDevice {
         let s = self.sub_mut(sc);
         let flips = s.banks[bank as usize].activate(row, now, selected, &base, &prac);
         s.open_mask.set(bank);
+        s.reassess_alert(bank);
         s.last_act = Some(now);
         s.faw[s.faw_idx] = now;
         s.faw_idx = (s.faw_idx + 1) % 4;
@@ -640,6 +672,7 @@ impl DramDevice {
                     .on_subarray_update(sa);
             }
         }
+        self.sub_mut(sc).reassess_alert(bank);
         self.refresh_alert_line(sc, now);
         Ok(())
     }
@@ -690,6 +723,7 @@ impl DramDevice {
             // ABO-forced ones.
             b.cure(&svc.mitigated_rows, blast, start..end);
         }
+        s.alerting = s.scan_masks().1;
         self.stats.refreshes += 1;
         self.stats.deferred_updates += deferred;
         self.stats.mitigations += mitigations;
@@ -722,10 +756,7 @@ impl DramDevice {
         self.check_bank(sc, 0)?;
         gate("RFM", sc, None, now, self.earliest_refresh(sc))?;
         // Sub-channel-scope recovery stalls every bank, alerting or not.
-        let mut all = BankMask::empty();
-        for bank in 0..self.sub(sc).banks.len() as u32 {
-            all.set(bank);
-        }
+        let all = BankMask::from_u64(u64::MAX >> (64 - self.sub(sc).banks.len()));
         self.service_rfm(sc, all, true, now);
         Ok(())
     }
@@ -750,13 +781,26 @@ impl DramDevice {
     /// [`RecoveryScope::Bank`](mopac::engine::RecoveryScope::Bank).
     #[must_use]
     pub fn alerting_banks(&self, sc: u32) -> BankMask {
-        let mut m = BankMask::empty();
-        for (i, b) in self.sub(sc).banks.iter().enumerate() {
-            if b.mitigation().alert_cause().is_some() {
-                m.set(i as u32);
+        self.sub(sc).alerting
+    }
+
+    /// Parity check for the derived bank masks (property tests): the
+    /// open-bank mask and the ALERT set must equal a fresh per-bank
+    /// scan, and the cause ALERT would assert must be the lowest
+    /// alerting bank's.
+    #[doc(hidden)]
+    pub fn debug_verify_masks(&self) -> Result<(), String> {
+        for (sc, s) in self.subchannels.iter().enumerate() {
+            let (open, alerting) = s.scan_masks();
+            let scan = (open, alerting, s.banks.iter().find_map(|b| b.mitigation().alert_cause()));
+            let kept = (s.open_mask, s.alerting, s.pending_cause());
+            if scan != kept {
+                return Err(format!(
+                    "sc{sc}: (open mask, ALERT set, ALERT cause) kept {kept:?} vs scan {scan:?}"
+                ));
             }
         }
-        m
+        Ok(())
     }
 
     /// Earliest cycle a bank-scoped RFM over `mask` may issue: every
@@ -848,6 +892,7 @@ impl DramDevice {
                 updates += u64::from(svc.counter_updates);
                 mitigations += svc.mitigated_rows.len() as u64;
                 b.cure(&svc.mitigated_rows, blast, 0..0);
+                s.alerting.assign(bit, b.mitigation().alert_cause().is_some());
             }
         }
         if whole {
@@ -948,9 +993,9 @@ impl DramDevice {
                 self.cfg.geometry.rows_per_bank
             )));
         }
-        self.sub_mut(sc).banks[bank as usize]
-            .mitigation_mut()
-            .corrupt_counter(row, bit);
+        let s = self.sub_mut(sc);
+        s.banks[bank as usize].mitigation_mut().corrupt_counter(row, bit);
+        s.reassess_alert(bank);
         self.stats.injected_faults += 1;
         Ok(())
     }
@@ -1039,7 +1084,6 @@ impl DramDevice {
         w.put_u32(s.ref_group);
         w.put_opt_u64(s.alert_since);
         w.put_u64(s.acts_since_alert);
-        s.open_mask.save_state(w);
     }
 
     fn load_sub(s: &mut SubChannel, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
@@ -1060,20 +1104,21 @@ impl DramDevice {
         s.ref_group = r.take_u32()?;
         s.alert_since = r.take_opt_u64()?;
         s.acts_since_alert = r.take_u64()?;
-        s.open_mask.load_state(r)?;
+        (s.open_mask, s.alerting) = s.scan_masks();
         Ok(())
     }
 
     /// Re-evaluates the ALERT pin for a sub-channel. ALERT asserts when
     /// any bank wants service, provided at least one activation happened
     /// since the previous ALERT completed (ABO's anti-livelock rule).
+    /// The cause is the lowest alerting bank's.
     fn refresh_alert_line(&mut self, sc: u32, now: Cycle) {
         let cause = {
             let s = self.sub(sc);
             if s.alert_since.is_some() || s.acts_since_alert == 0 {
                 None
             } else {
-                s.banks.iter().find_map(|b| b.mitigation().alert_cause())
+                s.pending_cause()
             }
         };
         if let Some(cause) = cause {

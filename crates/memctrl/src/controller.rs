@@ -1235,14 +1235,16 @@ impl MemoryController {
         Ok(false)
     }
 
-    /// Parity check for the scheduler index (property tests): rebuilds
-    /// every [`QueueCounts`] from scratch and compares it with the
-    /// incrementally maintained one, checks the device's open-bank
-    /// mask against per-bank `open_row`, and — when a wake cache is
-    /// valid — recomputes the wake at the cycle it was cached and
-    /// demands an identical answer.
+    /// Parity check for the scheduler index (property tests): checks
+    /// the device's derived bank masks (open banks, ALERT set;
+    /// [`DramDevice::debug_verify_masks`]), rebuilds every
+    /// [`QueueCounts`] from scratch and compares it with the
+    /// incrementally maintained one, and — when a wake cache is valid —
+    /// recomputes the wake at the cycle it was cached and demands an
+    /// identical answer.
     #[doc(hidden)]
     pub fn debug_verify_index(&self) -> Result<(), String> {
+        self.dram.debug_verify_masks()?;
         let banks = self.dram.config().geometry.banks_per_subchannel as usize;
         for sc in 0..self.subs.len() as u32 {
             let s = &self.subs[sc as usize];
@@ -1265,18 +1267,6 @@ impl MemoryController {
                 return Err(format!(
                     "sc{sc}: write counts diverged: {fresh_w:?} vs {:?}",
                     idx.writes
-                ));
-            }
-            let mut mask = BankMask::empty();
-            for b in 0..banks as u32 {
-                if self.dram.open_row(sc, b).is_some() {
-                    mask.set(b);
-                }
-            }
-            if mask != self.dram.open_banks_mask(sc) {
-                return Err(format!(
-                    "sc{sc}: open mask diverged: recomputed {mask:?} vs device {:?}",
-                    self.dram.open_banks_mask(sc)
                 ));
             }
             if let (Some(wake), Some(at)) = (idx.valid_wake(), idx.valid_computed_at()) {

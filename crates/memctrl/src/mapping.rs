@@ -70,7 +70,6 @@ impl AddressMapper {
         assert!(geom.subchannels.is_power_of_two());
         assert!(geom.rows_per_bank.is_power_of_two());
         assert!(geom.channels.is_power_of_two());
-        assert!(geom.ranks.is_power_of_two());
         if let Mapping::Mop { lines_per_group } = mapping {
             assert!(
                 lines_per_group.is_power_of_two() && lines_per_group <= geom.lines_per_row(),
@@ -110,22 +109,20 @@ impl AddressMapper {
     fn decode_mop(&self, line: u64, group: u32) -> DecodedAddr {
         let g = &self.geom;
         let group = u64::from(group);
-        // Rank is not a separate coordinate: it folds into the bank
-        // dimension (`banks_per_subchannel_flat`), matching the
-        // per-channel device view. Channel rotates right after
-        // sub-channel so consecutive groups stripe across channels
-        // before returning to the same bank. Both divisions are the
-        // identity at channels = ranks = 1, so single-channel decode
-        // is bit-identical to the pre-topology mapping.
-        let banks_flat = u64::from(g.banks_per_subchannel_flat());
+        // Channel rotates right after sub-channel so consecutive groups
+        // stripe across channels before returning to the same bank. The
+        // channel division is the identity at one channel, so
+        // single-channel decode is bit-identical to the pre-topology
+        // mapping.
+        let banks = u64::from(g.banks_per_subchannel);
         let col_lo = line % group;
         let rest = line / group;
         let subch = rest % u64::from(g.subchannels);
         let rest = rest / u64::from(g.subchannels);
         let channel = rest % u64::from(g.channels);
         let rest = rest / u64::from(g.channels);
-        let bank = rest % banks_flat;
-        let rest = rest / banks_flat;
+        let bank = rest % banks;
+        let rest = rest / banks;
         let groups_per_row = u64::from(g.lines_per_row()) / group;
         let col_hi = rest % groups_per_row;
         let row = rest / groups_per_row;
@@ -144,7 +141,7 @@ impl AddressMapper {
         let col_hi = col / group;
         let groups_per_row = u64::from(g.lines_per_row()) / group;
         let mut rest = u64::from(d.row) * groups_per_row + col_hi;
-        rest = rest * u64::from(g.banks_per_subchannel_flat()) + u64::from(d.bank.bank);
+        rest = rest * u64::from(g.banks_per_subchannel) + u64::from(d.bank.bank);
         rest = rest * u64::from(g.channels) + u64::from(d.bank.channel);
         rest = rest * u64::from(g.subchannels) + u64::from(d.bank.subchannel);
         rest * group + col_lo
@@ -152,15 +149,15 @@ impl AddressMapper {
 
     fn decode_row_interleaved(&self, line: u64) -> DecodedAddr {
         let g = &self.geom;
-        let banks_flat = u64::from(g.banks_per_subchannel_flat());
+        let banks = u64::from(g.banks_per_subchannel);
         let col = line % u64::from(g.lines_per_row());
         let rest = line / u64::from(g.lines_per_row());
         let subch = rest % u64::from(g.subchannels);
         let rest = rest / u64::from(g.subchannels);
         let channel = rest % u64::from(g.channels);
         let rest = rest / u64::from(g.channels);
-        let bank = rest % banks_flat;
-        let row = rest / banks_flat;
+        let bank = rest % banks;
+        let row = rest / banks;
         DecodedAddr {
             bank: BankRef::on_channel(channel as u32, subch as u32, bank as u32),
             row: (row % u64::from(g.rows_per_bank)) as u32,
@@ -171,7 +168,7 @@ impl AddressMapper {
     fn encode_row_interleaved(&self, d: DecodedAddr) -> u64 {
         let g = &self.geom;
         let mut rest = u64::from(d.row);
-        rest = rest * u64::from(g.banks_per_subchannel_flat()) + u64::from(d.bank.bank);
+        rest = rest * u64::from(g.banks_per_subchannel) + u64::from(d.bank.bank);
         rest = rest * u64::from(g.channels) + u64::from(d.bank.channel);
         rest = rest * u64::from(g.subchannels) + u64::from(d.bank.subchannel);
         rest * u64::from(g.lines_per_row()) + u64::from(d.col)

@@ -120,11 +120,7 @@ impl QueueCounts {
     ) {
         let n = reqs.filter(|&(b, r)| b == bank && r == open_row).count() as u32;
         self.hits[bank as usize] = n;
-        if n > 0 {
-            self.hits_mask.set(bank);
-        } else {
-            self.hits_mask.clear(bank);
-        }
+        self.hits_mask.assign(bank, n > 0);
     }
 
     /// A PRE closed `bank`: nothing can hit a closed bank.
@@ -269,7 +265,7 @@ mod tests {
         // ACT opens row 7; one queued request targets it.
         c.rescan_bank(0, 7, [(0u32, 7u32), (0, 9)].into_iter());
         assert_eq!(c.hits(0), 1);
-        assert_eq!(c.hits_mask(), BankMask::single(0));
+        assert_eq!(c.hits_mask(), BankMask::from_u64(1));
         c.clear_hits(0);
         assert_eq!(c.hits(0), 0);
         assert!(c.hits_mask().is_empty());

@@ -39,12 +39,11 @@ fn decode_encode_round_trip() {
     });
 }
 
-/// Draws a random power-of-two topology, including the channel and
-/// rank dimensions (1..=8 channels, 1..=4 ranks).
+/// Draws a random power-of-two topology, including the channel
+/// dimension (1..=8 channels).
 fn random_geometry(rng: &mut mopac_types::rng::DetRng) -> DramGeometry {
     DramGeometry {
         channels: 1 << rng.below(4),
-        ranks: 1 << rng.below(3),
         subchannels: 1 << rng.below(2),
         banks_per_subchannel: 1 << (1 + rng.below(5)),
         rows_per_bank: 1 << (7 + rng.below(6)),
@@ -70,8 +69,8 @@ fn decode_encode_round_trip_on_random_topologies() {
             let d = m.decode(addr);
             prop_ensure!(d.bank.channel < geom.channels, "channel out of range: {geom:?}");
             prop_ensure!(
-                d.bank.bank < geom.banks_per_subchannel_flat(),
-                "rank-folded bank out of range: {geom:?}"
+                d.bank.bank < geom.banks_per_subchannel,
+                "bank out of range: {geom:?}"
             );
             prop_ensure!(d.row < geom.rows_per_bank, "row out of range: {geom:?}");
             prop_ensure!(
@@ -86,8 +85,7 @@ fn decode_encode_round_trip_on_random_topologies() {
 
 #[test]
 fn single_channel_decode_matches_multi_channel_view() {
-    // At channels = ranks = 1 the channel/rank divisions are the
-    // identity, so the decode of any line on an N-channel geometry,
+    // At one channel the channel division is the identity, so the decode of any line on an N-channel geometry,
     // restricted to channel 0's lines, must agree with the per-channel
     // view used by the device layer.
     prop_check("single_channel_decode_matches_multi_channel_view", 256, |rng| {

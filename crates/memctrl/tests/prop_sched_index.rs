@@ -322,3 +322,91 @@ fn published_wake_is_never_late_under_alerts() {
         "no practical probe skipped a cycle during bank-scoped recovery"
     );
 }
+
+/// One full-queue hammer step for the ALERT-set parity test: mostly
+/// bank 0's aggressor pair on both sub-channels, every fourth read to
+/// another bank.
+fn fill_hammer_queue(mc: &mut MemoryController, id: &mut u64, now: Cycle) {
+    loop {
+        let bank = if *id % 4 == 3 { 1 + (*id / 4 % 3) as u32 } else { 0 };
+        let row = if id.is_multiple_of(2) { 99 } else { 101 };
+        let req = MemRequest {
+            id: *id,
+            kind: AccessKind::Read,
+            addr: DecodedAddr::new(BankRef::new((*id / 8 % 2) as u32, bank), row, 0),
+        };
+        if !mc.enqueue(req, now) {
+            return;
+        }
+        *id += 1;
+    }
+}
+
+/// The device's incrementally kept ALERT set equals a fresh per-bank
+/// `alert_cause()` scan, and the cause ALERT would assert is the lowest
+/// such bank's, after every cycle of a hammer run at a low threshold,
+/// for every registry engine, under injected counter flips, dropped
+/// RFMs and injected ALERTs, and right after a snapshot restore into a
+/// freshly built controller (`debug_verify_index` runs the device's
+/// `debug_verify_masks`). A one-entry SRQ makes MoPAC-D's ACT-time
+/// sampler fill it, so an ACT can raise a cause too.
+#[test]
+fn alert_set_agrees_with_engine_scan() {
+    prop_check("alert_set_agrees_with_engine_scan", 1, |rng| {
+        let mut alerts = 0u64;
+        let srq1 = ("mopac-d, 1-entry SRQ", MitigationConfig::mopac_d(80).with_srq_capacity(1));
+        for (name, mit) in presets(80).into_iter().chain([srq1]) {
+            let cfg = McConfig {
+                seed: rng.next_u64(),
+                page_policy: PagePolicy::Closed,
+                read_queue_capacity: 32,
+                starvation_cycles: 200,
+                ..McConfig::default()
+            };
+            let mut mc = build_probe_mc(mit, cfg);
+            let mut done: Vec<Completion> = Vec::new();
+            let mut id = 0u64;
+            // Long enough for two REFs (tREFI is ~11.7K cycles).
+            let cycles: Cycle = 30_000;
+            let restore_at = 1_000 + rng.below(cycles - 2_000);
+            for now in 0..cycles {
+                match rng.below(400) {
+                    0 => {
+                        let (sc, row) = (rng.below(2) as u32, 98 + rng.below(5) as u32);
+                        mc.dram_mut()
+                            .inject_counter_flip(sc, 0, row, 4 + rng.below(6) as u32)
+                            .map_err(|e| format!("inject_counter_flip ({name}): {e}"))?;
+                    }
+                    1 => mc.dram_mut().inject_rfm_drop(1),
+                    2 => mc
+                        .dram_mut()
+                        .inject_alert(rng.below(2) as u32, now)
+                        .map_err(|e| format!("inject_alert ({name}): {e}"))?,
+                    _ => {}
+                }
+                if now == restore_at {
+                    let mut w = mopac_types::snapshot::SnapshotWriter::new();
+                    mopac_types::snapshot::Snapshottable::save_state(&mc, &mut w);
+                    let bytes = w.finish();
+                    let mut fresh = build_probe_mc(mit, cfg);
+                    let mut r = mopac_types::snapshot::SnapshotReader::new(&bytes)
+                        .map_err(|e| format!("snapshot ({name}): {e}"))?;
+                    mopac_types::snapshot::Snapshottable::load_state(&mut fresh, &mut r)
+                        .map_err(|e| format!("restore ({name}): {e}"))?;
+                    fresh
+                        .debug_verify_index()
+                        .map_err(|e| format!("right after restore at {now} ({name}): {e}"))?;
+                    mc = fresh;
+                }
+                fill_hammer_queue(&mut mc, &mut id, now);
+                mc.tick(now, &mut done)
+                    .map_err(|e| format!("tick({now}) errored ({name}): {e}"))?;
+                mc.debug_verify_index()
+                    .map_err(|e| format!("cycle {now} ({name}): {e}"))?;
+            }
+            alerts += mc.dram().stats().alerts();
+        }
+        prop_ensure!(alerts > 0, "no ALERT was raised");
+        Ok(())
+    });
+}

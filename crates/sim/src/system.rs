@@ -773,10 +773,9 @@ impl System {
         w.begin_section(SNAP_SYSTEM);
         // Topology header: restore validates shape before touching any
         // state, so a snapshot cannot be loaded into a system with a
-        // different channel/rank/bank organization.
+        // different channel/bank organization.
         let g = &self.cfg.geometry;
         w.put_u32(g.channels);
-        w.put_u32(g.ranks);
         w.put_u32(g.subchannels);
         w.put_u32(g.banks_per_subchannel);
         w.put_u32(g.rows_per_bank);
@@ -866,35 +865,17 @@ impl System {
     pub fn restore(&mut self, bytes: &[u8]) -> MopacResult<()> {
         let mut r = SnapshotReader::new(bytes)?;
         r.begin_section(SNAP_SYSTEM)?;
-        let snap_topo = (
-            r.take_u32()?,
-            r.take_u32()?,
-            r.take_u32()?,
-            r.take_u32()?,
-            r.take_u32()?,
-        );
+        let snap_topo = (r.take_u32()?, r.take_u32()?, r.take_u32()?, r.take_u32()?);
         let g = &self.cfg.geometry;
-        let cfg_topo = (
-            g.channels,
-            g.ranks,
-            g.subchannels,
-            g.banks_per_subchannel,
-            g.rows_per_bank,
-        );
+        let cfg_topo = (g.channels, g.subchannels, g.banks_per_subchannel, g.rows_per_bank);
         if snap_topo != cfg_topo {
+            let show = |t: (u32, u32, u32, u32)| {
+                format!("{}ch x {}sc x {}banks x {}rows", t.0, t.1, t.2, t.3)
+            };
             return Err(MopacError::snapshot(format!(
-                "topology mismatch: snapshot was taken on {}ch x {}rk x {}sc x {}banks x \
-                 {}rows but this system is {}ch x {}rk x {}sc x {}banks x {}rows",
-                snap_topo.0,
-                snap_topo.1,
-                snap_topo.2,
-                snap_topo.3,
-                snap_topo.4,
-                cfg_topo.0,
-                cfg_topo.1,
-                cfg_topo.2,
-                cfg_topo.3,
-                cfg_topo.4,
+                "topology mismatch: snapshot was taken on {} but this system is {}",
+                show(snap_topo),
+                show(cfg_topo),
             )));
         }
         self.now = r.take_u64()?;

@@ -112,12 +112,13 @@ fn restore_rejects_cross_topology_snapshots() {
         "unhelpful error: {err}"
     );
 
-    // A rank mismatch changes bank folding, so it must be rejected too.
-    let mut ranked_cfg = cfg.clone();
-    ranked_cfg.geometry.ranks = 2;
-    let mut ranked =
-        System::new(ranked_cfg.clone(), build_traces("xz", &ranked_cfg).unwrap()).unwrap();
-    assert!(ranked.restore(&snap).is_err(), "rank mismatch accepted");
+    // A bank-count mismatch is a topology mismatch too.
+    let mut banked_cfg = cfg.clone();
+    banked_cfg.geometry.banks_per_subchannel *= 2;
+    let mut banked =
+        System::new(banked_cfg.clone(), build_traces("xz", &banked_cfg).unwrap()).unwrap();
+    let err = banked.restore(&snap).expect_err("bank-count mismatch accepted");
+    assert!(err.to_string().contains("topology mismatch"), "{err}");
 
     // The matching topology still restores and finishes bit-identically
     // to the uninterrupted reference.

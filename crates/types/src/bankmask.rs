@@ -1,20 +1,13 @@
-//! A multi-word per-bank bitmask.
+//! A one-word per-bank bitmask.
 //!
 //! The scheduler index and the DRAM device keep per-bank occupancy /
-//! row-hit / open-row sets as bitmasks so classification questions
-//! ("any bank with a queued hit?", "all banks closed?") are word-wide
-//! operations instead of per-bank loops. Those masks were raw `u64`s,
-//! which capped the topology at 64 banks per sub-channel; [`BankMask`]
-//! lifts that to [`BankMask::CAPACITY`] while staying `Copy` — a fixed
-//! array of words, no allocation on the hot path.
+//! row-hit / open-row / alerting sets as bitmasks so classification
+//! questions ("any bank with a queued hit?", "all banks closed?") are
+//! single-word operations instead of per-bank loops. A sub-channel has
+//! at most [`BankMask::CAPACITY`] banks (DDR5 has 32); `DramDevice::new`
+//! asserts the cap.
 
-use crate::error::{MopacError, MopacResult};
-use crate::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
-
-/// Words in a [`BankMask`].
-const WORDS: usize = 8;
-
-/// A fixed-capacity bank bitmask (bit `b` = bank `b`).
+/// A bank bitmask over one `u64` (bit `b` = bank `b`).
 ///
 /// # Examples
 ///
@@ -23,55 +16,50 @@ const WORDS: usize = 8;
 ///
 /// let mut m = BankMask::empty();
 /// m.set(3);
-/// m.set(130);
-/// assert!(m.test(3) && m.test(130) && !m.test(4));
-/// assert_eq!(m.ones().collect::<Vec<_>>(), vec![3, 130]);
+/// m.set(40);
+/// assert!(m.test(3) && m.test(40) && !m.test(4));
+/// assert_eq!(m.ones().collect::<Vec<_>>(), vec![3, 40]);
 /// m.clear(3);
-/// assert_eq!(m.first_set(), Some(130));
+/// assert_eq!(m.first_set(), Some(40));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct BankMask {
-    words: [u64; WORDS],
-}
+pub struct BankMask(u64);
 
 impl BankMask {
     /// Highest bank count a mask can represent.
-    pub const CAPACITY: u32 = (WORDS * 64) as u32;
+    pub const CAPACITY: u32 = u64::BITS;
 
     /// The empty mask.
     #[must_use]
     pub const fn empty() -> Self {
-        Self { words: [0; WORDS] }
+        Self(0)
     }
 
-    /// A mask with exactly `bit` set.
+    /// The mask whose word is `w`.
     #[must_use]
-    pub fn single(bit: u32) -> Self {
-        let mut m = Self::empty();
-        m.set(bit);
-        m
-    }
-
-    /// A mask whose first word is `w` (test convenience; bits 0..64).
-    #[must_use]
-    pub fn from_u64(w: u64) -> Self {
-        let mut m = Self::empty();
-        m.words[0] = w;
-        m
+    pub const fn from_u64(w: u64) -> Self {
+        Self(w)
     }
 
     /// Sets `bit`.
     #[inline]
     pub fn set(&mut self, bit: u32) {
         debug_assert!(bit < Self::CAPACITY);
-        self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);
+        self.0 |= 1 << bit;
     }
 
     /// Clears `bit`.
     #[inline]
     pub fn clear(&mut self, bit: u32) {
         debug_assert!(bit < Self::CAPACITY);
-        self.words[(bit / 64) as usize] &= !(1u64 << (bit % 64));
+        self.0 &= !(1 << bit);
+    }
+
+    /// Sets `bit` when `on`, clears it otherwise.
+    #[inline]
+    pub fn assign(&mut self, bit: u32, on: bool) {
+        debug_assert!(bit < Self::CAPACITY);
+        self.0 = (self.0 & !(1 << bit)) | (u64::from(on) << bit);
     }
 
     /// Whether `bit` is set.
@@ -79,120 +67,67 @@ impl BankMask {
     #[must_use]
     pub fn test(&self, bit: u32) -> bool {
         debug_assert!(bit < Self::CAPACITY);
-        (self.words[(bit / 64) as usize] >> (bit % 64)) & 1 == 1
+        (self.0 >> bit) & 1 == 1
     }
 
     /// Whether no bit is set.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.0 == 0
     }
 
     /// Number of set bits.
+    #[inline]
     #[must_use]
     pub fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.0.count_ones()
     }
 
     /// Lowest set bit, if any.
     #[inline]
     #[must_use]
     pub fn first_set(&self) -> Option<u32> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some((i * 64) as u32 + w.trailing_zeros());
-            }
-        }
-        None
+        (self.0 != 0).then(|| self.0.trailing_zeros())
     }
 
     /// Intersection.
     #[inline]
     #[must_use]
-    pub fn and(mut self, other: Self) -> Self {
-        for (a, b) in self.words.iter_mut().zip(other.words) {
-            *a &= b;
-        }
-        self
+    pub fn and(self, other: Self) -> Self {
+        Self(self.0 & other.0)
     }
 
-    /// Union.
-    #[inline]
-    #[must_use]
-    pub fn or(mut self, other: Self) -> Self {
-        for (a, b) in self.words.iter_mut().zip(other.words) {
-            *a |= b;
-        }
-        self
-    }
-
-    /// Set difference (`self & !other`) — the replacement for the old
-    /// `mask & !other` idiom, which a true `Not` would break by setting
+    /// Set difference (`self & !other`). There is no `Not`: it would set
     /// every bit past the bank count.
     #[inline]
     #[must_use]
-    pub fn and_not(mut self, other: Self) -> Self {
-        for (a, b) in self.words.iter_mut().zip(other.words) {
-            *a &= !b;
-        }
-        self
+    pub fn and_not(self, other: Self) -> Self {
+        Self(self.0 & !other.0)
     }
 
     /// Iterates set bits in ascending order.
     #[inline]
     pub fn ones(&self) -> Ones {
-        Ones {
-            words: self.words,
-            word: 0,
-        }
+        Ones(self.0)
     }
 }
 
 /// Ascending set-bit iterator for [`BankMask`].
 #[derive(Debug, Clone)]
-pub struct Ones {
-    words: [u64; WORDS],
-    word: usize,
-}
+pub struct Ones(u64);
 
 impl Iterator for Ones {
     type Item = u32;
 
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        while self.word < WORDS {
-            let w = self.words[self.word];
-            if w != 0 {
-                let bit = w.trailing_zeros();
-                self.words[self.word] = w & (w - 1);
-                return Some((self.word * 64) as u32 + bit);
-            }
-            self.word += 1;
+        if self.0 == 0 {
+            return None;
         }
-        None
-    }
-}
-
-impl Snapshottable for BankMask {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(WORDS);
-        for &word in &self.words {
-            w.put_u64(word);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        let n = r.take_usize()?;
-        if n != WORDS {
-            return Err(MopacError::snapshot(format!(
-                "bank-mask width mismatch: snapshot has {n} words, this build uses {WORDS}"
-            )));
-        }
-        for word in &mut self.words {
-            *word = r.take_u64()?;
-        }
-        Ok(())
+        let bit = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(bit)
     }
 }
 
@@ -204,41 +139,42 @@ mod tests {
     fn set_clear_test_across_words() {
         let mut m = BankMask::empty();
         assert!(m.is_empty());
-        for bit in [0u32, 1, 63, 64, 65, 127, 128, BankMask::CAPACITY - 1] {
+        for bit in [0u32, 1, 31, 32, 62, BankMask::CAPACITY - 1] {
             m.set(bit);
             assert!(m.test(bit), "bit {bit}");
         }
-        assert_eq!(m.count(), 8);
-        m.clear(64);
-        assert!(!m.test(64));
-        assert!(m.test(63) && m.test(65), "neighbors survive a clear");
+        assert_eq!(m.count(), 6);
+        m.clear(32);
+        assert!(!m.test(32));
+        assert!(m.test(31), "neighbors survive a clear");
+        m.assign(32, true);
+        m.assign(31, false);
+        assert!(m.test(32) && !m.test(31));
     }
 
     #[test]
     fn ones_iterates_ascending() {
         let mut m = BankMask::empty();
-        for bit in [200u32, 0, 77, 64, 511] {
+        for bit in [40u32, 0, 17, 32, 63] {
             m.set(bit);
         }
-        assert_eq!(m.ones().collect::<Vec<_>>(), vec![0, 64, 77, 200, 511]);
+        assert_eq!(m.ones().collect::<Vec<_>>(), vec![0, 17, 32, 40, 63]);
         assert_eq!(m.first_set(), Some(0));
         assert_eq!(BankMask::empty().first_set(), None);
     }
 
     #[test]
     fn boolean_ops() {
-        let a = BankMask::from_u64(0b1101).or(BankMask::single(70));
-        let b = BankMask::from_u64(0b0110).or(BankMask::single(70));
-        assert_eq!(a.and(b).ones().collect::<Vec<_>>(), vec![2, 70]);
-        assert_eq!(a.or(b).ones().collect::<Vec<_>>(), vec![0, 1, 2, 3, 70]);
+        let a = BankMask::from_u64(0b1101 | 1 << 50);
+        let b = BankMask::from_u64(0b0110 | 1 << 50);
+        assert_eq!(a.and(b).ones().collect::<Vec<_>>(), vec![2, 50]);
         assert_eq!(a.and_not(b).ones().collect::<Vec<_>>(), vec![0, 3]);
         assert!(a.and_not(a).is_empty());
     }
 
     #[test]
     fn matches_u64_semantics_on_word_zero() {
-        // The old controller masks were raw u64s; word 0 must behave
-        // identically so the swap is bit-preserving for <= 64 banks.
+        // Random set/clear sequences agree with a raw u64 reference.
         let mut reference: u64 = 0;
         let mut m = BankMask::empty();
         let mut rng = crate::rng::DetRng::from_seed(99);
@@ -251,31 +187,12 @@ mod tests {
                 reference &= !(1 << bit);
                 m.clear(bit);
             }
+            assert_eq!(m, BankMask::from_u64(reference));
             assert_eq!(m.is_empty(), reference == 0);
             assert_eq!(
                 m.first_set(),
                 (reference != 0).then(|| reference.trailing_zeros())
             );
         }
-    }
-
-    #[test]
-    fn snapshot_round_trip_and_width_check() {
-        let m = BankMask::from_u64(0xDEAD_BEEF).or(BankMask::single(300));
-        let mut w = SnapshotWriter::new();
-        m.save_state(&mut w);
-        let bytes = w.finish();
-        let mut restored = BankMask::empty();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        restored.load_state(&mut r).unwrap();
-        assert_eq!(restored, m);
-
-        let mut w = SnapshotWriter::new();
-        w.put_usize(2);
-        w.put_u64(0);
-        w.put_u64(0);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        assert!(BankMask::empty().load_state(&mut r).is_err());
     }
 }

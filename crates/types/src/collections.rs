@@ -470,6 +470,43 @@ impl RowTable {
         let bits = self.present.first().copied().unwrap_or(0);
         NonZeroRows { table: self, word: 0, bits, page: &[], row: 0 }
     }
+
+    /// Writes the table sparsely in one walk: the count of non-zero
+    /// rows, then `(row, value)` pairs in row order.
+    pub fn save_nonzero(&self, w: &mut crate::snapshot::SnapshotWriter) {
+        let at = w.reserve_usize();
+        let mut n = 0;
+        for (row, v) in self.iter_nonzero() {
+            w.put_u32(row);
+            w.put_u32(v);
+            n += 1;
+        }
+        w.patch_usize(at, n);
+    }
+
+    /// Replaces the table with rows written by [`Self::save_nonzero`].
+    ///
+    /// # Errors
+    ///
+    /// [`MopacError::Snapshot`](crate::error::MopacError::Snapshot) on a
+    /// row outside the table (named as a `what` row) or truncated input.
+    pub fn load_nonzero(
+        &mut self,
+        r: &mut crate::snapshot::SnapshotReader<'_>,
+        what: &str,
+    ) -> crate::error::MopacResult<()> {
+        self.clear();
+        for _ in 0..r.take_usize()? {
+            let row = r.take_u32()?;
+            if row >= self.rows {
+                return Err(crate::error::MopacError::snapshot(format!(
+                    "{what} row {row} out of range"
+                )));
+            }
+            self.set(row, r.take_u32()?);
+        }
+        Ok(())
+    }
 }
 
 /// The iterator of [`RowTable::iter_nonzero`].

@@ -1,4 +1,4 @@
-//! DRAM organization: channels, ranks, sub-channels, banks, rows.
+//! DRAM organization: channels, sub-channels, banks, rows.
 //!
 //! The paper's baseline (Table 3) is a 32 GB DDR5 system with one
 //! channel, one rank, two sub-channels, 32 banks per sub-channel, 64K
@@ -6,16 +6,11 @@
 //! scoped: an ALERT from any bank stalls all 32 banks of its
 //! sub-channel.
 //!
-//! The topology generalizes along two axes:
-//!
-//! * **Channels** are architecturally independent DDR5 channels; each
-//!   gets its own memory controller and device instance, ticked
-//!   serially in channel order.
-//! * **Ranks** share a channel's command bus. Inside the per-channel
-//!   device/controller pair, ranks are flattened into the bank
-//!   dimension ([`DramGeometry::channel_view`]): a sub-channel with
-//!   `ranks * banks_per_subchannel` schedulable banks. The address
-//!   mapping still treats rank as its own interleaving dimension.
+//! The topology generalizes along one axis: **channels** are
+//! architecturally independent DDR5 channels; each gets its own memory
+//! controller and device instance ([`DramGeometry::channel_view`]),
+//! ticked serially in channel order. The model has one rank per
+//! channel, as the paper does.
 
 /// Static description of the simulated DRAM organization.
 ///
@@ -37,13 +32,10 @@
 pub struct DramGeometry {
     /// Independent DDR5 channels (1 in the paper's Table 3 system).
     pub channels: u32,
-    /// Ranks per channel (1 in the paper). Ranks fold into the bank
-    /// dimension inside a channel ([`Self::channel_view`]).
-    pub ranks: u32,
     /// Number of sub-channels per channel (ABO scope). DDR5 DIMMs have
     /// two.
     pub subchannels: u32,
-    /// Banks per sub-channel per rank (32 for DDR5: 8 bank groups x 4
+    /// Banks per sub-channel (32 for DDR5: 8 bank groups x 4
     /// banks).
     pub banks_per_subchannel: u32,
     /// Rows per bank.
@@ -62,14 +54,13 @@ pub struct DramGeometry {
 }
 
 impl DramGeometry {
-    /// The paper's Table 3 configuration: 32 GB, 1 channel x 1 rank,
+    /// The paper's Table 3 configuration: 32 GB, 1 channel,
     /// 2 sub-channels x 32 banks, 64K rows per bank, 8 KB rows, 64 B
     /// lines.
     #[must_use]
     pub fn ddr5_32gb() -> Self {
         Self {
             channels: 1,
-            ranks: 1,
             subchannels: 2,
             banks_per_subchannel: 32,
             rows_per_bank: 64 * 1024,
@@ -79,13 +70,12 @@ impl DramGeometry {
         }
     }
 
-    /// A tiny geometry for fast unit tests (1 channel, 1 rank,
+    /// A tiny geometry for fast unit tests (1 channel,
     /// 2 sub-channels x 4 banks, 1K rows).
     #[must_use]
     pub fn tiny() -> Self {
         Self {
             channels: 1,
-            ranks: 1,
             subchannels: 2,
             banks_per_subchannel: 4,
             rows_per_bank: 1024,
@@ -95,18 +85,10 @@ impl DramGeometry {
         }
     }
 
-    /// Schedulable banks per sub-channel once ranks are folded in
-    /// (`ranks * banks_per_subchannel`).
-    #[must_use]
-    pub fn banks_per_subchannel_flat(&self) -> u32 {
-        self.ranks * self.banks_per_subchannel
-    }
-
-    /// Total number of banks across all channels, ranks and
-    /// sub-channels.
+    /// Total number of banks across all channels and sub-channels.
     #[must_use]
     pub fn total_banks(&self) -> u32 {
-        self.channels * self.subchannels * self.banks_per_subchannel_flat()
+        self.channels * self.subchannels * self.banks_per_subchannel
     }
 
     /// Total addressable capacity in bytes.
@@ -140,28 +122,20 @@ impl DramGeometry {
         self.capacity_bytes() / u64::from(self.line_bytes)
     }
 
-    /// The geometry one channel's device/controller pair simulates:
-    /// a single channel whose sub-channels carry the rank-folded bank
-    /// count. At 1 channel x 1 rank this is the identity, which is what
-    /// keeps the generalized topology bit-identical to the historical
-    /// single-instance layout.
+    /// The geometry one channel's device/controller pair simulates: the
+    /// same topology with a single channel. At 1 channel this is the
+    /// identity.
     #[must_use]
     pub fn channel_view(&self) -> Self {
-        Self {
-            channels: 1,
-            ranks: 1,
-            banks_per_subchannel: self.banks_per_subchannel_flat(),
-            ..*self
-        }
+        Self { channels: 1, ..*self }
     }
 
-    /// Converts a (sub-channel, rank-folded bank) pair to a flat bank
-    /// index within one channel, in `0..subchannels * ranks *
-    /// banks_per_subchannel`.
+    /// Converts a (sub-channel, bank) pair to a flat bank index within
+    /// one channel, in `0..subchannels * banks_per_subchannel`.
     #[must_use]
     pub fn flat_bank(&self, subch: u32, bank: u32) -> u32 {
-        debug_assert!(subch < self.subchannels && bank < self.banks_per_subchannel_flat());
-        subch * self.banks_per_subchannel_flat() + bank
+        debug_assert!(subch < self.subchannels && bank < self.banks_per_subchannel);
+        subch * self.banks_per_subchannel + bank
     }
 
     /// Inverse of [`Self::flat_bank`], extended across channels: `flat`
@@ -170,22 +144,13 @@ impl DramGeometry {
     #[must_use]
     pub fn split_bank(&self, flat: u32) -> BankRef {
         debug_assert!(flat < self.total_banks());
-        let per_sub = self.banks_per_subchannel_flat();
+        let per_sub = self.banks_per_subchannel;
         let per_channel = self.subchannels * per_sub;
         BankRef {
             channel: flat / per_channel,
             subchannel: (flat % per_channel) / per_sub,
             bank: flat % per_sub,
         }
-    }
-
-    /// A bank's flat index in `0..total_banks()` with channel as the
-    /// outermost dimension (inverse of [`Self::split_bank`]).
-    #[must_use]
-    pub fn flat_bank_global(&self, r: BankRef) -> u32 {
-        debug_assert!(r.channel < self.channels);
-        r.channel * self.subchannels * self.banks_per_subchannel_flat()
-            + self.flat_bank(r.subchannel, r.bank)
     }
 }
 
@@ -195,16 +160,15 @@ impl Default for DramGeometry {
     }
 }
 
-/// Identifies one bank: its channel, its sub-channel, and its
-/// (rank-folded) index within the sub-channel.
+/// Identifies one bank: its channel, its sub-channel, and its index
+/// within the sub-channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BankRef {
     /// Channel index.
     pub channel: u32,
     /// Sub-channel index within the channel.
     pub subchannel: u32,
-    /// Bank index within the sub-channel (ranks folded in:
-    /// `rank * banks_per_subchannel + bank_in_rank`).
+    /// Bank index within the sub-channel.
     pub bank: u32,
 }
 
@@ -259,7 +223,6 @@ mod tests {
         for flat in 0..g.total_banks() {
             let r = g.split_bank(flat);
             assert_eq!(g.flat_bank(r.subchannel, r.bank), flat);
-            assert_eq!(g.flat_bank_global(r), flat);
         }
     }
 
@@ -267,31 +230,29 @@ mod tests {
     fn flat_bank_round_trip_multi_channel() {
         let g = DramGeometry {
             channels: 4,
-            ranks: 2,
             ..DramGeometry::tiny()
         };
-        assert_eq!(g.total_banks(), 4 * 2 * 2 * 4);
+        assert_eq!(g.total_banks(), 4 * 2 * 4);
         for flat in 0..g.total_banks() {
             let r = g.split_bank(flat);
-            assert_eq!(g.flat_bank_global(r), flat);
+            let per_channel = g.subchannels * g.banks_per_subchannel;
+            assert_eq!(r.channel * per_channel + g.flat_bank(r.subchannel, r.bank), flat);
             assert!(r.channel < g.channels);
-            assert!(r.bank < g.banks_per_subchannel_flat());
+            assert!(r.bank < g.banks_per_subchannel);
         }
     }
 
     #[test]
-    fn channel_view_folds_ranks_and_preserves_identity() {
+    fn channel_view_is_one_channel_and_preserves_identity() {
         let base = DramGeometry::tiny();
-        assert_eq!(base.channel_view(), base, "1x1 view is the identity");
+        assert_eq!(base.channel_view(), base, "1-channel view is the identity");
         let g = DramGeometry {
             channels: 2,
-            ranks: 2,
             ..base
         };
         let view = g.channel_view();
         assert_eq!(view.channels, 1);
-        assert_eq!(view.ranks, 1);
-        assert_eq!(view.banks_per_subchannel, 8);
+        assert_eq!(view.banks_per_subchannel, base.banks_per_subchannel);
         assert_eq!(view.total_banks() * g.channels, g.total_banks());
     }
 

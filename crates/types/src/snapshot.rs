@@ -23,7 +23,7 @@
 //! magic  "MPSN"          4 bytes
 //! version u32 LE         4 bytes
 //! sections...            (tag u32 LE, body-len u64 LE, body bytes) — nestable
-//! checksum u64 LE        FNV-1a-64 over everything before it
+//! checksum u64 LE        checksum64 over everything before it
 //! ```
 //!
 //! All integers are little-endian and fixed-width; `f64` values travel as
@@ -58,11 +58,39 @@ pub const MAGIC: [u8; 4] = *b"MPSN";
 
 /// Current format version. Bump on any layout change; readers reject
 /// mismatched versions rather than guessing.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
-/// FNV-1a 64-bit hash — the snapshot checksum and the digest used by the
-/// campaign manifest. Small, dependency-free, and stable across
-/// platforms.
+/// The snapshot checksum: each 8-byte little-endian word (the tail
+/// zero-padded) is folded in with `h = rotl((h ^ w) * K, 29)`, then the
+/// length and the SplitMix64 finalizer. Every step is a bijection of
+/// `h`, so equal-length inputs differing in one word always differ in
+/// checksum. One multiply per 8 bytes, where FNV-1a needs one per byte.
+#[must_use]
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(K).rotate_left(29);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(K).rotate_left(29);
+    }
+    h ^= bytes.len() as u64;
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// FNV-1a 64-bit hash — the digest of the campaign manifest and of the
+/// bit-identity goldens. Small, dependency-free, and stable across
+/// platforms; byte-serial, so the snapshot checksum is
+/// [`checksum64`] instead.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -166,6 +194,20 @@ impl SnapshotWriter {
         self.put_u64(v as u64);
     }
 
+    /// Appends a placeholder `usize` for a count known only once the
+    /// items it counts are written; returns its offset for
+    /// [`Self::patch_usize`].
+    pub fn reserve_usize(&mut self) -> usize {
+        let at = self.buf.len();
+        self.put_usize(0);
+        at
+    }
+
+    /// Fills in a placeholder written by [`Self::reserve_usize`].
+    pub fn patch_usize(&mut self, at: usize, v: usize) {
+        self.buf[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
+    }
+
     /// Appends a `bool` as one byte.
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
@@ -199,17 +241,6 @@ impl SnapshotWriter {
         }
     }
 
-    /// Appends `Some`/`None` as a presence byte plus the bit pattern.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_f64(x);
-            }
-            None => self.put_bool(false),
-        }
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -221,8 +252,8 @@ impl SnapshotWriter {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Seals the snapshot: appends the FNV-1a-64 checksum and returns the
-    /// bytes.
+    /// Seals the snapshot: appends the [`checksum64`] checksum and
+    /// returns the bytes.
     ///
     /// # Panics
     ///
@@ -230,7 +261,7 @@ impl SnapshotWriter {
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
         assert!(self.open.is_empty(), "finish with {} open section(s)", self.open.len());
-        let sum = fnv1a64(&self.buf);
+        let sum = checksum64(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
     }
@@ -269,7 +300,7 @@ impl<'a> SnapshotReader<'a> {
         let mut sum = [0u8; 8];
         sum.copy_from_slice(&bytes[bytes.len() - 8..]);
         let expect = u64::from_le_bytes(sum);
-        let got = fnv1a64(body);
+        let got = checksum64(body);
         if got != expect {
             return Err(snap_err(format!(
                 "snapshot checksum mismatch: stored {expect:#018x}, computed {got:#018x}"
@@ -434,20 +465,6 @@ impl<'a> SnapshotReader<'a> {
     pub fn take_opt_u32(&mut self) -> MopacResult<Option<u32>> {
         if self.take_bool()? {
             Ok(Some(self.take_u32()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an `Option<f64>`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MopacError::Snapshot`] on truncation or a bad presence
-    /// byte.
-    pub fn take_opt_f64(&mut self) -> MopacResult<Option<f64>> {
-        if self.take_bool()? {
-            Ok(Some(self.take_f64()?))
         } else {
             Ok(None)
         }
@@ -623,10 +640,32 @@ mod tests {
         // Patch the version field and re-seal the checksum.
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         let n = bytes.len();
-        let sum = fnv1a64(&bytes[..n - 8]);
+        let sum = checksum64(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = SnapshotReader::new(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn checksum_detects_any_single_word_change() {
+        // Every step is a bijection of the running hash, so changing any
+        // one word (or the zero-padded tail) must change the sum; the
+        // length term separates inputs that differ only in trailing
+        // zero bytes.
+        let base: Vec<u8> = (0u8..45).collect();
+        let sum = checksum64(&base);
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                let mut b = base.clone();
+                b[i] ^= 1 << bit;
+                assert_ne!(checksum64(&b), sum, "byte {i} bit {bit}");
+            }
+        }
+        let mut padded = base.clone();
+        padded.push(0);
+        assert_ne!(checksum64(&padded), sum);
+        assert_ne!(checksum64(b""), checksum64(&[0]));
+        assert_ne!(checksum64(&[0; 8]), checksum64(&[0; 16]));
     }
 
     #[test]
