@@ -36,25 +36,24 @@ if [[ $fast -eq 0 ]]; then
   # idle-heavy, saturated and mixed-phase workloads; writes
   # target/BENCH_kernel.json and leaves the committed BENCH_kernel.json
   # alone (copy the run's file over it to move the baseline on
-  # purpose). The gate is the saturated-attack event/lockstep ratio,
-  # timed in alternating pairs within this run, so host speed cancels
-  # out of it: the incremental scheduler index is the whole point of
-  # that path, so a ratio more than 10% below the committed one fails
-  # CI.
-  step "kernel throughput bench (with saturated-attack ratio gate)"
-  extract_cps() {
-    awk -F'"cycles_per_sec": ' "/\"$1\\/$2\"/ {gsub(/[^0-9.]/, \"\", \$2); print \$2}" "$3"
-  }
+  # purpose). Two gates, both on ratios timed in alternating pairs
+  # within this run, so host speed cancels out of them:
+  # - the saturated-attack event/lockstep ratio: the incremental
+  #   scheduler index is the whole point of that path, so a ratio more
+  #   than 10% below the committed one fails CI;
+  # - the saturated-attack metrics-on/metrics-off ratio (event kernel):
+  #   the sink's enabled cost is bounded at 10%, and its disabled cost
+  #   is zero by the bit-identity suite above.
+  step "kernel throughput bench (event/lockstep and metrics-overhead ratio gates)"
   extract_ratio() {
-    awk -F'"ratio": ' '/"saturated_attack\/event_over_lockstep"/ {gsub(/[^0-9.]/, "", $2); print $2}' "$1"
+    awk -F'"ratio": ' "/\"saturated_attack\\/$1\"/ {gsub(/[^0-9.]/, \"\", \$2); print \$2}" "$2"
   }
   baseline_ratio=""
   if [[ -f BENCH_kernel.json ]]; then
-    baseline_ratio=$(extract_ratio BENCH_kernel.json)
+    baseline_ratio=$(extract_ratio event_over_lockstep BENCH_kernel.json)
   fi
   cargo bench --bench kernel_throughput
-  new_cps=$(extract_cps saturated_attack event target/BENCH_kernel.json)
-  new_ratio=$(extract_ratio target/BENCH_kernel.json)
+  new_ratio=$(extract_ratio event_over_lockstep target/BENCH_kernel.json)
   if [[ -n "$baseline_ratio" ]]; then
     awk -v new="$new_ratio" -v old="$baseline_ratio" 'BEGIN {
       if (new + 0 < 0.9 * old) {
@@ -66,22 +65,13 @@ if [[ $fast -eq 0 ]]; then
   else
     echo "no committed saturated_attack ratio in BENCH_kernel.json; regression gate skipped"
   fi
-
-  # Metrics-overhead gate: the same saturated-attack run with the
-  # observability sink enabled (MOPAC_METRICS=1, writes
-  # target/BENCH_kernel_metrics.json) must stay within 10% of the
-  # metrics-off number measured just above, in this run on this host —
-  # the sink's enabled cost is bounded, and its disabled cost is zero
-  # by the bit-identity suite above.
-  step "kernel throughput bench with metrics sink (overhead gate)"
-  MOPAC_METRICS=1 cargo bench --bench kernel_throughput
-  metrics_cps=$(extract_cps saturated_attack event target/BENCH_kernel_metrics.json)
-  awk -v new="$metrics_cps" -v old="$new_cps" 'BEGIN {
-    if (new + 0 < 0.9 * old) {
-      printf "FAIL: saturated_attack/event with metrics enabled: %.0f < 90%% of metrics-off %.0f cycles/sec (same run)\n", new, old
+  metrics_ratio=$(extract_ratio metrics_over_plain target/BENCH_kernel.json)
+  awk -v r="$metrics_ratio" 'BEGIN {
+    if (r == "" || r + 0 < 0.9) {
+      printf "FAIL: saturated_attack/event with metrics enabled runs at %s of the metrics-off throughput (gate 0.9, median of same-run pairs)\n", r
       exit 1
     }
-    printf "saturated_attack/event with metrics: %.0f cycles/sec (metrics-off %.0f in this run, gate 90%%)\n", new, old
+    printf "saturated_attack/event metrics-on/off throughput ratio: %.3f (gate 0.9)\n", r
   }'
 
   # Security gate: every engine in the mitigation registry versus the

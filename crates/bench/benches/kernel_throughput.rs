@@ -23,11 +23,10 @@
 //! A run never rewrites the committed file: copy the run's output over
 //! it to move the baseline on purpose.
 //!
-//! `MOPAC_METRICS=1` runs the same matrix with the observability sink
-//! enabled and writes `target/BENCH_kernel_metrics.json` instead —
-//! ci.sh gates that run against the metrics-off run just before it,
-//! bounding the sink's overhead. `MOPAC_METRICS` parses strictly
-//! (unset or `0`: off, `1`: on, anything else is an error).
+//! `saturated_attack` on the event kernel is also timed with the
+//! observability sink off and on, in alternating pairs, and the median
+//! per-pair metrics/plain throughput ratio is recorded; ci.sh fails if
+//! it drops below 0.9, bounding the sink's enabled cost.
 
 use mopac::config::MitigationConfig;
 use mopac_cpu::trace::{ReplayTrace, TraceRecord, TraceSource};
@@ -37,19 +36,17 @@ use mopac_types::geometry::DramGeometry;
 use mopac_types::obs::SinkConfig;
 use std::time::Instant;
 
-fn metrics_enabled() -> bool {
-    let raw = std::env::var_os("MOPAC_METRICS").map(|v| v.to_string_lossy().into_owned());
-    mopac_types::knob::parse_flag_knob("MOPAC_METRICS", raw.as_deref())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 fn config(instrs: u64, kernel: KernelMode) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(MitigationConfig::prac(500), instrs);
     cfg.geometry = DramGeometry::tiny();
     cfg.kernel = kernel;
-    if metrics_enabled() {
-        cfg.metrics = Some(SinkConfig::default());
-    }
+    cfg
+}
+
+/// `config` on the event kernel with the observability sink enabled.
+fn metrics_config(instrs: u64) -> SystemConfig {
+    let mut cfg = config(instrs, KernelMode::EventDriven);
+    cfg.metrics = Some(SinkConfig::default());
     cfg
 }
 
@@ -208,23 +205,24 @@ impl Sample {
     }
 }
 
-/// Timed lockstep/event pairs per single-core workload. Odd, like
-/// [`RUNS`].
+/// Timed pairs per single-core comparison. Odd, like [`RUNS`].
 const PAIRS: usize = 11;
 
-/// Times both kernels on one workload in [`PAIRS`] back-to-back pairs,
-/// after one warm-up run each, alternating which kernel goes first, so
-/// slow drift on a shared host hits both sides of a pair alike. Returns
-/// the lockstep and event samples and the median per-pair
-/// event/lockstep throughput ratio.
+/// Times two configurations of one workload, labelled `labels` and
+/// built by `configs` at an instruction budget, in [`PAIRS`]
+/// back-to-back pairs after one warm-up run each, alternating which
+/// goes first, so slow drift on a shared host hits both sides of a pair
+/// alike. Returns both samples and the median per-pair throughput
+/// ratio of the second over the first.
 fn run_pairs(
     workload: &'static str,
+    labels: [&'static str; 2],
+    configs: [fn(u64) -> SystemConfig; 2],
     instrs: u64,
     trace: fn() -> Box<dyn TraceSource>,
 ) -> (Sample, Sample, f64) {
-    let kernels = [KernelMode::Lockstep, KernelMode::EventDriven];
-    for kernel in kernels {
-        System::new(config(instrs / 4, kernel), vec![trace()])
+    for config in configs {
+        System::new(config(instrs / 4), vec![trace()])
             .expect("system")
             .run()
             .expect("warm-up run");
@@ -234,18 +232,18 @@ fn run_pairs(
     let mut ratios = Vec::with_capacity(PAIRS);
     for pair in 0..PAIRS {
         for k in [pair % 2, 1 - pair % 2] {
-            let sys = System::new(config(instrs, kernels[k]), vec![trace()]).expect("system");
+            let sys = System::new(configs[k](instrs), vec![trace()]).expect("system");
             let t0 = Instant::now();
             let result = sys.run().expect("timed run");
             times[k].push(t0.elapsed().as_secs_f64());
             cycles[k] = result.cycles;
         }
-        // Both kernels simulate the same cycles, so the throughput
-        // ratio is the inverse wall-clock ratio.
+        // Both sides simulate the same cycles, so the throughput ratio
+        // is the inverse wall-clock ratio.
         ratios.push(times[0][pair] / times[1][pair]);
     }
-    assert_eq!(cycles[0], cycles[1], "kernels disagree on {workload} cycles");
-    let [lock_times, event_times] = times;
+    assert_eq!(cycles[0], cycles[1], "{labels:?} disagree on {workload} cycles");
+    let [first, second] = times;
     let sample = |kernel, times| Sample {
         workload,
         kernel,
@@ -253,8 +251,8 @@ fn run_pairs(
         times: Times::from(times),
     };
     (
-        sample("lockstep", lock_times),
-        sample("event", event_times),
+        sample(labels[0], first),
+        sample(labels[1], second),
         Times::from(ratios).median,
     )
 }
@@ -262,15 +260,24 @@ fn run_pairs(
 fn main() {
     let mut samples = Vec::new();
     let mut ratios = Vec::new();
+    let lockstep = |instrs| config(instrs, KernelMode::Lockstep);
+    let event = |instrs| config(instrs, KernelMode::EventDriven);
     for (workload, instrs, trace) in [
         ("idle_heavy", 400_000, idle_heavy_trace as fn() -> Box<dyn TraceSource>),
         ("saturated_attack", 200_000, saturated_trace),
         ("mixed_phase", 200_000, mixed_phase_trace),
     ] {
-        let (lockstep, event, ratio) = run_pairs(workload, instrs, trace);
-        samples.extend([lockstep, event]);
-        ratios.push((workload, ratio));
+        let labels = ["lockstep", "event"];
+        let (a, b, ratio) = run_pairs(workload, labels, [lockstep, event], instrs, trace);
+        samples.extend([a, b]);
+        ratios.push((workload, "event_over_lockstep", ratio));
     }
+    // The sink's enabled cost, in the same pairs: sink off, then on.
+    let labels = ["event", "event+metrics"];
+    let (_, metrics, ratio) =
+        run_pairs("saturated_attack", labels, [event, metrics_config], 200_000, saturated_trace);
+    samples.push(metrics);
+    ratios.push(("saturated_attack", "metrics_over_plain", ratio));
     // Multi-channel topology: the same event kernel over 4 channels,
     // ticked serially in channel order.
     samples.push(run_mc4(100_000));
@@ -300,25 +307,21 @@ fn main() {
             s.cps()
         ));
     }
-    // ci.sh gates `saturated_attack`'s ratio, read from `"ratio": `.
-    for (workload, ratio) in ratios {
-        println!("{workload:<18} event/lockstep speedup: {ratio:.2}x (median of {PAIRS} pairs)");
+    // ci.sh gates `saturated_attack`'s two ratios, read from
+    // `"ratio": `.
+    for (workload, name, ratio) in ratios {
+        println!("{workload:<18} {name}: {ratio:.3} (median of {PAIRS} pairs)");
         entries.push(format!(
-            "  \"{workload}/event_over_lockstep\": {{\"pairs\": {PAIRS}, \"ratio\": {ratio:.4}}}"
+            "  \"{workload}/{name}\": {{\"pairs\": {PAIRS}, \"ratio\": {ratio:.4}}}"
         ));
     }
     let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
-    let file = if metrics_enabled() {
-        "BENCH_kernel_metrics.json"
-    } else {
-        "BENCH_kernel.json"
-    };
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .map_or_else(|| std::path::PathBuf::from("target"), |root| root.join("target"));
     std::fs::create_dir_all(&dir).expect("create target dir");
-    let path = dir.join(file);
+    let path = dir.join("BENCH_kernel.json");
     std::fs::write(&path, json).expect("write kernel bench json");
     println!("wrote {}", path.display());
 }

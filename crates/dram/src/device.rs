@@ -421,20 +421,46 @@ impl DramDevice {
         self.sub(sc).open_mask
     }
 
-    /// Earliest cycle an ACT to (sc, bank) may issue, or `None` if the
-    /// bank is open.
+    /// The sub-channel floor of every ACT gate on `sc`: tRRD after the
+    /// last ACT, tFAW after the fourth-last, and the REF/RFM block.
+    /// Each ACT gate is its bank's part `max` this floor, so a caller
+    /// scanning many banks takes the floor once (DESIGN.md §10).
     #[must_use]
-    pub fn earliest_activate(&self, sc: u32, bank: u32) -> Option<Cycle> {
+    pub fn activate_floor(&self, sc: u32) -> Cycle {
         let s = self.sub(sc);
         let t = self.timing_default();
-        let bank_ok = s.banks[bank as usize].earliest_activate()?;
         let rrd_ok = s.last_act.map_or(0, |a| a + t.t_rrd);
         let faw_ok = if s.faw_filled >= 4 {
             s.faw[s.faw_idx] + t.t_faw
         } else {
             0
         };
-        Some(bank_ok.max(rrd_ok).max(faw_ok).max(s.blocked_until))
+        rrd_ok.max(faw_ok).max(s.blocked_until)
+    }
+
+    /// The bank part of the ACT gate on (sc, bank): tRP / tRFC / the
+    /// bank's own block, or `None` if the bank is open.
+    #[must_use]
+    pub fn bank_activate_gate(&self, sc: u32, bank: u32) -> Option<Cycle> {
+        self.sub(sc).banks[bank as usize].earliest_activate()
+    }
+
+    /// The bank part of the ACT gate for `row` specifically: the bank's
+    /// part plus the row's subarray deferred-update gate (equal to
+    /// [`Self::bank_activate_gate`] for designs without
+    /// subarray-deferred updates).
+    #[must_use]
+    pub fn bank_activate_row_gate(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
+        let b = &self.sub(sc).banks[bank as usize];
+        let sa = self.cfg.geometry.subarray_of(row);
+        Some(b.earliest_activate()?.max(b.cu_gate(sa)))
+    }
+
+    /// Earliest cycle an ACT to (sc, bank) may issue, or `None` if the
+    /// bank is open.
+    #[must_use]
+    pub fn earliest_activate(&self, sc: u32, bank: u32) -> Option<Cycle> {
+        Some(self.bank_activate_gate(sc, bank)?.max(self.activate_floor(sc)))
     }
 
     /// Earliest cycle an ACT to `row` specifically may issue: the
@@ -443,9 +469,7 @@ impl DramDevice {
     /// for designs without subarray-deferred updates.
     #[must_use]
     pub fn earliest_activate_row(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
-        let bank_ok = self.earliest_activate(sc, bank)?;
-        let sa = self.cfg.geometry.subarray_of(row);
-        Some(bank_ok.max(self.sub(sc).banks[bank as usize].cu_gate(sa)))
+        Some(self.bank_activate_row_gate(sc, bank, row)?.max(self.activate_floor(sc)))
     }
 
     /// Issues an ACT. `update_selected` is MoPAC-C's coin flip; ignored
@@ -523,15 +547,27 @@ impl DramDevice {
         Ok(())
     }
 
+    /// The sub-channel floor of every column gate on `sc`: the data bus
+    /// (a burst must not overlap the previous one) and the REF/RFM
+    /// block.
+    #[must_use]
+    pub fn column_floor(&self, sc: u32) -> Cycle {
+        let s = self.sub(sc);
+        let bus_ok = s.bus_busy_until.saturating_sub(self.timing_default().cl);
+        bus_ok.max(s.blocked_until)
+    }
+
+    /// The bank part of the column gate for `row` (tRCD / tCCD), or
+    /// `None` unless `row` is the bank's open row.
+    #[must_use]
+    pub fn bank_column_gate(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
+        self.sub(sc).banks[bank as usize].earliest_column(row)
+    }
+
     /// Earliest cycle a read/write to `row` may issue (bank + bus).
     #[must_use]
     pub fn earliest_column(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
-        let s = self.sub(sc);
-        let t = self.timing_default();
-        let bank_ok = s.banks[bank as usize].earliest_column(row)?;
-        // The data burst must not overlap the previous one.
-        let bus_ok = s.bus_busy_until.saturating_sub(t.cl);
-        Some(bank_ok.max(bus_ok).max(s.blocked_until))
+        Some(self.bank_column_gate(sc, bank, row)?.max(self.column_floor(sc)))
     }
 
     /// Checks a column command's timing gate against the open row.
@@ -587,15 +623,24 @@ impl DramDevice {
         Ok(done)
     }
 
+    /// The sub-channel floor of every PRE gate on `sc`: the REF/RFM
+    /// block.
+    #[must_use]
+    pub fn precharge_floor(&self, sc: u32) -> Cycle {
+        self.sub(sc).blocked_until
+    }
+
+    /// The bank part of the PRE gate (tRAS / tRTP / tWR), or `None` if
+    /// the bank is closed.
+    #[must_use]
+    pub fn bank_precharge_gate(&self, sc: u32, bank: u32) -> Option<Cycle> {
+        self.sub(sc).banks[bank as usize].earliest_precharge()
+    }
+
     /// Earliest cycle a PRE may issue.
     #[must_use]
     pub fn earliest_precharge(&self, sc: u32, bank: u32) -> Option<Cycle> {
-        let s = self.sub(sc);
-        Some(
-            s.banks[bank as usize]
-                .earliest_precharge()?
-                .max(s.blocked_until),
-        )
+        Some(self.bank_precharge_gate(sc, bank)?.max(self.precharge_floor(sc)))
     }
 
     /// Issues a precharge. The kind is derived from the mitigation design

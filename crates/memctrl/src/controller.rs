@@ -372,8 +372,8 @@ impl MemoryController {
     ) -> MopacResult<bool> {
         // Fast path: a valid cached wake strictly after `now` proves
         // this tick is a no-op — the wake enumeration covers every
-        // command opportunity and mode boundary, and the epoch proves
-        // nothing changed since it was computed. Replicate exactly the
+        // command opportunity and mode boundary, and every change since
+        // it was computed would have dropped it. Replicate exactly the
         // per-cycle stats a full no-op tick would have recorded (the
         // same accounting `note_idle_cycles` uses for skipped regions)
         // and return without scanning anything.
@@ -495,9 +495,7 @@ impl MemoryController {
                     return self.drain_wake(sc).map(clamp);
                 }
                 let open_targets = targets.and(self.dram.open_banks_mask(sc));
-                for b in open_targets.ones() {
-                    recovery = min_opt(recovery, self.dram.earliest_precharge(sc, b));
-                }
+                recovery = self.precharge_wake(sc, open_targets, |_| Some(0));
                 if open_targets.is_empty() {
                     recovery = min_opt(recovery, self.dram.earliest_rfm_banks(sc, targets));
                 }
@@ -515,23 +513,13 @@ impl MemoryController {
         let open_banks = self.dram.open_banks_mask(sc).and_not(held);
         // Row-Press force close.
         if let Some(cap) = self.row_press_cap {
-            for b in open_banks.ones() {
-                if let Some(open) = self.dram.open_row(sc, b) {
-                    if let Some(ep) = self.dram.earliest_precharge(sc, b) {
-                        wake = min_opt(wake, Some(clamp(ep.max(open.opened_at + cap))));
-                    }
-                }
-            }
+            let overdue = |b| self.dram.open_row(sc, b).map(|o| o.opened_at + cap);
+            wake = min_opt(wake, self.precharge_wake(sc, open_banks, overdue).map(clamp));
         }
         // Strict close-page: a used bank closes as soon as tRTP allows.
         if self.cfg.page_policy == PagePolicy::Closed {
-            for b in open_banks.ones() {
-                if s.cols_since_act[b as usize] >= 1 {
-                    if let Some(ep) = self.dram.earliest_precharge(sc, b) {
-                        wake = min_opt(wake, Some(clamp(ep)));
-                    }
-                }
-            }
+            let used = |b: u32| (s.cols_since_act[b as usize] >= 1).then_some(0);
+            wake = min_opt(wake, self.precharge_wake(sc, open_banks, used).map(clamp));
         }
         // Queue candidates, mirroring schedule_queue's hysteresis: the
         // preferred queue issues anything, the off queue hits only.
@@ -577,29 +565,58 @@ impl MemoryController {
         match self.cfg.page_policy {
             PagePolicy::Open => {}
             PagePolicy::Closed | PagePolicy::ClosedIdle => {
-                for b in open_banks.ones() {
-                    let wanted = idx.reads.hits(b) + idx.writes.hits(b) > 0;
-                    if !wanted {
-                        if let Some(ep) = self.dram.earliest_precharge(sc, b) {
-                            wake = min_opt(wake, Some(clamp(ep)));
-                        }
-                    }
-                }
+                let unwanted = |b| (idx.reads.hits(b) + idx.writes.hits(b) == 0).then_some(0);
+                wake = min_opt(wake, self.precharge_wake(sc, open_banks, unwanted).map(clamp));
             }
             PagePolicy::TimeoutNs(ns) => {
                 let cap = (ns * 3.0) as Cycle;
-                for b in open_banks.ones() {
-                    let Some(open) = self.dram.open_row(sc, b) else {
-                        continue;
-                    };
-                    let anchor = s.last_use[b as usize].max(open.opened_at);
-                    if let Some(ep) = self.dram.earliest_precharge(sc, b) {
-                        wake = min_opt(wake, Some(clamp(ep.max(anchor + cap))));
-                    }
-                }
+                let idle = |b: u32| {
+                    let open = self.dram.open_row(sc, b)?;
+                    Some(s.last_use[b as usize].max(open.opened_at) + cap)
+                };
+                wake = min_opt(wake, self.precharge_wake(sc, open_banks, idle).map(clamp));
             }
         }
         wake
+    }
+
+    /// The earliest PRE wake among `banks`: each bank's PRE gate,
+    /// raised to `not_before(b)` (`None` leaves the bank out), and the
+    /// minimum raised to the sub-channel floor once —
+    /// `max(min_b max(bank_b, not_before_b), floor)`, which equals the
+    /// minimum of the per-bank `earliest_precharge` gates.
+    fn precharge_wake(
+        &self,
+        sc: u32,
+        banks: BankMask,
+        not_before: impl Fn(u32) -> Option<Cycle>,
+    ) -> Option<Cycle> {
+        let mut min: Option<Cycle> = None;
+        for b in banks.ones() {
+            let gate = self.dram.bank_precharge_gate(sc, b);
+            if let (Some(gate), Some(after)) = (gate, not_before(b)) {
+                min = min_opt(min, Some(gate.max(after)));
+            }
+        }
+        Some(min?.max(self.dram.precharge_floor(sc)))
+    }
+
+    /// The lowest bank in `banks` that `want`s closing and whose PRE
+    /// gate is open at `now`. While the sub-channel floor is closed no
+    /// bank can be, and none is looked at.
+    fn first_precharge_ready(
+        &self,
+        sc: u32,
+        banks: BankMask,
+        now: Cycle,
+        want: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        if self.dram.precharge_floor(sc) > now {
+            return None;
+        }
+        banks.ones().find(|&b| {
+            want(b) && self.dram.bank_precharge_gate(sc, b).is_some_and(|e| e <= now)
+        })
     }
 
     /// Wake candidates for one queue, enumerated per bank from the
@@ -611,7 +628,9 @@ impl MemoryController {
     /// exception is subarray-parallel updates (PRACtical): an ACT also
     /// waits for the target row's subarray, so closed-bank candidates
     /// are the per-request row gates `issue_from` checks. Banks in
-    /// `held` (bank-scoped recovery targets) contribute nothing.
+    /// `held` (bank-scoped recovery targets) contribute nothing. Each
+    /// command kind's minimum is taken over the bank parts of its gates
+    /// and raised to its sub-channel floor once.
     fn queue_wake(
         &self,
         sc: u32,
@@ -623,28 +642,30 @@ impl MemoryController {
         let idx = &self.idx[sc as usize];
         let counts = if writes { &idx.writes } else { &idx.reads };
         let closed_policy = self.cfg.page_policy == PagePolicy::Closed;
-        let mut wake: Option<Cycle> = None;
+        let (mut column, mut pre, mut act) = (None, None, None);
         let mut closed = BankMask::empty();
         for bank in counts.occ_mask().and_not(held).ones() {
             match self.dram.open_row(sc, bank) {
                 Some(open) => {
                     if counts.hits(bank) > 0 {
                         if !(closed_policy && s.cols_since_act[bank as usize] >= 1) {
-                            wake = min_opt(wake, self.dram.earliest_column(sc, bank, open.row));
+                            let gate = self.dram.bank_column_gate(sc, bank, open.row);
+                            column = min_opt(column, gate);
                         }
                         // Conflicts behind queued hits wait for the hits
                         // (`has_hits` in the issue path); no candidate.
                     } else if !hits_only {
                         // Everything queued for this bank is a conflict:
                         // close at the PRE gate.
-                        wake = min_opt(wake, self.dram.earliest_precharge(sc, bank));
+                        pre = min_opt(pre, self.dram.bank_precharge_gate(sc, bank));
                     }
                 }
                 None => closed.set(bank),
             }
         }
+        let column = column.map(|c| c.max(self.dram.column_floor(sc)));
         if hits_only {
-            return wake;
+            return column;
         }
         // Only subarray-parallel updates make a row's ACT gate differ
         // from its bank's. The per-request pass gives the same wakes for
@@ -653,18 +674,20 @@ impl MemoryController {
         if self.dram.timing_demands().subarray_parallel_updates {
             let q = if writes { &s.writes } else { &s.reads };
             for p in q.iter().filter(|p| closed.test(p.addr.bank.bank)) {
-                wake = min_opt(
-                    wake,
+                act = min_opt(
+                    act,
                     self.dram
-                        .earliest_activate_row(sc, p.addr.bank.bank, p.addr.row),
+                        .bank_activate_row_gate(sc, p.addr.bank.bank, p.addr.row),
                 );
             }
         } else {
             for bank in closed.ones() {
-                wake = min_opt(wake, self.dram.earliest_activate(sc, bank));
+                act = min_opt(act, self.dram.bank_activate_gate(sc, bank));
             }
         }
-        wake
+        let pre = pre.map(|c| c.max(self.dram.precharge_floor(sc)));
+        let act = act.map(|c| c.max(self.dram.activate_floor(sc)));
+        min_opt(column, min_opt(pre, act))
     }
 
     /// Wake candidates while draining for REF/RFM: the next legal PRE
@@ -675,11 +698,7 @@ impl MemoryController {
         if m.is_empty() {
             return self.dram.earliest_refresh(sc);
         }
-        let mut wake: Option<Cycle> = None;
-        for b in m.ones() {
-            wake = min_opt(wake, self.dram.earliest_precharge(sc, b));
-        }
-        wake
+        self.precharge_wake(sc, m, |_| Some(0))
     }
 
     /// Bulk stat compensation for cycles an event-driven kernel skipped:
@@ -752,11 +771,7 @@ impl MemoryController {
                     return Ok(false);
                 }
                 let open_targets = targets.and(self.dram.open_banks_mask(sc));
-                if let Some(b) = open_targets.ones().find(|&b| {
-                    self.dram
-                        .earliest_precharge(sc, b)
-                        .is_some_and(|e| e <= now)
-                }) {
+                if let Some(b) = self.first_precharge_ready(sc, open_targets, now, |_| true) {
                     self.issue_pre(sc, b, now)?;
                     return Ok(true);
                 }
@@ -828,18 +843,19 @@ impl MemoryController {
     /// Strict close-page: closes one bank whose open row has already
     /// serviced a column command.
     fn close_used_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
-        for b in self.dram.open_banks_mask(sc).ones() {
-            if self.subs[sc as usize].cols_since_act[b as usize] >= 1
-                && self
-                    .dram
-                    .earliest_precharge(sc, b)
-                    .is_some_and(|e| e <= now)
-            {
-                self.issue_pre(sc, b, now)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let cols = &self.subs[sc as usize].cols_since_act;
+        let open = self.dram.open_banks_mask(sc);
+        let used = self.first_precharge_ready(sc, open, now, |b| cols[b as usize] >= 1);
+        self.close(sc, used, now)
+    }
+
+    /// Closes `bank`, if one was picked; returns whether a PRE issued.
+    fn close(&mut self, sc: u32, bank: Option<u32>, now: Cycle) -> MopacResult<bool> {
+        let Some(b) = bank else {
+            return Ok(false);
+        };
+        self.issue_pre(sc, b, now)?;
+        Ok(true)
     }
 
     /// Picks the active queue (reads unless draining writes) and issues
@@ -964,7 +980,13 @@ impl MemoryController {
             };
             let rows = &mut self.row_scratch;
             let mut elig = BankMask::empty();
-            for bank in counts.hits_mask().and_not(exclude).ones() {
+            // Past a closed bus or REF/RFM block no bank can issue.
+            let banks = if self.dram.column_floor(sc) <= now {
+                counts.hits_mask().and_not(exclude)
+            } else {
+                BankMask::empty()
+            };
+            for bank in banks.ones() {
                 if closed_policy && s.cols_since_act[bank as usize] >= 1 {
                     continue;
                 }
@@ -973,7 +995,7 @@ impl MemoryController {
                 };
                 if self
                     .dram
-                    .earliest_column(sc, bank, open.row)
+                    .bank_column_gate(sc, bank, open.row)
                     .is_some_and(|e| e <= now)
                 {
                     elig.set(bank);
@@ -1013,21 +1035,31 @@ impl MemoryController {
             };
             let occ = counts.occ_mask().and_not(exclude);
             let open_mask = self.dram.open_banks_mask(sc);
+            // A closed sub-channel floor rules out its command kind on
+            // every bank, so those banks are not looked at.
+            let floor_open = |floor: Cycle, banks: BankMask| {
+                if floor <= now {
+                    banks
+                } else {
+                    BankMask::empty()
+                }
+            };
+            let conflicts = occ.and(open_mask).and_not(counts.hits_mask());
             let mut pre_mask = BankMask::empty();
-            for bank in occ.and(open_mask).and_not(counts.hits_mask()).ones() {
+            for bank in floor_open(self.dram.precharge_floor(sc), conflicts).ones() {
                 if self
                     .dram
-                    .earliest_precharge(sc, bank)
+                    .bank_precharge_gate(sc, bank)
                     .is_some_and(|e| e <= now)
                 {
                     pre_mask.set(bank);
                 }
             }
             let mut act_mask = BankMask::empty();
-            for bank in occ.and_not(open_mask).ones() {
+            for bank in floor_open(self.dram.activate_floor(sc), occ.and_not(open_mask)).ones() {
                 if self
                     .dram
-                    .earliest_activate(sc, bank)
+                    .bank_activate_gate(sc, bank)
                     .is_some_and(|e| e <= now)
                 {
                     act_mask.set(bank);
@@ -1048,10 +1080,11 @@ impl MemoryController {
                     // Past the bank-level gate the target row's own
                     // subarray may still hold an in-flight counter
                     // update; a gated request yields to the next one.
+                    // (The ACT floor is open, or `act_mask` is empty.)
                     if act_mask.test(bank)
                         && self
                             .dram
-                            .earliest_activate_row(sc, bank, p.addr.row)
+                            .bank_activate_row_gate(sc, bank, p.addr.row)
                             .is_some_and(|e| e <= now)
                     {
                         action = Some((bank, Some(p.addr.row)));
@@ -1167,17 +1200,9 @@ impl MemoryController {
 
     /// Closes one open bank if legal; returns whether a PRE was issued.
     fn close_one_open_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
-        for b in self.dram.open_banks_mask(sc).ones() {
-            if self
-                .dram
-                .earliest_precharge(sc, b)
-                .is_some_and(|e| e <= now)
-            {
-                self.issue_pre(sc, b, now)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let open = self.dram.open_banks_mask(sc);
+        let bank = self.first_precharge_ready(sc, open, now, |_| true);
+        self.close(sc, bank, now)
     }
 
     fn all_banks_closed(&self, sc: u32) -> bool {
@@ -1193,46 +1218,31 @@ impl MemoryController {
         cap: Cycle,
         force: bool,
     ) -> MopacResult<bool> {
-        for b in self.dram.open_banks_mask(sc).ones() {
-            let Some(open) = self.dram.open_row(sc, b) else {
-                continue;
-            };
-            let anchor = if force {
-                open.opened_at
-            } else {
-                self.subs[sc as usize].last_use[b as usize].max(open.opened_at)
-            };
-            if now.saturating_sub(anchor) >= cap
-                && self
-                    .dram
-                    .earliest_precharge(sc, b)
-                    .is_some_and(|e| e <= now)
-            {
-                self.issue_pre(sc, b, now)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let last_use = &self.subs[sc as usize].last_use;
+        let overdue = |b: u32| {
+            self.dram.open_row(sc, b).is_some_and(|open| {
+                let anchor = if force {
+                    open.opened_at
+                } else {
+                    last_use[b as usize].max(open.opened_at)
+                };
+                now.saturating_sub(anchor) >= cap
+            })
+        };
+        let open = self.dram.open_banks_mask(sc);
+        let bank = self.first_precharge_ready(sc, open, now, overdue);
+        self.close(sc, bank, now)
     }
 
     /// Close-page policy: closes one open bank with no queued hits.
     /// "No queued hits" is the scheduler index's `hits == 0` — the
     /// O(1) form of the old full-queue `wanted` scan.
     fn close_unreferenced_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
-        for b in self.dram.open_banks_mask(sc).ones() {
-            let idx = &self.idx[sc as usize];
-            let wanted = idx.reads.hits(b) + idx.writes.hits(b) > 0;
-            if !wanted
-                && self
-                    .dram
-                    .earliest_precharge(sc, b)
-                    .is_some_and(|e| e <= now)
-            {
-                self.issue_pre(sc, b, now)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let idx = &self.idx[sc as usize];
+        let unwanted = |b| idx.reads.hits(b) + idx.writes.hits(b) == 0;
+        let open = self.dram.open_banks_mask(sc);
+        let bank = self.first_precharge_ready(sc, open, now, unwanted);
+        self.close(sc, bank, now)
     }
 
     /// Parity check for the scheduler index (property tests): checks

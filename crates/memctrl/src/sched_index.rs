@@ -12,12 +12,10 @@
 //!   currently open row*, so the per-request FR-FCFS classification
 //!   (hit / conflict / closed-bank) collapses to O(1) per bank:
 //!   a bank's queued requests are all conflicts iff `hits == 0`.
-//! * [`SubIndex`] — per-sub-channel bundle of the two queue counts, an
-//!   invalidation epoch, and the cached next-wake cycle. The cache is
-//!   valid only while the epoch is unchanged; every event that can
-//!   change scheduling (enqueue, dequeue, any DRAM command on the
-//!   sub-channel, external device mutation through `dram_mut`) bumps
-//!   the epoch.
+//! * [`SubIndex`] — per-sub-channel bundle of the two queue counts and
+//!   the cached next-wake cycle. Every event that can change scheduling
+//!   (enqueue, dequeue, any DRAM command on the sub-channel, external
+//!   device mutation through `dram_mut`) drops the cache.
 //!
 //! The invariants (what invalidates what, and why the fast path is
 //! bit-identical to per-cycle rescans) are documented in DESIGN.md §10
@@ -150,21 +148,17 @@ impl QueueCounts {
 struct WakeCache {
     /// The computed wake cycle (strictly after `computed_at`).
     wake: Cycle,
-    /// Epoch at computation time; the cache is dead once it differs.
-    epoch: u64,
     /// Cycle the computation ran at (for parity re-checks).
     computed_at: Cycle,
 }
 
-/// Per-sub-channel scheduler index: queue counts + wake cache + epoch.
+/// Per-sub-channel scheduler index: queue counts + wake cache.
 #[derive(Debug, Clone)]
 pub(crate) struct SubIndex {
     pub(crate) reads: QueueCounts,
     pub(crate) writes: QueueCounts,
-    /// Bumped by every event that can change what or when the
-    /// sub-channel could issue. The wake cache is valid only at the
-    /// epoch it was computed under.
-    epoch: u64,
+    /// Present only while nothing has changed what or when the
+    /// sub-channel could issue since the wake was computed.
     cache: Option<WakeCache>,
 }
 
@@ -173,7 +167,6 @@ impl SubIndex {
         Self {
             reads: QueueCounts::new(banks),
             writes: QueueCounts::new(banks),
-            epoch: 0,
             cache: None,
         }
     }
@@ -181,52 +174,30 @@ impl SubIndex {
     /// Kills the cached wake. Called on: enqueue/dequeue, every DRAM
     /// command issued on this sub-channel, and any external device
     /// mutation (`dram_mut`).
-    ///
-    /// The cache entry is dropped eagerly, not just epoch-orphaned:
-    /// `wrapping_add` alone would let a stale entry validate again once
-    /// the epoch wraps back to the value it was computed under (2^64
-    /// bumps away, but a correctness cliff, not a latency one — the
-    /// revalidated wake could suppress ticks that must run). With the
-    /// entry gone, a wrapped epoch can never resurrect it; see the
-    /// `wrapped_epoch_cannot_revalidate_stale_cache` regression test.
     pub(crate) fn invalidate(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
         self.cache = None;
     }
 
-    /// The cached wake, if still valid (epoch unchanged since it was
-    /// computed). The caller must additionally check `now < wake`
+    /// The cached wake, if still valid (nothing invalidated it since it
+    /// was computed). The caller must additionally check `now < wake`
     /// before treating the current tick as a provable no-op.
     pub(crate) fn valid_wake(&self) -> Option<Cycle> {
-        self.cache
-            .filter(|c| c.epoch == self.epoch)
-            .map(|c| c.wake)
+        self.cache.map(|c| c.wake)
     }
 
     /// When the valid cache was computed (parity checks).
     pub(crate) fn valid_computed_at(&self) -> Option<Cycle> {
-        self.cache
-            .filter(|c| c.epoch == self.epoch)
-            .map(|c| c.computed_at)
+        self.cache.map(|c| c.computed_at)
     }
 
-    /// Test-only: pins the epoch to an arbitrary value, so tests can
-    /// park it at the wrap boundary and simulate a full trip around
-    /// the `u64` space without 2^64 invalidations.
-    #[cfg(test)]
-    pub(crate) fn set_epoch_for_test(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// Stores the wake computed at `now` under the current epoch. A
-    /// `None` wake (nothing pending at all) is not cached — the full
-    /// tick path stays authoritative for it.
+    /// Stores the wake computed at `now`. A `None` wake (nothing
+    /// pending at all) is not cached — the full tick path stays
+    /// authoritative for it.
     pub(crate) fn store_wake(&mut self, wake: Option<Cycle>, now: Cycle) {
         self.cache = wake.map(|w| {
             debug_assert!(w > now, "cached wake must be strictly after now");
             WakeCache {
                 wake: w,
-                epoch: self.epoch,
                 computed_at: now,
             }
         });
@@ -295,32 +266,5 @@ mod tests {
         assert_eq!(s.valid_wake(), None);
         s.store_wake(None, 10);
         assert_eq!(s.valid_wake(), None);
-    }
-
-    #[test]
-    fn wrapped_epoch_cannot_revalidate_stale_cache() {
-        let mut s = SubIndex::new(4);
-        // Cache a wake with the epoch parked at the wrap boundary.
-        s.set_epoch_for_test(u64::MAX);
-        s.store_wake(Some(500), 10);
-        assert_eq!(s.valid_wake(), Some(500));
-        // The next invalidation wraps the epoch to 0; the cache must
-        // die with it.
-        s.invalidate();
-        assert_eq!(s.valid_wake(), None);
-        // Simulate the epoch coming all the way back around to the
-        // value the stale entry was computed under. Before the
-        // eager-clear fix this revalidated the dead entry (epoch match
-        // on a reused value); it must stay invalid.
-        s.set_epoch_for_test(u64::MAX);
-        assert_eq!(
-            s.valid_wake(),
-            None,
-            "stale wake cache revalidated after epoch wrap-around"
-        );
-        assert_eq!(s.valid_computed_at(), None);
-        // A fresh store at the reused epoch works normally.
-        s.store_wake(Some(900), 20);
-        assert_eq!(s.valid_wake(), Some(900));
     }
 }

@@ -10,15 +10,18 @@
 
 use mopac::config::MitigationConfig;
 use mopac_dram::device::{DramConfig, DramDevice};
+use mopac_dram::timing::TimingSet;
 use mopac_memctrl::controller::{
     AccessKind, Completion, McConfig, MemRequest, MemoryController, PagePolicy,
 };
 use mopac_memctrl::mapping::{AddressMapper, Mapping};
 use mopac_types::addr::{DecodedAddr, PhysAddr};
+use mopac_types::bankmask::BankMask;
 use mopac_types::check::prop_check;
 use mopac_types::geometry::{BankRef, DramGeometry};
 use mopac_types::prop_ensure;
 use mopac_types::rng::DetRng;
+use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::Cycle;
 
 fn mitigations() -> Vec<MitigationConfig> {
@@ -407,6 +410,284 @@ fn alert_set_agrees_with_engine_scan() {
             alerts += mc.dram().stats().alerts();
         }
         prop_ensure!(alerts > 0, "no ALERT was raised");
+        Ok(())
+    });
+}
+
+/// What the test itself remembers of one sub-channel's shared
+/// resources, from the commands it issued: every ACT cycle, the end of
+/// the last data burst, and the REF/RFM block. The floors computed from
+/// it are the reference the device's floors must equal.
+#[derive(Debug, Clone, Default)]
+struct FloorModel {
+    acts: Vec<Cycle>,
+    bus_done: Cycle,
+    blocked: Cycle,
+}
+
+impl FloorModel {
+    fn activate(&self, t: &TimingSet) -> Cycle {
+        let rrd = self.acts.last().map_or(0, |a| a + t.t_rrd);
+        let faw = match self.acts.len() {
+            n if n >= 4 => self.acts[n - 4] + t.t_faw,
+            _ => 0,
+        };
+        rrd.max(faw).max(self.blocked)
+    }
+
+    fn column(&self, t: &TimingSet) -> Cycle {
+        self.bus_done.saturating_sub(t.cl).max(self.blocked)
+    }
+}
+
+/// Checks every gate of `d` against its split: each `earliest_*` gate
+/// is its bank part `max` the sub-channel floor, and each floor equals
+/// the one the test's own command history gives.
+fn check_gates(d: &DramDevice, model: &[FloorModel], row: u32, at: &str) -> Result<(), String> {
+    let t = *d.timing_default();
+    let banks = d.config().geometry.banks_per_subchannel;
+    for (sc, m) in model.iter().enumerate() {
+        let sc = sc as u32;
+        let floors = (
+            d.activate_floor(sc),
+            d.column_floor(sc),
+            d.precharge_floor(sc),
+        );
+        let expected = (m.activate(&t), m.column(&t), m.blocked);
+        prop_ensure!(
+            floors == expected,
+            "{at}: sc{sc} (ACT, column, PRE) floors {floors:?}, history gives {expected:?}"
+        );
+        let raise = |part: Option<Cycle>, floor: Cycle| part.map(|p| p.max(floor));
+        for bank in 0..banks {
+            let open = d.open_row(sc, bank).map(|o| o.row);
+            let pairs = [
+                (
+                    "ACT",
+                    d.earliest_activate(sc, bank),
+                    raise(d.bank_activate_gate(sc, bank), expected.0),
+                ),
+                (
+                    "ACT row",
+                    d.earliest_activate_row(sc, bank, row),
+                    raise(d.bank_activate_row_gate(sc, bank, row), expected.0),
+                ),
+                (
+                    "column",
+                    open.and_then(|r| d.earliest_column(sc, bank, r)),
+                    open.and_then(|r| raise(d.bank_column_gate(sc, bank, r), expected.1)),
+                ),
+                (
+                    "PRE",
+                    d.earliest_precharge(sc, bank),
+                    raise(d.bank_precharge_gate(sc, bank), expected.2),
+                ),
+            ];
+            for (command, gate, split) in pairs {
+                prop_ensure!(
+                    gate == split,
+                    "{at}: sc{sc}/bank{bank} {command} gate {gate:?}, bank part max floor {split:?}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every device gate is its bank part `max` a sub-channel floor (tRRD,
+/// tFAW and the REF/RFM block for ACT; the data bus and the block for
+/// column commands; the block for PRE), and the floors equal the ones
+/// the issued command history gives. Random command streams issue each
+/// command at its gate, so tRRD and tFAW bind, for every registry
+/// engine, under injected RFM delays and drops, stuck banks, ALERTs and
+/// counter flips, and across a snapshot restore into a fresh device.
+/// The controller takes each floor once per scan on this identity.
+#[test]
+fn gates_are_bank_part_max_subchannel_floor() {
+    prop_check("gates_are_bank_part_max_subchannel_floor", 2, |rng| {
+        for (name, mit) in presets(80) {
+            let mut cfg = DramConfig::tiny(mit);
+            cfg.geometry.banks_per_subchannel = 16;
+            cfg.geometry.subarrays_per_bank = 8;
+            cfg.seed = rng.next_u64();
+            let mut d = DramDevice::new(cfg.clone());
+            let t = *d.timing_default();
+            let abo = *d.abo_timing();
+            let (subs, banks, rows) = (2u32, 16u32, cfg.geometry.rows_per_bank);
+            let mut model = vec![FloorModel::default(); subs as usize];
+            let mut rfm_extra: Cycle = 0;
+            let mut now: Cycle = 0;
+            let steps = 3_000;
+            let restore_at = 500 + rng.below(steps - 1_000);
+            let mut faw_bound = 0u32;
+            for step in 0..steps {
+                let at = format!("{name}, step {step}, cycle {now}");
+                check_gates(&d, &model, rng.below(u64::from(rows)) as u32, &at)?;
+                if step == restore_at {
+                    let mut w = SnapshotWriter::new();
+                    d.save_state(&mut w);
+                    let bytes = w.finish();
+                    let mut fresh = DramDevice::new(cfg.clone());
+                    let mut r = SnapshotReader::new(&bytes).map_err(|e| format!("{at}: {e}"))?;
+                    fresh
+                        .load_state(&mut r)
+                        .map_err(|e| format!("{at}: restore: {e}"))?;
+                    d = fresh;
+                    check_gates(&d, &model, 0, &format!("{at}, after restore"))?;
+                }
+                let sc = rng.below(u64::from(subs)) as u32;
+                let bank = rng.below(u64::from(banks)) as u32;
+                let m = &mut model[sc as usize];
+                let fault = |e: mopac_types::MopacError| format!("{at}: {e}");
+                match rng.below(100) {
+                    0..=54 => {
+                        // ACT at its gate; PRE the bank first when open.
+                        let row = rng.below(u64::from(rows)) as u32;
+                        if d.open_row(sc, bank).is_some() {
+                            let Some(gate) = d.earliest_precharge(sc, bank) else {
+                                return Err(format!("{at}: open bank without a PRE gate"));
+                            };
+                            now = now.max(gate);
+                            d.precharge(sc, bank, now).map_err(fault)?;
+                            continue;
+                        }
+                        let Some(gate) = d.earliest_activate_row(sc, bank, row) else {
+                            return Err(format!("{at}: closed bank without an ACT gate"));
+                        };
+                        let without_faw = m.acts.last().map_or(0, |a| a + t.t_rrd).max(m.blocked);
+                        if m.activate(&t) > without_faw.max(now) {
+                            faw_bound += 1;
+                        }
+                        now = now.max(gate);
+                        d.activate(sc, bank, row, now, rng.bernoulli(0.5))
+                            .map_err(fault)?;
+                        m.acts.push(now);
+                    }
+                    55..=79 => {
+                        // A read or write to the open row at its gate.
+                        let Some(open) = d.open_row(sc, bank) else {
+                            continue;
+                        };
+                        let Some(gate) = d.earliest_column(sc, bank, open.row) else {
+                            return Err(format!("{at}: open row without a column gate"));
+                        };
+                        now = now.max(gate);
+                        m.bus_done = if rng.bernoulli(0.7) {
+                            d.read(sc, bank, now).map_err(fault)?
+                        } else {
+                            d.write(sc, bank, now).map_err(fault)?
+                        };
+                    }
+                    80..=84 => {
+                        // REF, RFM or a bank-scoped RFM once every bank is closed.
+                        let Some(gate) = d.earliest_refresh(sc) else {
+                            for b in d.open_banks_mask(sc).ones() {
+                                if let Some(g) = d.earliest_precharge(sc, b) {
+                                    now = now.max(g);
+                                    d.precharge(sc, b, now).map_err(fault)?;
+                                }
+                            }
+                            continue;
+                        };
+                        now = now.max(gate);
+                        match rng.below(3) {
+                            0 => {
+                                d.refresh(sc, now).map_err(fault)?;
+                                m.blocked = now + t.t_rfc;
+                            }
+                            1 => {
+                                d.rfm(sc, now).map_err(fault)?;
+                                m.blocked = now + abo.stall + rfm_extra;
+                            }
+                            _ => {
+                                let mask = BankMask::from_u64(1 + rng.below(0xFFFF));
+                                now = now.max(d.earliest_rfm_banks(sc, mask).unwrap_or(now));
+                                d.rfm_banks(sc, mask, now).map_err(fault)?;
+                            }
+                        }
+                    }
+                    85..=89 => now += 1 + rng.below(200),
+                    90 => {
+                        rfm_extra = rng.below(300);
+                        d.inject_rfm_delay(rfm_extra);
+                    }
+                    91 => d.inject_rfm_drop(1 + rng.below(2) as u32),
+                    92 => d
+                        .inject_stuck_bank(sc, bank, now + rng.below(500))
+                        .map_err(fault)?,
+                    93 => d.inject_alert(sc, now).map_err(fault)?,
+                    94 => d
+                        .inject_counter_flip(
+                            sc,
+                            bank,
+                            rng.below(u64::from(rows)) as u32,
+                            rng.below(8) as u32,
+                        )
+                        .map_err(fault)?,
+                    _ => now += rng.below(4),
+                }
+            }
+            prop_ensure!(faw_bound > 0, "{name}: tFAW never bound an ACT");
+        }
+        Ok(())
+    });
+}
+
+/// The scheduler index agrees with a from-scratch rebuild (and a valid
+/// cached wake with a fresh recompute) on every cycle of a random
+/// request stream, for every registry engine, under injected RFM
+/// delays and drops, stuck banks and ALERTs, and right after a snapshot
+/// restore into a freshly built controller. The wake and issue scans
+/// take each sub-channel floor once; the recompute checks them.
+#[test]
+fn index_agrees_for_every_engine_across_faults_and_restore() {
+    prop_check("index_agrees_for_every_engine_across_faults_and_restore", 1, |rng| {
+        let geom = DramGeometry::tiny();
+        let mapper = AddressMapper::new(geom, Mapping::paper_default());
+        for (name, mit) in presets(80) {
+            let policy = policies()[rng.below(4) as usize];
+            let cfg = McConfig {
+                seed: rng.next_u64(),
+                page_policy: policy,
+                ..McConfig::default()
+            };
+            let mut mc = build_probe_mc(mit, cfg);
+            mc.dram_mut().inject_rfm_delay(rng.below(300));
+            let cycles: Cycle = 6_000;
+            let restore_at = 1_000 + rng.below(cycles - 2_000);
+            let mut done: Vec<Completion> = Vec::new();
+            let mut id = 0u64;
+            for now in 0..cycles {
+                let at = format!("{name}, {policy:?}, cycle {now}");
+                match rng.below(500) {
+                    0 => mc.dram_mut().inject_rfm_drop(1),
+                    1 => mc
+                        .dram_mut()
+                        .inject_alert(rng.below(2) as u32, now)
+                        .map_err(|e| format!("{at}: {e}"))?,
+                    2 => {
+                        let bank = rng.below(u64::from(geom.banks_per_subchannel)) as u32;
+                        mc.dram_mut()
+                            .inject_stuck_bank(rng.below(2) as u32, bank, now + rng.below(1_000))
+                            .map_err(|e| format!("{at}: {e}"))?;
+                    }
+                    _ => {}
+                }
+                if now == restore_at {
+                    let mut w = SnapshotWriter::new();
+                    mc.save_state(&mut w);
+                    let bytes = w.finish();
+                    let mut fresh = build_probe_mc(mit, cfg);
+                    let mut r = SnapshotReader::new(&bytes).map_err(|e| format!("{at}: {e}"))?;
+                    fresh.load_state(&mut r).map_err(|e| format!("{at}: restore: {e}"))?;
+                    fresh.debug_verify_index().map_err(|e| format!("{at}, after restore: {e}"))?;
+                    mc = fresh;
+                }
+                maybe_enqueue(&mut mc, rng, &mapper, geom, &mut id, now, 0.4);
+                mc.tick(now, &mut done).map_err(|e| format!("{at}: tick: {e}"))?;
+                mc.debug_verify_index().map_err(|e| format!("{at}: {e}"))?;
+            }
+        }
         Ok(())
     });
 }

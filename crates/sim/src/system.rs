@@ -317,9 +317,53 @@ struct CoreDriver {
     pf_lines: DetMap<PfEntry>,
     /// In-flight prefetch request id -> line.
     pf_by_id: DetMap<u64>,
+    /// The first cycle this core slept through, while it sleeps
+    /// ([`CoreDriver::blocked`]); `None` while it is stepped. Never
+    /// serialized: every exit from the run loop wakes all cores.
+    asleep_since: Option<Cycle>,
 }
 
 impl CoreDriver {
+    /// Whether the core provably cannot move until a completion is
+    /// delivered to it: its ROB is full, the load at its head is
+    /// outstanding (a full ROB is never empty, so `!retire_ready` means
+    /// exactly that), and what it would fetch next — a gap or a pending
+    /// record — needs ROB space. Each cycle of such a core only folds
+    /// its fetch credit and counts a stall cycle, which
+    /// [`CoreDriver::idle`] reproduces in bulk, so the run loop puts it
+    /// to sleep instead of stepping it.
+    fn blocked(&self) -> bool {
+        self.core.rob_free() == 0
+            && !self.core.retire_ready()
+            && (self.gap_left > 0 || self.pending.is_some())
+    }
+
+    /// Reproduces `cycles` cycles in which the core neither fetched nor
+    /// retired: the per-cycle fetch-credit fold `min(credit + r, 64)`,
+    /// iterated until it saturates — at most `ceil(64 / r)` steps —
+    /// because floating-point addition is not associative and a closed
+    /// form would drift, and the stall accounting of
+    /// [`Core::skip_idle`].
+    fn idle(&mut self, cycles: u64) {
+        let r = CoreParams::paper_default().retire_per_dram_cycle;
+        for _ in 0..cycles {
+            let next = (self.fetch_credit + r).min(64.0);
+            if next == self.fetch_credit {
+                break;
+            }
+            self.fetch_credit = next;
+        }
+        self.core.skip_idle(cycles);
+    }
+
+    /// Wakes a sleeping core at `now`, bringing it up to date with the
+    /// cycles it slept through. No-op for a core that is awake.
+    fn wake(&mut self, now: Cycle) {
+        if let Some(since) = self.asleep_since.take() {
+            self.idle(now - since);
+        }
+    }
+
     /// The driver's next wake cycle: `Some(now + 1)` while the core can
     /// still fetch or retire on its own next cycle, `None` once it is
     /// blocked on an external event — a completion delivery or memory-
@@ -409,6 +453,9 @@ pub struct System {
     /// simulation state, and the two kernels take different numbers of
     /// rounds to reach identical snapshot digests.
     kernel_sink: MetricsSink,
+    /// How many cores were asleep when the run loop last returned
+    /// (diagnostics; see [`System::debug_last_exit_sleepers`]).
+    last_exit_sleepers: usize,
 }
 
 impl System {
@@ -489,6 +536,7 @@ impl System {
                 }),
                 pf_lines: DetMap::new(),
                 pf_by_id: DetMap::new(),
+                asleep_since: None,
             })
             .collect();
         let llc = cfg.use_llc.then(Llc::paper_default);
@@ -510,6 +558,7 @@ impl System {
             last_retired: 0,
             last_progress_at: 0,
             kernel_sink,
+            last_exit_sleepers: 0,
         })
     }
 
@@ -614,6 +663,25 @@ impl System {
     }
 
     fn run_loop(&mut self, pause_at_refs: Option<u64>) -> MopacResult<Option<RunResult>> {
+        let outcome = self.advance(pause_at_refs);
+        // Every exit — pause, finish or error — wakes all cores, so
+        // error fields and snapshots read exactly the core state a run
+        // that never slept would have left.
+        let now = self.now;
+        self.last_exit_sleepers = 0;
+        for d in &mut self.drivers {
+            self.last_exit_sleepers += usize::from(d.asleep_since.is_some());
+            d.wake(now);
+        }
+        outcome
+    }
+
+    /// The run loop proper: steps (and, on the event kernel, skips)
+    /// until every core has finished or the REF count reaches
+    /// `pause_at_refs` (`Ok(None)`). Cores may still be asleep when it
+    /// returns; [`System::run_loop`] wakes them. No field of the result
+    /// depends on a sleeping core's fetch credit or stall count.
+    fn advance(&mut self, pause_at_refs: Option<u64>) -> MopacResult<Option<RunResult>> {
         let budget = self.cfg.instrs_per_core;
         let n_cores = self.drivers.len();
         let event_driven = self.cfg.kernel == KernelMode::EventDriven;
@@ -640,11 +708,20 @@ impl System {
                 self.check_deadlines(finished)?;
             }
             let progress = self.step()?;
-            finished = self
-                .drivers
-                .iter_mut()
-                .map(|d| usize::from(d.core.check_finished(budget, self.now)))
-                .sum();
+            // A sleeping core retires nothing, so its finish state
+            // cannot change; a core that cannot move falls asleep here,
+            // from the next cycle on.
+            let now = self.now;
+            finished = 0;
+            for d in &mut self.drivers {
+                if d.asleep_since.is_none() {
+                    d.core.check_finished(budget, now);
+                    if d.blocked() {
+                        d.asleep_since = Some(now);
+                    }
+                }
+                finished += usize::from(d.core.finished_at().is_some());
+            }
             self.note_retirement();
             self.check_deadlines(finished)?;
             if event_driven && !progress {
@@ -752,6 +829,15 @@ impl System {
     #[must_use]
     pub fn debug_queued(&self) -> usize {
         self.chans.queued()
+    }
+
+    /// Test/diagnostic hook: how many cores were asleep (and were woken
+    /// up to date) when the last `run_*` call returned — a pause that
+    /// lands among sleeping cores shows here.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn debug_last_exit_sleepers(&self) -> usize {
+        self.last_exit_sleepers
     }
 
     /// Test/diagnostic hook: in-flight read completions.
@@ -993,37 +1079,51 @@ impl System {
         for c in self.scratch.drain(..) {
             self.inflight.push(c);
         }
-        // Deliver due completions (demand loads and prefetches).
+        // Deliver due completions (demand loads and prefetches). A load
+        // completing is the only event that can move a sleeping core,
+        // so its core wakes first, up to date to this cycle.
         while let Some(c) = self.inflight.pop_due(now) {
             progress = true;
             let d = &mut self.drivers[(c.id >> 48) as usize];
-            if let Some(line) = d.pf_by_id.remove(c.id) {
-                if let Some(entry) = d.pf_lines.get_mut(line) {
+            let load = match d.pf_by_id.remove(c.id) {
+                Some(line) => {
+                    let Some(entry) = d.pf_lines.get_mut(line) else {
+                        continue;
+                    };
                     entry.ready = true;
-                    if let Some(waiter) = entry.rob_waiter {
-                        d.core.on_complete(waiter);
-                        // Consumed by the demand stream.
-                        d.pf_lines.remove(line);
-                    }
+                    let Some(waiter) = entry.rob_waiter else {
+                        continue;
+                    };
+                    // Consumed by the demand stream.
+                    d.pf_lines.remove(line);
+                    waiter
                 }
-            } else {
-                d.core.on_complete(c.id);
-            }
+                None => c.id,
+            };
+            d.wake(now);
+            d.core.on_complete(load);
         }
         // Fetch in rotating order so no core monopolizes a nearly-full
-        // queue, then retire.
+        // queue, then retire. Sleeping cores would do neither.
         let n = self.drivers.len();
         let start = (now as usize) % n;
         for k in 0..n {
-            if self.fetch_core((start + k) % n, now) {
+            let i = (start + k) % n;
+            if self.drivers[i].asleep_since.is_none() && self.fetch_core(i, now) {
                 progress = true;
             }
         }
         for d in &mut self.drivers {
-            if d.core.retire() > 0 {
+            if d.asleep_since.is_none() && d.core.retire() > 0 {
                 progress = true;
             }
         }
+        debug_assert!(
+            self.drivers.iter().all(|d| d.asleep_since.is_none()
+                || d.next_wake(now, &self.mapper, &self.chans, self.cfg.geometry.line_bytes)
+                    .is_none()),
+            "a sleeping core could move on its own"
+        );
         self.now += 1;
         Ok(progress)
     }
@@ -1067,25 +1167,14 @@ impl System {
     /// Jumps `now` to `target`, reproducing in bulk exactly what
     /// `target - now` zero-progress lockstep cycles would have done:
     /// per-cycle controller statistics
-    /// ([`MemoryController::note_idle_cycles`]), per-core fetch-credit
-    /// accumulation (the per-cycle `min(credit + r, 64)` fold, iterated
-    /// until it saturates — at most `ceil(64 / r)` steps — because
-    /// floating-point addition is not associative and a closed form
-    /// would drift), and per-core stall accounting
-    /// ([`Core::skip_idle`]).
+    /// ([`MemoryController::note_idle_cycles`]) and, for every awake
+    /// core, [`CoreDriver::idle`]. A sleeping core catches up on the
+    /// skipped cycles when it wakes.
     fn skip_to(&mut self, target: Cycle) {
         let skipped = target - self.now;
         self.chans.note_idle_cycles(self.now, skipped);
-        let r = CoreParams::paper_default().retire_per_dram_cycle;
-        for d in &mut self.drivers {
-            for _ in 0..skipped {
-                let next = (d.fetch_credit + r).min(64.0);
-                if next == d.fetch_credit {
-                    break;
-                }
-                d.fetch_credit = next;
-            }
-            d.core.skip_idle(skipped);
+        for d in self.drivers.iter_mut().filter(|d| d.asleep_since.is_none()) {
+            d.idle(skipped);
         }
         self.now = target;
     }

@@ -85,6 +85,54 @@ fn restored_runs_are_bit_identical_across_engines_kernels_and_faults() {
     );
 }
 
+/// A core whose ROB is full behind an outstanding load sleeps until a
+/// completion reaches it, and every exit from the run loop wakes it up
+/// to date. So a pause that lands while cores sleep must leave exactly
+/// the state of a system stepped cycle by cycle to the same point (no
+/// watchdog and an unreachable budget, so the run loop's bookkeeping
+/// matches `debug_step`'s), and restoring it must continue exactly like
+/// the uninterrupted run, on both kernels. `debug_last_exit_sleepers`
+/// shows that pauses did land among sleeping cores.
+#[test]
+fn pause_among_sleeping_cores_restores_bit_identically() {
+    use mopac::config::MitigationConfig;
+    let mut landed = 0usize;
+    for kernel in [KernelMode::EventDriven, KernelMode::Lockstep] {
+        let mut cfg = SystemConfig::paper_default(MitigationConfig::prac(500), 20_000);
+        cfg.geometry = DramGeometry::tiny();
+        cfg.kernel = kernel;
+        let mut open_ended = cfg.clone();
+        open_ended.instrs_per_core = u64::MAX;
+        open_ended.livelock_window = 0;
+        let traces = || build_traces("mix1", &cfg).unwrap();
+        let reference = System::new(cfg.clone(), traces()).unwrap().run().unwrap();
+        for pause_refs in 1..=4 {
+            let mut paused = System::new(open_ended.clone(), traces()).unwrap();
+            assert!(paused.run_until_refs(pause_refs).unwrap().is_none());
+            landed += paused.debug_last_exit_sleepers();
+            let mut stepped = System::new(open_ended.clone(), traces()).unwrap();
+            while stepped.now() < paused.now() {
+                stepped.debug_step().unwrap();
+            }
+            assert!(
+                stepped.snapshot() == paused.snapshot(),
+                "{kernel:?}: state paused at REF {pause_refs} differs from stepping there"
+            );
+
+            let mut first = System::new(cfg.clone(), traces()).unwrap();
+            assert!(first.run_until_refs(pause_refs).unwrap().is_none());
+            let mut second = System::new(cfg.clone(), traces()).unwrap();
+            second.restore(&first.snapshot()).unwrap();
+            assert_eq!(
+                second.run_to_completion().unwrap(),
+                reference,
+                "{kernel:?}: restored run paused at REF {pause_refs} diverged"
+            );
+        }
+    }
+    assert!(landed > 0, "no pause landed while a core slept");
+}
+
 #[test]
 fn restore_rejects_cross_topology_snapshots() {
     use mopac::config::MitigationConfig;
