@@ -26,6 +26,7 @@ use mopac_types::obs::{SinkConfig, TraceEvent, TraceEventKind, TraceRing};
 use mopac_workloads::attack::DoubleSidedHammer;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let engine = std::env::var("MOPAC_REPLAY_ENGINE").unwrap_or_else(|_| "prac".to_string());
     let mitigation = mitigation_preset(&engine, 500).unwrap_or_else(|e| panic!("{e}"));
     let interval = u64_knob("MOPAC_REPLAY_INTERVAL", 10_000)

@@ -10,6 +10,7 @@ use mopac_analysis::perf_attack::monte_carlo_alpha;
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "alpha",
         "Monte-Carlo alpha (paper Section 7.2: ~0.55 for 32 banks)",

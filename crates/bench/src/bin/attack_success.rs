@@ -73,6 +73,7 @@ fn json_stats(s: &FlipStats) -> String {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let registry = EngineRegistry::builtin();
     let engines: Vec<_> = registry.specs().iter().filter(|s| s.tracks()).collect();
     let mut r = Report::new(

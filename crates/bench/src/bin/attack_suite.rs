@@ -35,6 +35,7 @@ fn battery(geom: DramGeometry) -> Vec<(&'static str, Box<dyn AttackPattern>)> {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let cycles = attack_cycle_budget().unwrap_or_else(|e| panic!("{e}"));
     let geom = DramGeometry::tiny();
     let mut r = Report::new(

@@ -15,19 +15,13 @@
 //! - `MOPAC_FAULT_INSTRS`: per-core instructions per cell (default 40k).
 //! - `MOPAC_FAULT_TIMEOUT_SECS`: per-attempt wall-clock budget (default 300).
 //! - `MOPAC_THREADS`: worker threads (unset or 0: available parallelism).
-//! - `MOPAC_INJECT_PANIC=<mitigation>/<fault>`: deliberately panic in
-//!   that cell, demonstrating that isolation keeps the rest of the
-//!   matrix alive and persisted.
-//! - `MOPAC_CKPT_DIR=<dir>`: checkpoint the campaign there
-//!   ([`CheckpointedFaultCampaign`]). Re-running with the same spec
-//!   resumes — completed cells replay from the checkpoint instead of
-//!   re-executing, and the final CSV is byte-identical to an
-//!   uninterrupted run (kill-and-resume is gated in `ci.sh`).
+//!
+//! At the defaults the output is pinned: `ci.sh` reruns the campaign
+//! and diff-checks the committed `EXPERIMENTS-data/fault_campaign.csv`.
 
 use mopac_bench::{thread_budget, u64_knob, IncrementalCsv, Report};
 use mopac_sim::campaign::{
-    fault_cells, run_fault_campaign, CheckpointedFaultCampaign, FaultCampaignSpec,
-    FAULT_CAMPAIGN_HEADERS,
+    fault_cells, run_fault_campaign, FaultCampaignSpec, FAULT_CAMPAIGN_HEADERS,
 };
 use mopac_sim::runner::RunStatus;
 use mopac_types::MopacResult;
@@ -39,11 +33,11 @@ fn spec_from_env() -> MopacResult<FaultCampaignSpec> {
     let secs = u64_knob("MOPAC_FAULT_TIMEOUT_SECS", spec.timeout.as_secs())?;
     spec.timeout = Duration::from_secs(secs);
     spec.threads = thread_budget()?;
-    spec.inject_panic = std::env::var("MOPAC_INJECT_PANIC").ok();
     Ok(spec)
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut csv = IncrementalCsv::create("fault_campaign", &FAULT_CAMPAIGN_HEADERS)
         .expect("create fault_campaign.csv");
     let mut table = Report::new(
@@ -63,17 +57,7 @@ fn main() {
         table.row(&outcome.row);
         eprintln!("  [{}] {}", outcome.row[2], outcome.label);
     };
-    if let Ok(dir) = std::env::var("MOPAC_CKPT_DIR") {
-        let cells = fault_cells();
-        let ckpt = CheckpointedFaultCampaign::new(spec, dir);
-        let summary = ckpt.run(&cells, sink).expect("checkpointed campaign");
-        eprintln!(
-            "checkpoint: {} cell(s) resumed, {} executed",
-            summary.resumed, summary.executed
-        );
-    } else {
-        run_fault_campaign(&spec, sink);
-    }
+    run_fault_campaign(&spec, sink);
     println!("{}", table.to_table());
     println!(
         "campaign complete: {} cells, {} not-done, {} oracle escapes; rows persisted to {}",

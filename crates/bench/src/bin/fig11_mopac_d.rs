@@ -6,6 +6,7 @@ use mopac::config::MitigationConfig;
 use mopac_bench::slowdown_matrix;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let configs = vec![
         ("PRAC".to_string(), MitigationConfig::prac(500)),
         ("MoPAC-D@1000".to_string(), MitigationConfig::mopac_d(1000)),

@@ -5,6 +5,7 @@ use mopac::config::MitigationConfig;
 use mopac_bench::slowdown_matrix;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut configs = Vec::new();
     for t in [1000u64, 500, 250] {
         for drain in [0u32, 1, 2, 4] {

@@ -22,6 +22,7 @@ fn conflict_latency(mit: MitigationConfig) -> (u64, u64) {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let (base_total, base_first) = conflict_latency(MitigationConfig::baseline());
     let (prac_total, prac_first) = conflict_latency(MitigationConfig::prac(500));
     let cyc_ns = 1.0 / 3.0;

@@ -73,6 +73,7 @@ fn dump(scenario: &str, snapshot: &MetricsSnapshot, table: &mut Report) {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let sink_cfg = sink_config().unwrap_or_else(|e| panic!("{e}"));
     let mut table = Report::new(
         "metrics_dump",

@@ -63,6 +63,7 @@ struct ExperimentRun {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let timeout = u64_knob("MOPAC_RUN_ALL_TIMEOUT_SECS", 3600).unwrap_or_else(|e| panic!("{e}"));
     let threads = thread_budget().unwrap_or_else(|e| panic!("{e}"));
     let me = std::env::current_exe().expect("own path");

@@ -41,6 +41,7 @@ fn run_once(cfg: &AttackConfig, snap_interval: Option<u64>) -> (AttackResult, f6
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let ref_windows =
         u64_knob("MOPAC_SNAP_REF_WINDOWS", 32).unwrap_or_else(|e| panic!("{e}")).max(1);
     let interval = TimingSet::ddr5_base().t_refi * ref_windows;

@@ -16,6 +16,7 @@ fn simulate(mit: MitigationConfig, pattern: &mut dyn AttackPattern, cycles: u64)
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let cycles = attack_cycle_budget().unwrap_or_else(|e| panic!("{e}"));
     let geom = DramGeometry::ddr5_32gb();
     let mut r = Report::new(

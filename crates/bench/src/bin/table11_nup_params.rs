@@ -6,6 +6,7 @@ use mopac_analysis::params::mopac_d_params;
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table11",
         "ATH* of MoPAC-D vs MoPAC-D+NUP (paper Table 11)",

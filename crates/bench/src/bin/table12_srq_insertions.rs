@@ -21,6 +21,7 @@ fn rate(cfg: MitigationConfig, names: &[String], instrs: u64) -> f64 {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());

@@ -5,6 +5,7 @@ use mopac_analysis::related::table13_rows;
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table13",
         "Tolerated T_RH vs mitigation time per REF (paper Table 13)",

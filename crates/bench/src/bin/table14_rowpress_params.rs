@@ -4,6 +4,7 @@ use mopac_analysis::params::{row_press_params, MopacDesign};
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table14",
         "Row-Press-hardened ATH* (paper Table 14)",

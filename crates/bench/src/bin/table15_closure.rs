@@ -45,6 +45,7 @@ fn mean_slowdown(
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());

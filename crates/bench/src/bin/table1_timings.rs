@@ -6,6 +6,7 @@ use mopac_dram::timing::TimingSet;
 use mopac_types::jedec::TimingNs;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let base_ns = TimingNs::ddr5_base();
     let prac_ns = TimingNs::ddr5_prac();
     let base = TimingSet::ddr5_base();

@@ -4,6 +4,7 @@ use mopac_analysis::moat::{moat_ath, moat_eth};
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table2",
         "MOAT ALERT threshold (paper Table 2: 975 / 472 / 219)",

@@ -68,6 +68,7 @@ fn hot_rows(name: &str, accesses_per_trefw: u64) -> (f64, f64) {
 }
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let instrs = instr_budget().unwrap_or_else(|e| panic!("{e}"));
     let names: Vec<String> = workload_filter()
         .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());

@@ -5,6 +5,7 @@ use mopac_analysis::mttf::FailureBudget;
 use mopac_bench::{sci, Report};
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table5",
         "F and epsilon vs threshold (paper Table 5; note the paper's \

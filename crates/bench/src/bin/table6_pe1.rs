@@ -7,6 +7,7 @@ use mopac_analysis::mttf::FailureBudget;
 use mopac_bench::{sci, Report};
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table6",
         "P_e1 = P(N <= C) for MoPAC-C (paper Table 6); 'x eps' is the \

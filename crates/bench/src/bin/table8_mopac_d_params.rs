@@ -4,6 +4,7 @@ use mopac_analysis::params::mopac_d_params;
 use mopac_bench::Report;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table8",
         "MoPAC-D parameters (paper Table 8; paper prints A'=942 at \

@@ -10,6 +10,7 @@ use mopac_types::geometry::DramGeometry;
 use mopac_workloads::attack::MultiBankRoundRobin;
 
 fn main() {
+    mopac_bench::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut r = Report::new(
         "table9",
         "Performance attack on MoPAC-C (paper Table 9: 14.0% / 6.7% / 3.2%)",

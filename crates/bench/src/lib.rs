@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-pub use mopac_types::knob::{parse_u64_knob, u64_knob};
+pub use mopac_types::knob::{check_knobs, parse_u64_knob, u64_knob};
 
 /// Per-core instruction budget for simulation experiments, overridable
 /// with `MOPAC_INSTRS` (the paper uses 100 M; defaults here are sized

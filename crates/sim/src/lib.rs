@@ -42,8 +42,7 @@ pub mod system;
 
 pub use attack::{run_attack, run_attack_instrumented, AttackConfig, AttackResult, AttackRun};
 pub use campaign::{
-    run_fault_campaign, run_fault_campaign_cells, run_fault_campaign_cells_from,
-    CheckpointSummary, CheckpointedFaultCampaign, FaultCampaignSpec, FaultCellOutcome,
+    run_fault_campaign, run_fault_campaign_cells, FaultCampaignSpec, FaultCellOutcome,
     ParallelCampaign,
 };
 pub use experiment::{mean_slowdown, run_workload, slowdown_sweep};

@@ -4,8 +4,62 @@
 //! plain decimal integer. Anything else — `20k`, `1e6`, `-1`, the empty
 //! string — is a [`MopacError::Config`] naming the variable and the
 //! value, never a silent fall back to the default.
+//!
+//! [`KNOBS`] lists every `MOPAC_*` name the bins, examples and tests
+//! read, and [`check_knobs`] refuses any other, so a misspelt or retired
+//! knob (`MOPAC_INSTR=1000000`) fails instead of running the default.
 
 use crate::error::{MopacError, MopacResult};
+use std::ffi::OsStr;
+
+/// Every `MOPAC_*` environment variable read anywhere in the workspace.
+pub const KNOBS: [&str; 15] = [
+    "MOPAC_ATTACK_CYCLES",
+    "MOPAC_DATA_DIR",
+    "MOPAC_FAULT_INSTRS",
+    "MOPAC_FAULT_TIMEOUT_SECS",
+    "MOPAC_INSTRS",
+    "MOPAC_PROP_CASES",
+    "MOPAC_REPLAY_ALERT",
+    "MOPAC_REPLAY_ENGINE",
+    "MOPAC_REPLAY_INTERVAL",
+    "MOPAC_RUN_ALL_TIMEOUT_SECS",
+    "MOPAC_SNAP_REF_WINDOWS",
+    "MOPAC_THREADS",
+    "MOPAC_TRACE_CAPACITY",
+    "MOPAC_WORKLOADS",
+    "MOPAC_WRITE_GOLDENS",
+];
+
+/// Checks `(name, value)` pairs — typically `std::env::vars_os()` —
+/// against [`KNOBS`]. Names outside the `MOPAC_` prefix are ignored.
+///
+/// # Errors
+///
+/// Returns [`MopacError::Config`] naming every `MOPAC_*` variable (and
+/// its value) that is not in [`KNOBS`].
+pub fn check_knobs<K, V>(vars: impl IntoIterator<Item = (K, V)>) -> MopacResult<()>
+where
+    K: AsRef<OsStr>,
+    V: AsRef<OsStr>,
+{
+    let unknown: Vec<String> = vars
+        .into_iter()
+        .filter_map(|(k, v)| {
+            let name = k.as_ref().to_string_lossy();
+            (name.starts_with("MOPAC_") && !KNOBS.contains(&name.as_ref()))
+                .then(|| format!("{name}={:?}", v.as_ref().to_string_lossy()))
+        })
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    Err(MopacError::config(format!(
+        "unknown knob(s) {}; known MOPAC_* knobs: {}",
+        unknown.join(", "),
+        KNOBS.join(", ")
+    )))
+}
 
 /// Parses a `u64` knob: `value` is the raw value of the environment
 /// variable `name`, `None` when it is unset (which gives `default`).
@@ -37,6 +91,32 @@ pub fn u64_knob(name: &str, default: u64) -> MopacResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unknown_mopac_knobs_are_refused() {
+        for name in ["MOPAC_INSTR", "MOPAC_CKPT_DIR", "MOPAC_INJECT_PANIC"] {
+            let err = check_knobs([("PATH", "/bin"), (name, "1")]).unwrap_err();
+            assert!(matches!(err, MopacError::Config { .. }), "{name}: {err:?}");
+            assert!(err.to_string().contains(&format!("{name}=\"1\"")), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_table_knob_is_accepted() {
+        check_knobs(KNOBS.iter().map(|&name| (name, "1"))).unwrap();
+    }
+
+    #[test]
+    fn non_mopac_variables_are_ignored() {
+        check_knobs([
+            ("HOME", "/home/u"),
+            ("MOPAC", "1"),
+            ("XMOPAC_INSTR", "1"),
+            ("mopac_instr", "1"),
+        ])
+        .unwrap();
+        check_knobs(std::iter::empty::<(&str, &str)>()).unwrap();
+    }
 
     #[test]
     fn thread_and_case_knobs_reject_garbage() {

@@ -27,6 +27,7 @@ fn patterns() -> Vec<Box<dyn AttackPattern>> {
 }
 
 fn main() {
+    mopac_types::knob::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let cycles = 1_000_000;
     let t_rh = 500;
     let configs = [

@@ -20,6 +20,7 @@ use mopac_analysis::perf_attack::{
 };
 
 fn main() {
+    mopac_types::knob::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let args: Vec<u64> = std::env::args()
         .skip(1)
         .map(|v| v.parse().expect("thresholds must be integers"))

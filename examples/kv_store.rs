@@ -22,6 +22,7 @@ fn run(mit: MitigationConfig, instrs: u64) -> mopac_sim::system::RunResult {
 }
 
 fn main() {
+    mopac_types::knob::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let instrs = 150_000;
     println!("masstree-like KV store through the shared 8 MB LLC...\n");
     let base = run(MitigationConfig::baseline(), instrs);

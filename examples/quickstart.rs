@@ -14,6 +14,7 @@ use mopac_analysis::params::{mopac_c_params, mopac_d_params};
 use mopac_sim::experiment::run_workload;
 
 fn main() {
+    mopac_types::knob::check_knobs(std::env::vars_os()).unwrap_or_else(|e| panic!("{e}"));
     let mut args = std::env::args().skip(1);
     let workload = args.next().unwrap_or_else(|| "xz".to_string());
     let t_rh: u64 = args

@@ -20,8 +20,6 @@ fn campaign_csv(threads: usize, master_seed: u64) -> String {
         instrs: 8_000,
         timeout: Duration::from_secs(120),
         threads,
-        inject_panic: None,
-        collect_metrics: false,
     };
     // A strided slice of the registry x fault matrix: the cells are
     // mitigation-major with six faults each, so every third index
