@@ -143,7 +143,7 @@ if [[ $fast -eq 0 ]]; then
   # (every 32 REF windows) must cost < 5% wall-clock.
   step "snapshot overhead gate (saturated attack, < 5%)"
   overhead=$(MOPAC_ATTACK_CYCLES=20000000 ./target/release/snapshot_overhead \
-    | tee /dev/stderr | awk -F': ' '/snapshot_overhead_pct/ {print $2}')
+    | tee >(cat >&2) | awk -F': ' '/snapshot_overhead_pct/ {print $2}')
   awk -v o="$overhead" 'BEGIN {
     if (o + 0 >= 5.0) {
       printf "FAIL: snapshot overhead %.2f%% >= 5%%\n", o

@@ -8,7 +8,7 @@
 //! `can_*` predicates), executes the mitigation engines, and raises
 //! ALERT when a bank needs ABO.
 
-use crate::bank::{Bank, OpenRow, PrechargeKind};
+use crate::bank::{Bank, BankTable, GateKind, OpenRow, PrechargeKind};
 use crate::flip::{FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome, VictimWords};
 use crate::timing::{AboTiming, TimingSet};
 use mopac::bank::AlertCause;
@@ -122,6 +122,8 @@ impl DramStats {
 #[derive(Debug, Clone)]
 struct SubChannel {
     banks: Vec<Bank>,
+    /// Every bank's open row and ACT/PRE/column gates: the only copy.
+    table: BankTable,
     /// Last ACT cycle in this sub-channel (tRRD), if any.
     last_act: Option<Cycle>,
     /// Ring of the last four ACT cycles (tFAW).
@@ -141,11 +143,6 @@ struct SubChannel {
     /// Activations since the last ALERT completed (ABO requires a
     /// non-zero count before re-asserting).
     acts_since_alert: u64,
-    /// Bit `b` set iff bank `b` has an open row. Maintained on
-    /// ACT/PRE so the controller's scheduler index can sweep open banks
-    /// without polling every bank's row state. Derived: never
-    /// serialized, rebuilt on restore.
-    open_mask: BankMask,
     /// The ALERT set: bit `b` set iff bank `b`'s engine reports an
     /// `alert_cause()`, re-read only for the banks a command reached
     /// (DESIGN.md §9). Derived: never serialized, rebuilt on restore.
@@ -159,14 +156,13 @@ impl SubChannel {
         self.alerting.assign(bank, on);
     }
 
-    /// The open-bank and ALERT sets recomputed from the banks' state.
-    fn scan_masks(&self) -> (BankMask, BankMask) {
-        let (mut open, mut alerting) = (BankMask::empty(), BankMask::empty());
+    /// The ALERT set recomputed from the banks' engines.
+    fn scan_alerting(&self) -> BankMask {
+        let mut alerting = BankMask::empty();
         for (i, b) in self.banks.iter().enumerate() {
-            open.assign(i as u32, b.open_row().is_some());
             alerting.assign(i as u32, b.mitigation().alert_cause().is_some());
         }
-        (open, alerting)
+        alerting
     }
 
     /// The cause ALERT would assert with now: the lowest alerting bank's.
@@ -267,6 +263,7 @@ impl DramDevice {
                     .collect();
                 SubChannel {
                     banks,
+                    table: BankTable::new(geom.banks_per_subchannel),
                     last_act: None,
                     faw: [0; 4],
                     faw_idx: 0,
@@ -276,7 +273,6 @@ impl DramDevice {
                     ref_group: 0,
                     alert_since: None,
                     acts_since_alert: 1,
-                    open_mask: BankMask::empty(),
                     alerting: BankMask::empty(),
                 }
             })
@@ -399,13 +395,13 @@ impl DramDevice {
     /// The open row in a bank.
     #[must_use]
     pub fn open_row(&self, sc: u32, bank: u32) -> Option<OpenRow> {
-        self.sub(sc).banks[bank as usize].open_row()
+        self.sub(sc).table.open_row(bank)
     }
 
     /// Whether the MC marked the open row for a PREcu close (MoPAC-C).
     #[must_use]
     pub fn pending_update(&self, sc: u32, bank: u32) -> bool {
-        self.sub(sc).banks[bank as usize].pending_update()
+        self.sub(sc).table.pending_update(bank)
     }
 
     /// When ALERT was asserted on a sub-channel, if it is pending.
@@ -415,10 +411,41 @@ impl DramDevice {
     }
 
     /// Bitmask of banks with an open row on `sc` (bit `b` set iff bank
-    /// `b` is open). Maintained incrementally on ACT/PRE.
+    /// `b` is open).
     #[must_use]
     pub fn open_banks_mask(&self, sc: u32) -> BankMask {
-        self.sub(sc).open_mask
+        self.sub(sc).table.open_mask()
+    }
+
+    /// The least `kind` gate among `banks` on `sc`, leaving out banks
+    /// on which no such gate exists (open banks for ACT, closed ones
+    /// otherwise); `None` when none is left. It is the least bank part
+    /// raised to the sub-channel floor once, which equals the minimum
+    /// of the banks' `earliest_*` gates. A column gate is the open
+    /// row's, so `banks` should name banks with work on their open rows.
+    #[must_use]
+    pub fn min_gate(&self, sc: u32, kind: GateKind, banks: BankMask) -> Option<Cycle> {
+        let part = self.sub(sc).table.min_gate(kind, banks)?;
+        let floor = match kind {
+            GateKind::Activate => self.activate_floor(sc),
+            GateKind::Precharge => self.precharge_floor(sc),
+            GateKind::Column => self.column_floor(sc),
+        };
+        Some(part.max(floor))
+    }
+
+    /// The banks of `banks` on `sc` whose `kind` bank part has released
+    /// at `now` (banks without such a gate are left out). The
+    /// sub-channel floor is not looked at.
+    #[must_use]
+    pub fn bank_gates_ready(
+        &self,
+        sc: u32,
+        kind: GateKind,
+        banks: BankMask,
+        now: Cycle,
+    ) -> BankMask {
+        self.sub(sc).table.ready(kind, banks, now)
     }
 
     /// The sub-channel floor of every ACT gate on `sc`: tRRD after the
@@ -442,7 +469,7 @@ impl DramDevice {
     /// bank's own block, or `None` if the bank is open.
     #[must_use]
     pub fn bank_activate_gate(&self, sc: u32, bank: u32) -> Option<Cycle> {
-        self.sub(sc).banks[bank as usize].earliest_activate()
+        self.sub(sc).table.earliest_activate(bank)
     }
 
     /// The bank part of the ACT gate for `row` specifically: the bank's
@@ -451,9 +478,9 @@ impl DramDevice {
     /// subarray-deferred updates).
     #[must_use]
     pub fn bank_activate_row_gate(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
-        let b = &self.sub(sc).banks[bank as usize];
+        let s = self.sub(sc);
         let sa = self.cfg.geometry.subarray_of(row);
-        Some(b.earliest_activate()?.max(b.cu_gate(sa)))
+        Some(s.table.earliest_activate(bank)?.max(s.banks[bank as usize].cu_gate(sa)))
     }
 
     /// Earliest cycle an ACT to (sc, bank) may issue, or `None` if the
@@ -521,8 +548,8 @@ impl DramDevice {
         }
         let (base, prac) = (self.base, self.prac);
         let s = self.sub_mut(sc);
-        let flips = s.banks[bank as usize].activate(row, now, selected, &base, &prac);
-        s.open_mask.set(bank);
+        s.table.activate(bank, row, now, selected, &base, &prac);
+        let flips = s.banks[bank as usize].on_activate(row);
         s.reassess_alert(bank);
         s.last_act = Some(now);
         s.faw[s.faw_idx] = now;
@@ -561,7 +588,7 @@ impl DramDevice {
     /// `None` unless `row` is the bank's open row.
     #[must_use]
     pub fn bank_column_gate(&self, sc: u32, bank: u32, row: u32) -> Option<Cycle> {
-        self.sub(sc).banks[bank as usize].earliest_column(row)
+        self.sub(sc).table.earliest_column(bank, row)
     }
 
     /// Earliest cycle a read/write to `row` may issue (bank + bus).
@@ -598,7 +625,7 @@ impl DramDevice {
         // read returns, so route it through the flip plane's ECC path.
         let open = self.open_row(sc, bank).map(|o| o.row);
         let s = self.sub_mut(sc);
-        let done = s.banks[bank as usize].read(now, &t);
+        let done = s.table.read(bank, now, &t);
         s.bus_busy_until = done;
         if let (Some(row), Some(f)) = (open, s.banks[bank as usize].flip_mut()) {
             let _outcome: ReadOutcome = f.on_read(row);
@@ -617,7 +644,7 @@ impl DramDevice {
         self.check_column("WR", sc, bank, now)?;
         let t = *self.timing_default();
         let s = self.sub_mut(sc);
-        let done = s.banks[bank as usize].write(now, &t);
+        let done = s.table.write(bank, now, &t);
         s.bus_busy_until = done;
         self.stats.writes += 1;
         Ok(done)
@@ -634,7 +661,7 @@ impl DramDevice {
     /// the bank is closed.
     #[must_use]
     pub fn bank_precharge_gate(&self, sc: u32, bank: u32) -> Option<Cycle> {
-        self.sub(sc).banks[bank as usize].earliest_precharge()
+        self.sub(sc).table.earliest_precharge(bank)
     }
 
     /// Earliest cycle a PRE may issue.
@@ -661,7 +688,6 @@ impl DramDevice {
         } else {
             PrechargeKind::Normal
         };
-        let closed_row = self.open_row(sc, bank).map(|o| o.row);
         if self.sink.is_enabled() {
             if let Some(open) = self.open_row(sc, bank) {
                 self.sink
@@ -685,17 +711,15 @@ impl DramDevice {
         let (base, prac) = (self.base, self.prac);
         let ns_per_cycle = 1.0 / self.clock.freq_ghz();
         let s = self.sub_mut(sc);
-        if s.banks[bank as usize]
-            .precharge(kind, now, &base, &prac, ns_per_cycle)
-            .is_none()
-        {
+        let Some(open) = s.table.precharge(bank, kind, now, &base, &prac) else {
             // The earliest_precharge gate above already rejects a closed
             // bank, so this arm is unreachable; keep it typed anyway.
             return Err(MopacError::internal(format!(
                 "PRE accepted on closed bank sc{sc}/bank{bank}"
             )));
-        }
-        s.open_mask.clear(bank);
+        };
+        let open_ns = (now - open.opened_at) as f64 * ns_per_cycle;
+        s.banks[bank as usize].on_precharge(open.row, kind, open_ns);
         match kind {
             PrechargeKind::Normal => self.stats.precharges += 1,
             PrechargeKind::CounterUpdate | PrechargeKind::DeferredUpdate => {
@@ -703,19 +727,16 @@ impl DramDevice {
             }
         }
         if kind == PrechargeKind::DeferredUpdate {
-            if let Some(row) = closed_row {
-                // The read-modify-write continues inside the closed
-                // row's subarray for the PRAC-vs-base tRP difference;
-                // the bank itself is already free.
-                let sa = self.cfg.geometry.subarray_of(row);
-                // The full update takes PRAC's tRP; only the subarray
-                // pays the tail beyond the bank's base tRP.
-                let cu_done = now + self.prac.t_rp.max(self.base.t_rp);
-                self.sub_mut(sc).banks[bank as usize].post_cu(sa, cu_done, now);
-                self.sub_mut(sc).banks[bank as usize]
-                    .mitigation_mut()
-                    .on_subarray_update(sa);
-            }
+            // The read-modify-write continues inside the closed row's
+            // subarray for the PRAC-vs-base tRP difference; the bank
+            // itself is already free.
+            let sa = self.cfg.geometry.subarray_of(open.row);
+            // The full update takes PRAC's tRP; only the subarray pays
+            // the tail beyond the bank's base tRP.
+            let cu_done = now + self.prac.t_rp.max(self.base.t_rp);
+            let b = &mut self.sub_mut(sc).banks[bank as usize];
+            b.post_cu(sa, cu_done, now);
+            b.mitigation_mut().on_subarray_update(sa);
         }
         self.sub_mut(sc).reassess_alert(bank);
         self.refresh_alert_line(sc, now);
@@ -728,10 +749,12 @@ impl DramDevice {
     pub fn earliest_refresh(&self, sc: u32) -> Option<Cycle> {
         let s = self.sub(sc);
         let mut latest = s.blocked_until;
-        for b in &s.banks {
+        for (i, b) in s.banks.iter().enumerate() {
             // REF quiesces the whole bank: closed rows AND any
             // in-flight subarray counter updates.
-            latest = latest.max(b.earliest_activate()?).max(b.cu_busy_until());
+            latest = latest
+                .max(s.table.earliest_activate(i as u32)?)
+                .max(b.cu_busy_until());
         }
         Some(latest)
     }
@@ -758,8 +781,8 @@ impl DramDevice {
         s.blocked_until = now + t_rfc;
         let mut deferred = 0u64;
         let mut mitigations = 0u64;
-        for b in &mut s.banks {
-            b.block_until(now + t_rfc);
+        for (i, b) in s.banks.iter_mut().enumerate() {
+            s.table.block_until(i as u32, now + t_rfc);
             let svc = b.mitigation_mut().on_ref(start..end);
             deferred += u64::from(svc.counter_updates);
             mitigations += svc.mitigated_rows.len() as u64;
@@ -768,7 +791,7 @@ impl DramDevice {
             // ABO-forced ones.
             b.cure(&svc.mitigated_rows, blast, start..end);
         }
-        s.alerting = s.scan_masks().1;
+        s.alerting = s.scan_alerting();
         self.stats.refreshes += 1;
         self.stats.deferred_updates += deferred;
         self.stats.mitigations += mitigations;
@@ -829,19 +852,20 @@ impl DramDevice {
         self.sub(sc).alerting
     }
 
-    /// Parity check for the derived bank masks (property tests): the
-    /// open-bank mask and the ALERT set must equal a fresh per-bank
-    /// scan, and the cause ALERT would assert must be the lowest
-    /// alerting bank's.
+    /// Parity check for the derived ALERT set (property tests): it
+    /// must equal a fresh per-bank scan, and the cause ALERT would
+    /// assert must be the lowest alerting bank's.
     #[doc(hidden)]
     pub fn debug_verify_masks(&self) -> Result<(), String> {
         for (sc, s) in self.subchannels.iter().enumerate() {
-            let (open, alerting) = s.scan_masks();
-            let scan = (open, alerting, s.banks.iter().find_map(|b| b.mitigation().alert_cause()));
-            let kept = (s.open_mask, s.alerting, s.pending_cause());
+            let scan = (
+                s.scan_alerting(),
+                s.banks.iter().find_map(|b| b.mitigation().alert_cause()),
+            );
+            let kept = (s.alerting, s.pending_cause());
             if scan != kept {
                 return Err(format!(
-                    "sc{sc}: (open mask, ALERT set, ALERT cause) kept {kept:?} vs scan {scan:?}"
+                    "sc{sc}: (ALERT set, ALERT cause) kept {kept:?} vs scan {scan:?}"
                 ));
             }
         }
@@ -859,7 +883,9 @@ impl DramDevice {
         let mut latest: Cycle = 0;
         for bit in mask.ones() {
             let b = s.banks.get(bit as usize)?;
-            latest = latest.max(b.earliest_activate()?).max(b.cu_busy_until());
+            latest = latest
+                .max(s.table.earliest_activate(bit)?)
+                .max(b.cu_busy_until());
         }
         Some(latest)
     }
@@ -930,8 +956,8 @@ impl DramDevice {
         let mut mitigations = 0u64;
         let mut updates = 0u64;
         for bit in mask.ones() {
+            s.table.block_until(bit, now + stall);
             let b = &mut s.banks[bit as usize];
-            b.block_until(now + stall);
             if !dropped {
                 let svc = b.mitigation_mut().service_abo();
                 updates += u64::from(svc.counter_updates);
@@ -1011,7 +1037,7 @@ impl DramDevice {
     /// Returns [`MopacError::Config`] for an out-of-range bank.
     pub fn inject_stuck_bank(&mut self, sc: u32, bank: u32, until: Cycle) -> MopacResult<()> {
         self.check_bank(sc, bank)?;
-        self.sub_mut(sc).banks[bank as usize].stick_until(until);
+        self.sub_mut(sc).table.stick_until(bank, until);
         self.stats.injected_faults += 1;
         Ok(())
     }
@@ -1112,10 +1138,11 @@ impl DramDevice {
         &mut self.subchannels[sc as usize]
     }
 
-    /// Serializes one sub-channel's shared state (banks delegate to
-    /// their own [`Snapshottable`] impls).
+    /// Serializes one sub-channel's state: per bank its table record,
+    /// then its own [`Snapshottable`] section, then the shared state.
     fn save_sub(s: &SubChannel, w: &mut SnapshotWriter) {
-        for b in &s.banks {
+        for (i, b) in s.banks.iter().enumerate() {
+            s.table.save_bank(i as u32, w);
             b.save_state(w);
         }
         w.put_opt_u64(s.last_act);
@@ -1132,7 +1159,8 @@ impl DramDevice {
     }
 
     fn load_sub(s: &mut SubChannel, r: &mut SnapshotReader<'_>) -> MopacResult<()> {
-        for b in &mut s.banks {
+        for (i, b) in s.banks.iter_mut().enumerate() {
+            s.table.load_bank(i as u32, r)?;
             b.load_state(r)?;
         }
         s.last_act = r.take_opt_u64()?;
@@ -1149,7 +1177,7 @@ impl DramDevice {
         s.ref_group = r.take_u32()?;
         s.alert_since = r.take_opt_u64()?;
         s.acts_since_alert = r.take_u64()?;
-        (s.open_mask, s.alerting) = s.scan_masks();
+        s.alerting = s.scan_alerting();
         Ok(())
     }
 

@@ -1,7 +1,8 @@
 //! Cycle-level DDR5 DRAM device model for the MoPAC reproduction.
 //!
 //! This crate is the simulation substrate the paper obtains from
-//! DRAMSim3: banks with JEDEC timing state machines ([`bank`]), the
+//! DRAMSim3: a per-sub-channel table of bank row state and JEDEC timing
+//! gates, and each bank's mitigation state ([`bank`]), the
 //! Table 1 timing sets for base DDR5 and PRAC ([`timing`]), and the
 //! device-level shared resources, refresh machinery and ALERT/RFM (ABO)
 //! protocol ([`device`]).
@@ -45,7 +46,7 @@ pub mod device;
 pub mod flip;
 pub mod timing;
 
-pub use bank::PrechargeKind;
+pub use bank::{GateKind, PrechargeKind};
 pub use device::{DramConfig, DramDevice, DramStats};
 pub use flip::{
     EccMode, FlipPlane, FlipPlaneConfig, FlipStats, ReadOutcome, TrhDistribution, VictimWords,

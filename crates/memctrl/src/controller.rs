@@ -7,8 +7,9 @@
 //! per sub-channel per cycle (the command bus).
 
 use crate::mapping::AddressMapper;
-use crate::sched_index::{QueueCounts, SubIndex};
+use crate::sched_index::{KindMinima, QueueCounts, SubIndex};
 use mopac::engine::RecoveryScope;
+use mopac_dram::bank::GateKind;
 use mopac_dram::device::DramDevice;
 use mopac_types::addr::{DecodedAddr, PhysAddr};
 use mopac_types::bankmask::BankMask;
@@ -136,6 +137,15 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
+/// What a full scheduling pass over the queues knows before it starts:
+/// the banks held out for bank-scoped recovery, and the per-kind gate
+/// minima of a cache still valid at `now`.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    exclude: BankMask,
+    known: KindMinima,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     id: u64,
@@ -153,6 +163,35 @@ struct SubState {
     /// Column commands issued to the currently open row, per bank
     /// (strict close-page issues exactly one per activation).
     cols_since_act: Vec<u32>,
+}
+
+impl SubState {
+    /// Write-drain hysteresis: whether a scheduling pass over the
+    /// current queues drains writes. Start at 7/8 full (or when reads
+    /// are empty and writes exist), drain down to 1/8. Wide hysteresis
+    /// amortizes the expensive read/write turnaround. The stop
+    /// condition yields to an active start condition so the transition
+    /// is idempotent under repeated passes with unchanged queues — the
+    /// event-driven kernel's licence to skip them.
+    fn drains_writes(&self, write_capacity: usize) -> bool {
+        let start = self.writes.len() >= write_capacity * 7 / 8
+            || (self.reads.is_empty() && !self.writes.is_empty());
+        if self.draining_writes {
+            self.writes.len() > write_capacity / 8 || start
+        } else {
+            start
+        }
+    }
+
+    /// Banks whose current (or last) row served a column command: the
+    /// scheduler index's `used` set, from scratch.
+    fn used_banks(&self) -> BankMask {
+        let mut used = BankMask::empty();
+        for (b, &c) in self.cols_since_act.iter().enumerate() {
+            used.assign(b as u32, c >= 1);
+        }
+        used
+    }
 }
 
 /// The memory controller.
@@ -177,11 +216,6 @@ pub struct MemoryController {
     /// per-bank queue counts plus the cached next-wake (see
     /// `sched_index` and DESIGN.md §10).
     idx: Vec<SubIndex>,
-    /// Scratch: per-bank open row, written and read only under an
-    /// eligibility mask within one `issue_from` call (never serialized;
-    /// stale entries are unreachable by construction). Sized to the
-    /// bank count once so the hot path does no allocation.
-    row_scratch: Vec<u32>,
     /// Observability sink: the read-latency histogram records here.
     /// Counters live in `stats` only. Disabled by default, which keeps
     /// uninstrumented runs bit-identical.
@@ -219,7 +253,6 @@ impl MemoryController {
             precu_p: demands.precu_probability,
             row_press_cap,
             recovery_scope: demands.recovery_scope,
-            row_scratch: vec![0; banks],
             idx,
             dram,
             cfg,
@@ -377,7 +410,8 @@ impl MemoryController {
         // per-cycle stats a full no-op tick would have recorded (the
         // same accounting `note_idle_cycles` uses for skipped regions)
         // and return without scanning anything.
-        if self.idx[sc as usize].valid_wake().is_some_and(|w| now < w) {
+        let cache = self.idx[sc as usize].valid_cache();
+        if cache.is_some_and(|c| now < c.wake) {
             let s = &self.subs[sc as usize];
             let abo_stalled = self.abo_stalled(sc, now);
             let in_refresh = !abo_stalled && now >= s.next_ref;
@@ -396,18 +430,36 @@ impl MemoryController {
             let s = &self.subs[sc as usize];
             !s.reads.is_empty() || !s.writes.is_empty()
         };
-        let issued = self.tick_subchannel_inner(sc, now, completions)?;
+        // A cache still valid at its wake describes the state this tick
+        // starts from, so its per-kind minima let the sweeps skip the
+        // kinds that cannot issue yet.
+        let known = cache.map_or(KindMinima::UNKNOWN, |c| c.minima);
+        let issued = self.tick_subchannel_inner(sc, now, known, completions)?;
         if had_work && !issued {
             self.stats.idle_with_work += 1;
         }
-        if !issued {
-            // A full tick found nothing to do: cache when something
-            // could next happen, so the following cycles take the O(1)
-            // path above (and `next_wake` answers from the cache).
-            let wake = self.compute_wake(sc, now);
-            self.idx[sc as usize].store_wake(wake, now);
+        // Cache when something could next happen, so the following
+        // cycles take the O(1) path above (and `next_wake` answers from
+        // the cache). After an issuing tick this is exact only while
+        // the write-drain hysteresis is settled: the cycles the cache
+        // skips would each have run it, and an enqueue landing before
+        // the wake must find the state those ticks would have left.
+        if !issued || !self.drain_flip_pending(sc, now + 1) {
+            let (wake, minima) = self.compute_wake(sc, now);
+            self.idx[sc as usize].store_wake(wake, minima, now);
         }
         Ok(issued)
+    }
+
+    /// Whether a tick at `at` that issues nothing would flip
+    /// `draining_writes`: it reaches the hysteresis in
+    /// `schedule_queue` (outside refresh drain and the sub-channel ABO
+    /// stall) and the queues call for the other mode.
+    fn drain_flip_pending(&self, sc: u32, at: Cycle) -> bool {
+        let s = &self.subs[sc as usize];
+        at < s.next_ref
+            && !self.abo_stalled(sc, at)
+            && s.drains_writes(self.cfg.write_queue_capacity) != s.draining_writes
     }
 
     /// Whether `sc` sits in the sub-channel-wide ABO stall at `now`:
@@ -451,20 +503,23 @@ impl MemoryController {
                 // stores caches).
                 match self.idx[sc as usize].valid_wake() {
                     Some(w) if w > now => Some(w),
-                    _ => self.compute_wake(sc, now),
+                    _ => self.compute_wake(sc, now).0,
                 }
             })
             .min()
     }
 
     /// Full wake enumeration for one sub-channel (the reference the
-    /// cache stores). Structure mirrors `tick_subchannel_inner`'s
-    /// decision tree; every command candidate is the `earliest_*` gate
-    /// its issue path checks, and the per-queue candidates come from
-    /// the scheduler index's per-bank counts instead of per-request
-    /// rescans.
-    fn compute_wake(&self, sc: u32, now: Cycle) -> Option<Cycle> {
+    /// cache stores), with the per-kind minima of its normal-mode
+    /// command candidates. Structure mirrors `tick_subchannel_inner`'s
+    /// decision tree; every command candidate is the gate its issue
+    /// path checks. Queue and close-page candidates are bank masks, one
+    /// per command kind, built from the scheduler index; each kind's
+    /// minimum is one masked query of the device's bank table, raised
+    /// to its sub-channel floor once.
+    fn compute_wake(&self, sc: u32, now: Cycle) -> (Option<Cycle>, KindMinima) {
         let s = &self.subs[sc as usize];
+        let dram = &self.dram;
         // A candidate at or before `now` means the model thinks the
         // controller could already act; clamp to the very next cycle so
         // a stale candidate degrades to lockstep instead of stalling.
@@ -481,23 +536,23 @@ impl MemoryController {
         // recovery PREs and the RFM.
         let mut recovery: Option<Cycle> = None;
         let mut held = BankMask::empty();
-        if let Some(asserted) = self.dram.alert_since(sc) {
-            let deadline = asserted + self.dram.abo_timing().normal_window;
+        if let Some(asserted) = dram.alert_since(sc) {
+            let deadline = asserted + dram.abo_timing().normal_window;
             if now < deadline {
                 recovery = Some(deadline);
             } else {
                 let targets = if self.recovery_scope == RecoveryScope::Bank {
-                    self.dram.alerting_banks(sc)
+                    dram.alerting_banks(sc)
                 } else {
                     BankMask::empty()
                 };
                 if targets.is_empty() {
-                    return self.drain_wake(sc).map(clamp);
+                    return (self.drain_wake(sc).map(clamp), KindMinima::UNKNOWN);
                 }
-                let open_targets = targets.and(self.dram.open_banks_mask(sc));
-                recovery = self.precharge_wake(sc, open_targets, |_| Some(0));
+                let open_targets = targets.and(dram.open_banks_mask(sc));
+                recovery = dram.min_gate(sc, GateKind::Precharge, open_targets);
                 if open_targets.is_empty() {
-                    recovery = min_opt(recovery, self.dram.earliest_rfm_banks(sc, targets));
+                    recovery = min_opt(recovery, dram.earliest_rfm_banks(sc, targets));
                 }
                 recovery = recovery.map(clamp);
                 held = targets;
@@ -505,79 +560,110 @@ impl MemoryController {
         }
         // Refresh drain mode.
         if now >= s.next_ref {
-            return min_opt(self.drain_wake(sc).map(clamp), recovery);
+            let wake = min_opt(self.drain_wake(sc).map(clamp), recovery);
+            return (wake, KindMinima::UNKNOWN);
         }
         // Normal mode: the refresh deadline is always pending, plus the
         // ALERT deadline or bank-scoped recovery candidates.
         let mut wake = min_opt(Some(clamp(s.next_ref)), recovery);
-        let open_banks = self.dram.open_banks_mask(sc).and_not(held);
+        let all_open = dram.open_banks_mask(sc);
+        let open = all_open.and_not(held);
         // Row-Press force close.
         if let Some(cap) = self.row_press_cap {
-            let overdue = |b| self.dram.open_row(sc, b).map(|o| o.opened_at + cap);
-            wake = min_opt(wake, self.precharge_wake(sc, open_banks, overdue).map(clamp));
-        }
-        // Strict close-page: a used bank closes as soon as tRTP allows.
-        if self.cfg.page_policy == PagePolicy::Closed {
-            let used = |b: u32| (s.cols_since_act[b as usize] >= 1).then_some(0);
-            wake = min_opt(wake, self.precharge_wake(sc, open_banks, used).map(clamp));
+            let overdue = |b| dram.open_row(sc, b).map(|o| o.opened_at + cap);
+            wake = min_opt(wake, self.precharge_wake(sc, open, overdue).map(clamp));
         }
         // Queue candidates, mirroring schedule_queue's hysteresis: the
         // preferred queue issues anything, the off queue hits only.
-        let cap_w = self.cfg.write_queue_capacity;
-        let start = s.writes.len() >= cap_w * 7 / 8
-            || (s.reads.is_empty() && !s.writes.is_empty());
-        let draining = if s.draining_writes {
-            s.writes.len() > cap_w / 8 || start
+        // Column: queued hits in either queue (strict close-page serves
+        // one column per activation, so not on used banks). PRE: the
+        // preferred queue's all-conflict banks (conflicts behind queued
+        // hits wait for the hits), plus the close-page closes — used
+        // banks under strict close-page, banks no queued request hits
+        // under both close-page policies. ACT: the preferred queue's
+        // closed banks.
+        let idx = &self.idx[sc as usize];
+        let (pref, pref_q) = if s.drains_writes(self.cfg.write_queue_capacity) {
+            (&idx.writes, &s.writes)
         } else {
-            start
+            (&idx.reads, &s.reads)
         };
-        wake = min_opt(wake, self.queue_wake(sc, s, draining, false, held).map(clamp));
-        wake = min_opt(wake, self.queue_wake(sc, s, !draining, true, held).map(clamp));
+        let hits = idx.reads.hits_mask().or(idx.writes.hits_mask());
+        let mut pre = pref.occ_mask().and_not(pref.hits_mask());
+        let mut column = hits;
+        match self.cfg.page_policy {
+            PagePolicy::Closed => {
+                pre = pre.or(idx.used).or(all_open.and_not(hits));
+                column = column.and_not(idx.used);
+            }
+            PagePolicy::ClosedIdle => pre = pre.or(all_open.and_not(hits)),
+            PagePolicy::Open | PagePolicy::TimeoutNs(_) => {}
+        }
+        let column = dram.min_gate(sc, GateKind::Column, column.and_not(held));
+        let pre = dram.min_gate(sc, GateKind::Precharge, pre.and(open));
+        let closed = pref.occ_mask().and_not(all_open).and_not(held);
+        // Only subarray-parallel updates make a row's ACT gate differ
+        // from its bank's: then each closed-bank request's candidate is
+        // its own row gate, the one `issue_from` checks. The per-request
+        // pass gives the same wakes for every other engine, but costs
+        // them 7-10% of perfbench `sim_cycles_per_s` on paper_sweep and
+        // attack_battery.
+        let act = if closed.is_empty() || !dram.timing_demands().subarray_parallel_updates {
+            dram.min_gate(sc, GateKind::Activate, closed)
+        } else {
+            pref_q
+                .iter()
+                .filter(|p| closed.test(p.addr.bank.bank))
+                .filter_map(|p| dram.bank_activate_row_gate(sc, p.addr.bank.bank, p.addr.row))
+                .min()
+                .map(|c| c.max(dram.activate_floor(sc)))
+        };
+        for kind in [column, pre, act] {
+            wake = min_opt(wake, kind.map(clamp));
+        }
         // Anti-starvation: once the preferred queue's front crosses the
         // starvation age, `issue_from` acts on it where normal
         // scheduling would not (a conflict PRE despite queued hits, a
         // close-page column past its quota). Before the crossing, the
         // onset is the candidate; after it, the gate of the front's
         // own command. A held front never acts.
-        let pref_front = if draining {
-            s.writes.front()
-        } else {
-            s.reads.front()
-        };
-        if let Some(p) = pref_front.filter(|p| !held.test(p.addr.bank.bank)) {
+        if let Some(p) = pref_q.front().filter(|p| !held.test(p.addr.bank.bank)) {
             let onset = p.arrival + self.cfg.starvation_cycles + 1;
             let bank = p.addr.bank.bank;
             let gate = if onset > now {
                 Some(onset)
             } else {
-                match self.dram.open_row(sc, bank) {
+                match dram.open_row(sc, bank) {
                     Some(open) if open.row == p.addr.row => {
-                        self.dram.earliest_column(sc, bank, p.addr.row)
+                        dram.earliest_column(sc, bank, p.addr.row)
                     }
-                    Some(_) => self.dram.earliest_precharge(sc, bank),
-                    None => self.dram.earliest_activate_row(sc, bank, p.addr.row),
+                    Some(_) => dram.earliest_precharge(sc, bank),
+                    None => dram.earliest_activate_row(sc, bank, p.addr.row),
                 }
             };
             wake = min_opt(wake, gate.map(clamp));
         }
-        // Idle housekeeping per page policy.
-        let idx = &self.idx[sc as usize];
-        match self.cfg.page_policy {
-            PagePolicy::Open => {}
-            PagePolicy::Closed | PagePolicy::ClosedIdle => {
-                let unwanted = |b| (idx.reads.hits(b) + idx.writes.hits(b) == 0).then_some(0);
-                wake = min_opt(wake, self.precharge_wake(sc, open_banks, unwanted).map(clamp));
-            }
-            PagePolicy::TimeoutNs(ns) => {
-                let cap = (ns * 3.0) as Cycle;
-                let idle = |b: u32| {
-                    let open = self.dram.open_row(sc, b)?;
-                    Some(s.last_use[b as usize].max(open.opened_at) + cap)
-                };
-                wake = min_opt(wake, self.precharge_wake(sc, open_banks, idle).map(clamp));
-            }
+        // Idle-timeout close.
+        if let PagePolicy::TimeoutNs(ns) = self.cfg.page_policy {
+            let cap = (ns * 3.0) as Cycle;
+            let idle = |b: u32| {
+                let open = dram.open_row(sc, b)?;
+                Some(s.last_use[b as usize].max(open.opened_at) + cap)
+            };
+            wake = min_opt(wake, self.precharge_wake(sc, open, idle).map(clamp));
         }
-        wake
+        // Held banks are out of these minima but a tick may still reach
+        // them; in bank-scoped recovery nothing is skipped.
+        let minima = if held.is_empty() {
+            KindMinima {
+                column: column.unwrap_or(Cycle::MAX),
+                pre: pre.unwrap_or(Cycle::MAX),
+                act: act.unwrap_or(Cycle::MAX),
+            }
+        } else {
+            KindMinima::UNKNOWN
+        };
+        (wake, minima)
     }
 
     /// The earliest PRE wake among `banks`: each bank's PRE gate,
@@ -601,93 +687,14 @@ impl MemoryController {
         Some(min?.max(self.dram.precharge_floor(sc)))
     }
 
-    /// The lowest bank in `banks` that `want`s closing and whose PRE
-    /// gate is open at `now`. While the sub-channel floor is closed no
-    /// bank can be, and none is looked at.
-    fn first_precharge_ready(
-        &self,
-        sc: u32,
-        banks: BankMask,
-        now: Cycle,
-        want: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
-        if self.dram.precharge_floor(sc) > now {
-            return None;
+    /// The banks of `banks` whose PRE gate is open at `now`. While the
+    /// sub-channel floor — or `known`, a lower bound on every such gate
+    /// — is past `now`, no bank can be, and none is looked at.
+    fn precharge_ready(&self, sc: u32, banks: BankMask, now: Cycle, known: Cycle) -> BankMask {
+        if self.dram.precharge_floor(sc).max(known) > now {
+            return BankMask::empty();
         }
-        banks.ones().find(|&b| {
-            want(b) && self.dram.bank_precharge_gate(sc, b).is_some_and(|e| e <= now)
-        })
-    }
-
-    /// Wake candidates for one queue, enumerated per bank from the
-    /// scheduler index instead of per request: all queued hits on a
-    /// bank share its column gate, all conflicts share its PRE gate
-    /// (and exist iff `hits == 0` while requests are queued), and all
-    /// closed-bank requests share its ACT gate — so the per-request
-    /// minimum collapses to one candidate per occupied bank. The
-    /// exception is subarray-parallel updates (PRACtical): an ACT also
-    /// waits for the target row's subarray, so closed-bank candidates
-    /// are the per-request row gates `issue_from` checks. Banks in
-    /// `held` (bank-scoped recovery targets) contribute nothing. Each
-    /// command kind's minimum is taken over the bank parts of its gates
-    /// and raised to its sub-channel floor once.
-    fn queue_wake(
-        &self,
-        sc: u32,
-        s: &SubState,
-        writes: bool,
-        hits_only: bool,
-        held: BankMask,
-    ) -> Option<Cycle> {
-        let idx = &self.idx[sc as usize];
-        let counts = if writes { &idx.writes } else { &idx.reads };
-        let closed_policy = self.cfg.page_policy == PagePolicy::Closed;
-        let (mut column, mut pre, mut act) = (None, None, None);
-        let mut closed = BankMask::empty();
-        for bank in counts.occ_mask().and_not(held).ones() {
-            match self.dram.open_row(sc, bank) {
-                Some(open) => {
-                    if counts.hits(bank) > 0 {
-                        if !(closed_policy && s.cols_since_act[bank as usize] >= 1) {
-                            let gate = self.dram.bank_column_gate(sc, bank, open.row);
-                            column = min_opt(column, gate);
-                        }
-                        // Conflicts behind queued hits wait for the hits
-                        // (`has_hits` in the issue path); no candidate.
-                    } else if !hits_only {
-                        // Everything queued for this bank is a conflict:
-                        // close at the PRE gate.
-                        pre = min_opt(pre, self.dram.bank_precharge_gate(sc, bank));
-                    }
-                }
-                None => closed.set(bank),
-            }
-        }
-        let column = column.map(|c| c.max(self.dram.column_floor(sc)));
-        if hits_only {
-            return column;
-        }
-        // Only subarray-parallel updates make a row's ACT gate differ
-        // from its bank's. The per-request pass gives the same wakes for
-        // every other engine, but costs them 7-10% of perfbench
-        // `sim_cycles_per_s` on paper_sweep and attack_battery.
-        if self.dram.timing_demands().subarray_parallel_updates {
-            let q = if writes { &s.writes } else { &s.reads };
-            for p in q.iter().filter(|p| closed.test(p.addr.bank.bank)) {
-                act = min_opt(
-                    act,
-                    self.dram
-                        .bank_activate_row_gate(sc, p.addr.bank.bank, p.addr.row),
-                );
-            }
-        } else {
-            for bank in closed.ones() {
-                act = min_opt(act, self.dram.bank_activate_gate(sc, bank));
-            }
-        }
-        let pre = pre.map(|c| c.max(self.dram.precharge_floor(sc)));
-        let act = act.map(|c| c.max(self.dram.activate_floor(sc)));
-        min_opt(column, min_opt(pre, act))
+        self.dram.bank_gates_ready(sc, GateKind::Precharge, banks, now)
     }
 
     /// Wake candidates while draining for REF/RFM: the next legal PRE
@@ -698,7 +705,7 @@ impl MemoryController {
         if m.is_empty() {
             return self.dram.earliest_refresh(sc);
         }
-        self.precharge_wake(sc, m, |_| Some(0))
+        self.dram.min_gate(sc, GateKind::Precharge, m)
     }
 
     /// Bulk stat compensation for cycles an event-driven kernel skipped:
@@ -730,10 +737,14 @@ impl MemoryController {
         }
     }
 
+    /// One full scheduling pass. `known` holds the per-kind minima of a
+    /// cache still valid at `now` ([`KindMinima::UNKNOWN`] otherwise):
+    /// each sweep whose kind's minimum is past `now` is skipped.
     fn tick_subchannel_inner(
         &mut self,
         sc: u32,
         now: Cycle,
+        known: KindMinima,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
         // 1. ABO: past the 180 ns window recovery must proceed. Under
@@ -771,8 +782,8 @@ impl MemoryController {
                     return Ok(false);
                 }
                 let open_targets = targets.and(self.dram.open_banks_mask(sc));
-                if let Some(b) = self.first_precharge_ready(sc, open_targets, now, |_| true) {
-                    self.issue_pre(sc, b, now)?;
+                let ready = self.precharge_ready(sc, open_targets, now, 0);
+                if self.close(sc, ready.first_set(), now)? {
                     return Ok(true);
                 }
                 if open_targets.is_empty()
@@ -819,34 +830,34 @@ impl MemoryController {
         // 4. Strict close-page: a bank that has serviced its column
         //    command closes before anything else (auto-precharge
         //    semantics).
-        if self.cfg.page_policy == PagePolicy::Closed && self.close_used_bank(sc, now)? {
-            return Ok(true);
+        if self.cfg.page_policy == PagePolicy::Closed {
+            let used = self.dram.open_banks_mask(sc).and(self.idx[sc as usize].used);
+            let ready = self.precharge_ready(sc, used, now, known.pre);
+            if self.close(sc, ready.first_set(), now)? {
+                return Ok(true);
+            }
         }
         // 5. FR-FCFS over the active queue (minus any banks held for
         //    bank-scoped recovery).
-        if self.schedule_queue(sc, now, exclude, completions)? {
+        if self.schedule_queue(sc, now, Sweep { exclude, known }, completions)? {
             return Ok(true);
         }
         // 6. Idle housekeeping per page policy.
         match self.cfg.page_policy {
             PagePolicy::Open => Ok(false),
             PagePolicy::Closed | PagePolicy::ClosedIdle => {
-                self.close_unreferenced_bank(sc, now)
+                // Close one open bank no queued request hits.
+                let idx = &self.idx[sc as usize];
+                let hits = idx.reads.hits_mask().or(idx.writes.hits_mask());
+                let unreferenced = self.dram.open_banks_mask(sc).and_not(hits);
+                let ready = self.precharge_ready(sc, unreferenced, now, known.pre);
+                self.close(sc, ready.first_set(), now)
             }
             PagePolicy::TimeoutNs(ns) => {
                 let cap = (ns * 3.0) as Cycle;
                 self.close_overdue_bank(sc, now, cap, false)
             }
         }
-    }
-
-    /// Strict close-page: closes one bank whose open row has already
-    /// serviced a column command.
-    fn close_used_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
-        let cols = &self.subs[sc as usize].cols_since_act;
-        let open = self.dram.open_banks_mask(sc);
-        let used = self.first_precharge_ready(sc, open, now, |b| cols[b as usize] >= 1);
-        self.close(sc, used, now)
     }
 
     /// Closes `bank`, if one was picked; returns whether a PRE issued.
@@ -864,37 +875,18 @@ impl MemoryController {
         &mut self,
         sc: u32,
         now: Cycle,
-        exclude: BankMask,
+        sweep: Sweep,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
         let s = &mut self.subs[sc as usize];
-        // Write-drain hysteresis: start at 7/8 full (or when reads are
-        // empty and writes exist), drain down to 1/8. Wide hysteresis
-        // amortizes the expensive read/write turnaround. The stop
-        // condition yields to an active start condition so the
-        // transition is idempotent under repeated ticks with unchanged
-        // queues — the event-driven kernel's licence to skip them.
-        let start = s.writes.len() >= self.cfg.write_queue_capacity * 7 / 8
-            || (s.reads.is_empty() && !s.writes.is_empty());
-        if s.draining_writes {
-            if s.writes.len() <= self.cfg.write_queue_capacity / 8 && !start {
-                s.draining_writes = false;
-            }
-        } else if start {
-            s.draining_writes = true;
-        }
+        s.draining_writes = s.drains_writes(self.cfg.write_queue_capacity);
         // Work-conserving: if the preferred queue cannot issue this
         // cycle, serve a row hit from the other one rather than idling
         // the command bus (hits only — opening rows for the off-queue
         // would add conflicts).
         let use_writes = s.draining_writes;
-        if use_writes {
-            Ok(self.issue_from(sc, now, true, false, exclude, completions)?
-                || self.issue_from(sc, now, false, true, exclude, completions)?)
-        } else {
-            Ok(self.issue_from(sc, now, false, false, exclude, completions)?
-                || self.issue_from(sc, now, true, true, exclude, completions)?)
-        }
+        Ok(self.issue_from(sc, now, use_writes, false, sweep, completions)?
+            || self.issue_from(sc, now, !use_writes, true, sweep, completions)?)
     }
 
     fn issue_from(
@@ -903,27 +895,25 @@ impl MemoryController {
         now: Cycle,
         writes: bool,
         hits_only: bool,
-        exclude: BankMask,
+        sweep: Sweep,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
+        let Sweep { exclude, known } = sweep;
         // Anti-starvation: if the oldest request is too old, act on it
         // first when possible (without serializing the rest: if its
         // needed command cannot issue this cycle, normal scheduling
-        // proceeds below).
-        let starved = !hits_only && {
-            let s = &self.subs[sc as usize];
-            let q = if writes { &s.writes } else { &s.reads };
-            q.front()
-                .is_some_and(|p| now.saturating_sub(p.arrival) > self.cfg.starvation_cycles)
-        };
-        let starved_front = if starved {
-            let s = &self.subs[sc as usize];
-            let q = if writes { &s.writes } else { &s.reads };
-            // A starved front on a bank held for recovery cannot act;
-            // normal scheduling below serves the rest of the queue.
-            q.front().copied().filter(|p| !exclude.test(p.addr.bank.bank))
-        } else {
+        // proceeds below). A starved front on a bank held for recovery
+        // cannot act; normal scheduling below serves the rest of the
+        // queue.
+        let starved_front = if hits_only {
             None
+        } else {
+            let s = &self.subs[sc as usize];
+            let q = if writes { &s.writes } else { &s.reads };
+            q.front().copied().filter(|p| {
+                now.saturating_sub(p.arrival) > self.cfg.starvation_cycles
+                    && !exclude.test(p.addr.bank.bank)
+            })
         };
         if let Some(p) = starved_front {
             let bank = p.addr.bank.bank;
@@ -960,57 +950,41 @@ impl MemoryController {
                 }
             }
         }
+        let idx = &self.idx[sc as usize];
+        let counts = if writes { &idx.writes } else { &idx.reads };
         // Phase (a): oldest ready row hit. Under strict close-page a
         // bank serves exactly one column per activation. A request can
         // only be a ready hit if its bank has queued hits on the open
         // row (`hits_mask`), the policy allows another column, and the
-        // bank's column gate has released — all per-bank facts. Build
-        // that eligibility mask once, then a single queue scan finds
-        // the oldest request matching an eligible bank's open row:
-        // exactly the request the per-request scan would pick, because
-        // `earliest_column(sc, bank, row)` releases only for the open
-        // row of an open bank.
-        let closed_policy = self.cfg.page_policy == PagePolicy::Closed;
-        let hit_idx = {
+        // bank's column gate has released — all per-bank facts, so the
+        // eligible banks are one mask query. Then a single queue scan
+        // finds the oldest request matching an eligible bank's open
+        // row: exactly the request the per-request scan would pick,
+        // because `earliest_column(sc, bank, row)` releases only for
+        // the open row of an open bank. Past a closed bus or REF/RFM
+        // block (or a known column minimum) no bank can issue.
+        let elig = if self.dram.column_floor(sc).max(known.column) <= now {
+            let mut banks = counts.hits_mask().and_not(exclude);
+            if self.cfg.page_policy == PagePolicy::Closed {
+                banks = banks.and_not(idx.used);
+            }
+            self.dram.bank_gates_ready(sc, GateKind::Column, banks, now)
+        } else {
+            BankMask::empty()
+        };
+        let hit_idx = if elig.is_empty() {
+            None
+        } else {
             let s = &self.subs[sc as usize];
-            let counts = if writes {
-                &self.idx[sc as usize].writes
-            } else {
-                &self.idx[sc as usize].reads
-            };
-            let rows = &mut self.row_scratch;
-            let mut elig = BankMask::empty();
-            // Past a closed bus or REF/RFM block no bank can issue.
-            let banks = if self.dram.column_floor(sc) <= now {
-                counts.hits_mask().and_not(exclude)
-            } else {
-                BankMask::empty()
-            };
-            for bank in banks.ones() {
-                if closed_policy && s.cols_since_act[bank as usize] >= 1 {
-                    continue;
-                }
-                let Some(open) = self.dram.open_row(sc, bank) else {
-                    continue;
-                };
-                if self
-                    .dram
-                    .bank_column_gate(sc, bank, open.row)
-                    .is_some_and(|e| e <= now)
-                {
-                    elig.set(bank);
-                    rows[bank as usize] = open.row;
-                }
-            }
-            if elig.is_empty() {
-                None
-            } else {
-                let q = if writes { &s.writes } else { &s.reads };
-                q.iter().position(|p| {
-                    let bank = p.addr.bank.bank;
-                    elig.test(bank) && p.addr.row == rows[bank as usize]
-                })
-            }
+            let q = if writes { &s.writes } else { &s.reads };
+            q.iter().position(|p| {
+                let bank = p.addr.bank.bank;
+                elig.test(bank)
+                    && self
+                        .dram
+                        .open_row(sc, bank)
+                        .is_some_and(|o| o.row == p.addr.row)
+            })
         };
         if let Some(idx) = hit_idx {
             self.issue_column(sc, now, writes, idx, completions)?;
@@ -1023,76 +997,54 @@ impl MemoryController {
         // an open bank whose queued requests are all conflicts
         // (`hits == 0` — the O(1) form of the old has-surviving-hits
         // rescan) wants a PRE; a closed occupied bank wants an ACT.
-        // Gate each candidate bank by its device timing, then one queue
+        // Gate each candidate mask by the device table, then one queue
         // scan picks the oldest request whose bank can act — preserving
         // the per-request loop's selection order exactly (hits skip
-        // both masks: their bank is open with `hits > 0`).
-        let prep = {
-            let counts = if writes {
-                &self.idx[sc as usize].writes
-            } else {
-                &self.idx[sc as usize].reads
-            };
-            let occ = counts.occ_mask().and_not(exclude);
-            let open_mask = self.dram.open_banks_mask(sc);
-            // A closed sub-channel floor rules out its command kind on
-            // every bank, so those banks are not looked at.
-            let floor_open = |floor: Cycle, banks: BankMask| {
-                if floor <= now {
-                    banks
-                } else {
-                    BankMask::empty()
+        // both masks: their bank is open with `hits > 0`). A closed
+        // sub-channel floor, or a known minimum past `now`, rules out
+        // its command kind on every bank, so those banks are not looked
+        // at.
+        let occ = counts.occ_mask().and_not(exclude);
+        let open_mask = self.dram.open_banks_mask(sc);
+        let conflicts = occ.and(open_mask).and_not(counts.hits_mask());
+        let pre_mask = self.precharge_ready(sc, conflicts, now, known.pre);
+        let act_mask = if self.dram.activate_floor(sc).max(known.act) <= now {
+            self.dram
+                .bank_gates_ready(sc, GateKind::Activate, occ.and_not(open_mask), now)
+        } else {
+            BankMask::empty()
+        };
+        let prep = if pre_mask.is_empty() && act_mask.is_empty() {
+            None
+        } else {
+            let s = &self.subs[sc as usize];
+            let q = if writes { &s.writes } else { &s.reads };
+            let row_gates = self.dram.timing_demands().subarray_parallel_updates;
+            let mut action = None;
+            for p in q {
+                let bank = p.addr.bank.bank;
+                if pre_mask.test(bank) {
+                    action = Some((bank, None));
+                    break;
                 }
-            };
-            let conflicts = occ.and(open_mask).and_not(counts.hits_mask());
-            let mut pre_mask = BankMask::empty();
-            for bank in floor_open(self.dram.precharge_floor(sc), conflicts).ones() {
-                if self
-                    .dram
-                    .bank_precharge_gate(sc, bank)
-                    .is_some_and(|e| e <= now)
-                {
-                    pre_mask.set(bank);
-                }
-            }
-            let mut act_mask = BankMask::empty();
-            for bank in floor_open(self.dram.activate_floor(sc), occ.and_not(open_mask)).ones() {
-                if self
-                    .dram
-                    .bank_activate_gate(sc, bank)
-                    .is_some_and(|e| e <= now)
-                {
-                    act_mask.set(bank);
-                }
-            }
-            if pre_mask.is_empty() && act_mask.is_empty() {
-                None
-            } else {
-                let s = &self.subs[sc as usize];
-                let q = if writes { &s.writes } else { &s.reads };
-                let mut action = None;
-                for p in q {
-                    let bank = p.addr.bank.bank;
-                    if pre_mask.test(bank) {
-                        action = Some((bank, None));
-                        break;
-                    }
-                    // Past the bank-level gate the target row's own
-                    // subarray may still hold an in-flight counter
-                    // update; a gated request yields to the next one.
-                    // (The ACT floor is open, or `act_mask` is empty.)
-                    if act_mask.test(bank)
-                        && self
+                // Under subarray-parallel updates, past the bank-level
+                // gate the target row's own subarray may still hold an
+                // in-flight counter update; a gated request yields to
+                // the next one. Every other design's row gate is its
+                // bank's. (The ACT floor is open, or `act_mask` is
+                // empty.)
+                if act_mask.test(bank)
+                    && (!row_gates
+                        || self
                             .dram
                             .bank_activate_row_gate(sc, bank, p.addr.row)
-                            .is_some_and(|e| e <= now)
-                    {
-                        action = Some((bank, Some(p.addr.row)));
-                        break;
-                    }
+                            .is_some_and(|e| e <= now))
+                {
+                    action = Some((bank, Some(p.addr.row)));
+                    break;
                 }
-                action
             }
+            action
         };
         match prep {
             Some((bank, Some(row))) => {
@@ -1123,6 +1075,7 @@ impl MemoryController {
         // queues against the new row and kill the wake cache.
         let s = &self.subs[sc as usize];
         let idx = &mut self.idx[sc as usize];
+        idx.used.clear(bank);
         idx.reads
             .rescan_bank(bank, row, s.reads.iter().map(|p| (p.addr.bank.bank, p.addr.row)));
         idx.writes
@@ -1164,6 +1117,7 @@ impl MemoryController {
         // and the starved-front fast path check the open row first), so
         // the dequeued request is always a hit.
         let index = &mut self.idx[sc as usize];
+        index.used.set(p.addr.bank.bank);
         if writes {
             index.writes.on_dequeue_hit(p.addr.bank.bank);
         } else {
@@ -1201,8 +1155,8 @@ impl MemoryController {
     /// Closes one open bank if legal; returns whether a PRE was issued.
     fn close_one_open_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
         let open = self.dram.open_banks_mask(sc);
-        let bank = self.first_precharge_ready(sc, open, now, |_| true);
-        self.close(sc, bank, now)
+        let ready = self.precharge_ready(sc, open, now, 0);
+        self.close(sc, ready.first_set(), now)
     }
 
     fn all_banks_closed(&self, sc: u32) -> bool {
@@ -1230,28 +1184,17 @@ impl MemoryController {
             })
         };
         let open = self.dram.open_banks_mask(sc);
-        let bank = self.first_precharge_ready(sc, open, now, overdue);
-        self.close(sc, bank, now)
-    }
-
-    /// Close-page policy: closes one open bank with no queued hits.
-    /// "No queued hits" is the scheduler index's `hits == 0` — the
-    /// O(1) form of the old full-queue `wanted` scan.
-    fn close_unreferenced_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
-        let idx = &self.idx[sc as usize];
-        let unwanted = |b| idx.reads.hits(b) + idx.writes.hits(b) == 0;
-        let open = self.dram.open_banks_mask(sc);
-        let bank = self.first_precharge_ready(sc, open, now, unwanted);
+        let bank = self.precharge_ready(sc, open, now, 0).ones().find(|&b| overdue(b));
         self.close(sc, bank, now)
     }
 
     /// Parity check for the scheduler index (property tests): checks
-    /// the device's derived bank masks (open banks, ALERT set;
-    /// [`DramDevice::debug_verify_masks`]), rebuilds every
-    /// [`QueueCounts`] from scratch and compares it with the
-    /// incrementally maintained one, and — when a wake cache is valid —
-    /// recomputes the wake at the cycle it was cached and demands an
-    /// identical answer.
+    /// the device's derived ALERT set
+    /// ([`DramDevice::debug_verify_masks`]), rebuilds every
+    /// [`QueueCounts`] and the used-bank set from scratch and compares
+    /// them with the incrementally maintained ones, and — when a wake
+    /// cache is valid — recomputes the wake and its per-kind minima at
+    /// the cycle it was cached and demands identical answers.
     #[doc(hidden)]
     pub fn debug_verify_index(&self) -> Result<(), String> {
         self.dram.debug_verify_masks()?;
@@ -1279,11 +1222,17 @@ impl MemoryController {
                     idx.writes
                 ));
             }
-            if let (Some(wake), Some(at)) = (idx.valid_wake(), idx.valid_computed_at()) {
-                let fresh = self.compute_wake(sc, at);
-                if fresh != Some(wake) {
+            let used = s.used_banks();
+            if used != idx.used {
+                return Err(format!("sc{sc}: used banks {:?} vs fresh {used:?}", idx.used));
+            }
+            if let Some(c) = idx.valid_cache() {
+                let fresh = self.compute_wake(sc, c.computed_at);
+                if fresh != (Some(c.wake), c.minima) {
                     return Err(format!(
-                        "sc{sc}: cached wake {wake} (computed at {at}) vs fresh {fresh:?}"
+                        "sc{sc}: cached wake {} with minima {:?} (computed at {}) \
+                         vs fresh {fresh:?}",
+                        c.wake, c.minima, c.computed_at
                     ));
                 }
             }
@@ -1369,6 +1318,7 @@ impl Snapshottable for MemoryController {
                 s.writes.iter().map(|p| (p.addr.bank.bank, p.addr.row)),
                 open,
             );
+            idx.used = s.used_banks();
             self.idx[sc] = idx;
         }
         Ok(())

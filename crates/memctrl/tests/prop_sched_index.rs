@@ -691,3 +691,96 @@ fn index_agrees_for_every_engine_across_faults_and_restore() {
         Ok(())
     });
 }
+
+/// The controller's snapshot bytes.
+fn snapshot_bytes(mc: &MemoryController) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    mc.save_state(&mut w);
+    w.finish()
+}
+
+/// A controller that keeps its wake caches — including the wake stored
+/// after an issuing tick — against a cold twin that drops them before
+/// every tick (`dram_mut`), so every twin tick is a full scheduling
+/// pass. An 8-entry write queue puts the write-drain hysteresis marks
+/// at 7 (start) and 1 (stop); the request stream alternates write-heavy
+/// bursts, read-heavy stretches and idle gaps at rates the tiny device
+/// can serve, so that the queues cross both marks again and again, and
+/// requests keep landing between a published wake and its cycle. After
+/// every cycle the two must agree on `McStats`, `DramStats`,
+/// completions and snapshot bytes: a cached wake has to leave exactly
+/// the state the full ticks it stands for would have.
+#[test]
+fn cached_wakes_match_a_cold_twin_across_the_drain_hysteresis() {
+    prop_check("cached_wakes_match_a_cold_twin_across_the_drain_hysteresis", 8, |rng| {
+        let mit = mitigations()[rng.below(4) as usize];
+        let policy = policies()[rng.below(4) as usize];
+        let cfg = McConfig {
+            seed: rng.next_u64(),
+            page_policy: policy,
+            read_queue_capacity: 16,
+            write_queue_capacity: 8,
+            ..McConfig::default()
+        };
+        let mut mc = build_probe_mc(mit, cfg);
+        let mut twin = mc.clone();
+        let geom = DramGeometry::tiny();
+        let lines = geom.capacity_bytes() / u64::from(geom.line_bytes);
+        let mapper = AddressMapper::new(geom, Mapping::paper_default());
+        // A small pool of lines, so rows are hit again and the queues
+        // drain as well as fill.
+        let pool: Vec<u64> = (0..48).map(|_| rng.below(lines)).collect();
+        let (mut done, mut twin_done) = (Vec::new(), Vec::new());
+        let (mut id, mut full_write_queue, mut early_arrivals) = (0u64, 0u32, 0u32);
+        for now in 0..6_000u64 {
+            let at = format!("{mit:?}, {policy:?}, cycle {now}");
+            // (arrival probability, write share) per 300-cycle phase.
+            let (p, writes) = match now / 400 % 4 {
+                0 => (0.08, 0.9),
+                1 => (0.04, 0.2),
+                2 => (0.06, 0.5),
+                _ => (0.005, 0.5),
+            };
+            if rng.bernoulli(p) {
+                let kind = if rng.bernoulli(writes) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let line = pool[rng.below(pool.len() as u64) as usize];
+                let addr = PhysAddr::from_line_index(line, geom.line_bytes);
+                if now > 0 && mc.next_wake(now - 1).is_some_and(|w| w > now) {
+                    early_arrivals += 1;
+                }
+                let accepted = mc.enqueue_phys(id, kind, addr, &mapper, now);
+                prop_ensure!(
+                    accepted == twin.enqueue_phys(id, kind, addr, &mapper, now),
+                    "{at}: the twin disagreed on accepting request {id}"
+                );
+                if accepted {
+                    id += 1;
+                } else if kind == AccessKind::Write {
+                    full_write_queue += 1;
+                }
+            }
+            twin.dram_mut();
+            let issued = mc.tick(now, &mut done).map_err(|e| format!("{at}: {e}"))?;
+            let twin_issued = twin
+                .tick(now, &mut twin_done)
+                .map_err(|e| format!("{at}: twin: {e}"))?;
+            prop_ensure!(issued == twin_issued, "{at}: issued {issued}, twin {twin_issued}");
+            prop_ensure!(mc.stats() == twin.stats(), "{at}: McStats diverged");
+            prop_ensure!(mc.dram().stats() == twin.dram().stats(), "{at}: DramStats diverged");
+            prop_ensure!(done == twin_done, "{at}: completions diverged");
+            prop_ensure!(
+                snapshot_bytes(&mc) == snapshot_bytes(&twin),
+                "{at}: snapshot bytes diverged"
+            );
+            mc.debug_verify_index().map_err(|e| format!("{at}: {e}"))?;
+        }
+        prop_ensure!(full_write_queue > 0, "the write queue never filled");
+        prop_ensure!(early_arrivals > 0, "no request landed before a published wake");
+        prop_ensure!(mc.dram().stats().writes > 0, "no write was served");
+        Ok(())
+    });
+}

@@ -31,7 +31,7 @@ use mopac_types::addr::PhysAddr;
 use mopac_types::collections::DetMap;
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
-use mopac_types::obs::{Counter, MetricsSink, MetricsSnapshot, SinkConfig};
+use mopac_types::obs::{Counter, Hist, MetricsSink, MetricsSnapshot, SinkConfig};
 use mopac_types::snapshot::{expect_exhausted, SnapshotReader, SnapshotWriter, Snapshottable};
 use mopac_types::time::Cycle;
 use std::cmp::Reverse;
@@ -448,7 +448,7 @@ pub struct System {
     /// would have.
     last_retired: u64,
     last_progress_at: Cycle,
-    /// System-level kernel metrics (sync rounds). Kept out of
+    /// System-level kernel metrics (sync rounds, skip lengths). Kept out of
     /// [`System::snapshot`] deliberately: kernel bookkeeping is not
     /// simulation state, and the two kernels take different numbers of
     /// rounds to reach identical snapshot digests.
@@ -1172,6 +1172,7 @@ impl System {
     /// skipped cycles when it wakes.
     fn skip_to(&mut self, target: Cycle) {
         let skipped = target - self.now;
+        self.kernel_sink.record(Hist::KernelBatchLen, 0, skipped);
         self.chans.note_idle_cycles(self.now, skipped);
         for d in self.drivers.iter_mut().filter(|d| d.asleep_since.is_none()) {
             d.idle(skipped);

@@ -98,6 +98,13 @@ impl BankMask {
         Self(self.0 & other.0)
     }
 
+    /// Union.
+    #[inline]
+    #[must_use]
+    pub fn or(self, other: Self) -> Self {
+        Self(self.0 | other.0)
+    }
+
     /// Set difference (`self & !other`). There is no `Not`: it would set
     /// every bit past the bank count.
     #[inline]
@@ -169,6 +176,7 @@ mod tests {
         let b = BankMask::from_u64(0b0110 | 1 << 50);
         assert_eq!(a.and(b).ones().collect::<Vec<_>>(), vec![2, 50]);
         assert_eq!(a.and_not(b).ones().collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(a.or(b).ones().collect::<Vec<_>>(), vec![0, 1, 2, 3, 50]);
         assert!(a.and_not(a).is_empty());
     }
 

@@ -368,9 +368,8 @@ pub enum Hist {
     /// Open time of a row at precharge (cycles); labeled by
     /// sub-channel.
     RowOpenTime,
-    /// Cycles covered per macro batch of the removed batched channel
-    /// handoff. Kept so existing readers still resolve the name;
-    /// nothing records into it.
+    /// Cycles the event-driven kernel jumped over per zero-progress
+    /// skip (`System::skip_to`).
     KernelBatchLen,
 }
 
