@@ -7,7 +7,7 @@
 //! per sub-channel per cycle (the command bus).
 
 use crate::mapping::AddressMapper;
-use crate::sched_index::{KindMinima, QueueCounts, SubIndex};
+use crate::sched_index::{QueueCounts, SubIndex};
 use mopac::engine::RecoveryScope;
 use mopac_dram::bank::GateKind;
 use mopac_dram::device::DramDevice;
@@ -135,15 +135,6 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
         (x, None) => x,
         (None, y) => y,
     }
-}
-
-/// What a full scheduling pass over the queues knows before it starts:
-/// the banks held out for bank-scoped recovery, and the per-kind gate
-/// minima of a cache still valid at `now`.
-#[derive(Debug, Clone, Copy)]
-struct Sweep {
-    exclude: BankMask,
-    known: KindMinima,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -410,8 +401,7 @@ impl MemoryController {
         // per-cycle stats a full no-op tick would have recorded (the
         // same accounting `note_idle_cycles` uses for skipped regions)
         // and return without scanning anything.
-        let cache = self.idx[sc as usize].valid_cache();
-        if cache.is_some_and(|c| now < c.wake) {
+        if self.idx[sc as usize].valid_wake().is_some_and(|w| now < w) {
             let s = &self.subs[sc as usize];
             let abo_stalled = self.abo_stalled(sc, now);
             let in_refresh = !abo_stalled && now >= s.next_ref;
@@ -430,11 +420,7 @@ impl MemoryController {
             let s = &self.subs[sc as usize];
             !s.reads.is_empty() || !s.writes.is_empty()
         };
-        // A cache still valid at its wake describes the state this tick
-        // starts from, so its per-kind minima let the sweeps skip the
-        // kinds that cannot issue yet.
-        let known = cache.map_or(KindMinima::UNKNOWN, |c| c.minima);
-        let issued = self.tick_subchannel_inner(sc, now, known, completions)?;
+        let issued = self.tick_subchannel_inner(sc, now, completions)?;
         if had_work && !issued {
             self.stats.idle_with_work += 1;
         }
@@ -445,8 +431,8 @@ impl MemoryController {
         // skips would each have run it, and an enqueue landing before
         // the wake must find the state those ticks would have left.
         if !issued || !self.drain_flip_pending(sc, now + 1) {
-            let (wake, minima) = self.compute_wake(sc, now);
-            self.idx[sc as usize].store_wake(wake, minima, now);
+            let wake = self.compute_wake(sc, now);
+            self.idx[sc as usize].store_wake(wake, now);
         }
         Ok(issued)
     }
@@ -503,21 +489,20 @@ impl MemoryController {
                 // stores caches).
                 match self.idx[sc as usize].valid_wake() {
                     Some(w) if w > now => Some(w),
-                    _ => self.compute_wake(sc, now).0,
+                    _ => self.compute_wake(sc, now),
                 }
             })
             .min()
     }
 
     /// Full wake enumeration for one sub-channel (the reference the
-    /// cache stores), with the per-kind minima of its normal-mode
-    /// command candidates. Structure mirrors `tick_subchannel_inner`'s
+    /// cache stores). Structure mirrors `tick_subchannel_inner`'s
     /// decision tree; every command candidate is the gate its issue
     /// path checks. Queue and close-page candidates are bank masks, one
     /// per command kind, built from the scheduler index; each kind's
     /// minimum is one masked query of the device's bank table, raised
     /// to its sub-channel floor once.
-    fn compute_wake(&self, sc: u32, now: Cycle) -> (Option<Cycle>, KindMinima) {
+    fn compute_wake(&self, sc: u32, now: Cycle) -> Option<Cycle> {
         let s = &self.subs[sc as usize];
         let dram = &self.dram;
         // A candidate at or before `now` means the model thinks the
@@ -547,7 +532,7 @@ impl MemoryController {
                     BankMask::empty()
                 };
                 if targets.is_empty() {
-                    return (self.drain_wake(sc).map(clamp), KindMinima::UNKNOWN);
+                    return self.drain_wake(sc).map(clamp);
                 }
                 let open_targets = targets.and(dram.open_banks_mask(sc));
                 recovery = dram.min_gate(sc, GateKind::Precharge, open_targets);
@@ -560,8 +545,7 @@ impl MemoryController {
         }
         // Refresh drain mode.
         if now >= s.next_ref {
-            let wake = min_opt(self.drain_wake(sc).map(clamp), recovery);
-            return (wake, KindMinima::UNKNOWN);
+            return min_opt(self.drain_wake(sc).map(clamp), recovery);
         }
         // Normal mode: the refresh deadline is always pending, plus the
         // ALERT deadline or bank-scoped recovery candidates.
@@ -652,18 +636,7 @@ impl MemoryController {
             };
             wake = min_opt(wake, self.precharge_wake(sc, open, idle).map(clamp));
         }
-        // Held banks are out of these minima but a tick may still reach
-        // them; in bank-scoped recovery nothing is skipped.
-        let minima = if held.is_empty() {
-            KindMinima {
-                column: column.unwrap_or(Cycle::MAX),
-                pre: pre.unwrap_or(Cycle::MAX),
-                act: act.unwrap_or(Cycle::MAX),
-            }
-        } else {
-            KindMinima::UNKNOWN
-        };
-        (wake, minima)
+        wake
     }
 
     /// The earliest PRE wake among `banks`: each bank's PRE gate,
@@ -688,10 +661,10 @@ impl MemoryController {
     }
 
     /// The banks of `banks` whose PRE gate is open at `now`. While the
-    /// sub-channel floor — or `known`, a lower bound on every such gate
-    /// — is past `now`, no bank can be, and none is looked at.
-    fn precharge_ready(&self, sc: u32, banks: BankMask, now: Cycle, known: Cycle) -> BankMask {
-        if self.dram.precharge_floor(sc).max(known) > now {
+    /// sub-channel floor is past `now`, no bank can be, and none is
+    /// looked at.
+    fn precharge_ready(&self, sc: u32, banks: BankMask, now: Cycle) -> BankMask {
+        if self.dram.precharge_floor(sc) > now {
             return BankMask::empty();
         }
         self.dram.bank_gates_ready(sc, GateKind::Precharge, banks, now)
@@ -737,14 +710,10 @@ impl MemoryController {
         }
     }
 
-    /// One full scheduling pass. `known` holds the per-kind minima of a
-    /// cache still valid at `now` ([`KindMinima::UNKNOWN`] otherwise):
-    /// each sweep whose kind's minimum is past `now` is skipped.
     fn tick_subchannel_inner(
         &mut self,
         sc: u32,
         now: Cycle,
-        known: KindMinima,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
         // 1. ABO: past the 180 ns window recovery must proceed. Under
@@ -782,7 +751,7 @@ impl MemoryController {
                     return Ok(false);
                 }
                 let open_targets = targets.and(self.dram.open_banks_mask(sc));
-                let ready = self.precharge_ready(sc, open_targets, now, 0);
+                let ready = self.precharge_ready(sc, open_targets, now);
                 if self.close(sc, ready.first_set(), now)? {
                     return Ok(true);
                 }
@@ -832,14 +801,14 @@ impl MemoryController {
         //    semantics).
         if self.cfg.page_policy == PagePolicy::Closed {
             let used = self.dram.open_banks_mask(sc).and(self.idx[sc as usize].used);
-            let ready = self.precharge_ready(sc, used, now, known.pre);
+            let ready = self.precharge_ready(sc, used, now);
             if self.close(sc, ready.first_set(), now)? {
                 return Ok(true);
             }
         }
         // 5. FR-FCFS over the active queue (minus any banks held for
         //    bank-scoped recovery).
-        if self.schedule_queue(sc, now, Sweep { exclude, known }, completions)? {
+        if self.schedule_queue(sc, now, exclude, completions)? {
             return Ok(true);
         }
         // 6. Idle housekeeping per page policy.
@@ -850,7 +819,7 @@ impl MemoryController {
                 let idx = &self.idx[sc as usize];
                 let hits = idx.reads.hits_mask().or(idx.writes.hits_mask());
                 let unreferenced = self.dram.open_banks_mask(sc).and_not(hits);
-                let ready = self.precharge_ready(sc, unreferenced, now, known.pre);
+                let ready = self.precharge_ready(sc, unreferenced, now);
                 self.close(sc, ready.first_set(), now)
             }
             PagePolicy::TimeoutNs(ns) => {
@@ -875,7 +844,7 @@ impl MemoryController {
         &mut self,
         sc: u32,
         now: Cycle,
-        sweep: Sweep,
+        exclude: BankMask,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
         let s = &mut self.subs[sc as usize];
@@ -885,8 +854,8 @@ impl MemoryController {
         // the command bus (hits only — opening rows for the off-queue
         // would add conflicts).
         let use_writes = s.draining_writes;
-        Ok(self.issue_from(sc, now, use_writes, false, sweep, completions)?
-            || self.issue_from(sc, now, !use_writes, true, sweep, completions)?)
+        Ok(self.issue_from(sc, now, use_writes, false, exclude, completions)?
+            || self.issue_from(sc, now, !use_writes, true, exclude, completions)?)
     }
 
     fn issue_from(
@@ -895,10 +864,9 @@ impl MemoryController {
         now: Cycle,
         writes: bool,
         hits_only: bool,
-        sweep: Sweep,
+        exclude: BankMask,
         completions: &mut Vec<Completion>,
     ) -> MopacResult<bool> {
-        let Sweep { exclude, known } = sweep;
         // Anti-starvation: if the oldest request is too old, act on it
         // first when possible (without serializing the rest: if its
         // needed command cannot issue this cycle, normal scheduling
@@ -962,8 +930,8 @@ impl MemoryController {
         // row: exactly the request the per-request scan would pick,
         // because `earliest_column(sc, bank, row)` releases only for
         // the open row of an open bank. Past a closed bus or REF/RFM
-        // block (or a known column minimum) no bank can issue.
-        let elig = if self.dram.column_floor(sc).max(known.column) <= now {
+        // block no bank can issue.
+        let elig = if self.dram.column_floor(sc) <= now {
             let mut banks = counts.hits_mask().and_not(exclude);
             if self.cfg.page_policy == PagePolicy::Closed {
                 banks = banks.and_not(idx.used);
@@ -1001,14 +969,13 @@ impl MemoryController {
         // scan picks the oldest request whose bank can act — preserving
         // the per-request loop's selection order exactly (hits skip
         // both masks: their bank is open with `hits > 0`). A closed
-        // sub-channel floor, or a known minimum past `now`, rules out
-        // its command kind on every bank, so those banks are not looked
-        // at.
+        // sub-channel floor rules out its command kind on every bank,
+        // so those banks are not looked at.
         let occ = counts.occ_mask().and_not(exclude);
         let open_mask = self.dram.open_banks_mask(sc);
         let conflicts = occ.and(open_mask).and_not(counts.hits_mask());
-        let pre_mask = self.precharge_ready(sc, conflicts, now, known.pre);
-        let act_mask = if self.dram.activate_floor(sc).max(known.act) <= now {
+        let pre_mask = self.precharge_ready(sc, conflicts, now);
+        let act_mask = if self.dram.activate_floor(sc) <= now {
             self.dram
                 .bank_gates_ready(sc, GateKind::Activate, occ.and_not(open_mask), now)
         } else {
@@ -1019,7 +986,6 @@ impl MemoryController {
         } else {
             let s = &self.subs[sc as usize];
             let q = if writes { &s.writes } else { &s.reads };
-            let row_gates = self.dram.timing_demands().subarray_parallel_updates;
             let mut action = None;
             for p in q {
                 let bank = p.addr.bank.bank;
@@ -1027,18 +993,16 @@ impl MemoryController {
                     action = Some((bank, None));
                     break;
                 }
-                // Under subarray-parallel updates, past the bank-level
-                // gate the target row's own subarray may still hold an
-                // in-flight counter update; a gated request yields to
-                // the next one. Every other design's row gate is its
-                // bank's. (The ACT floor is open, or `act_mask` is
-                // empty.)
+                // Past the bank-level gate the target row's own
+                // subarray may still hold an in-flight counter update
+                // (subarray-parallel designs); a gated request yields
+                // to the next one. (The ACT floor is open, or
+                // `act_mask` is empty.)
                 if act_mask.test(bank)
-                    && (!row_gates
-                        || self
-                            .dram
-                            .bank_activate_row_gate(sc, bank, p.addr.row)
-                            .is_some_and(|e| e <= now))
+                    && self
+                        .dram
+                        .bank_activate_row_gate(sc, bank, p.addr.row)
+                        .is_some_and(|e| e <= now)
                 {
                     action = Some((bank, Some(p.addr.row)));
                     break;
@@ -1155,7 +1119,7 @@ impl MemoryController {
     /// Closes one open bank if legal; returns whether a PRE was issued.
     fn close_one_open_bank(&mut self, sc: u32, now: Cycle) -> MopacResult<bool> {
         let open = self.dram.open_banks_mask(sc);
-        let ready = self.precharge_ready(sc, open, now, 0);
+        let ready = self.precharge_ready(sc, open, now);
         self.close(sc, ready.first_set(), now)
     }
 
@@ -1184,7 +1148,7 @@ impl MemoryController {
             })
         };
         let open = self.dram.open_banks_mask(sc);
-        let bank = self.precharge_ready(sc, open, now, 0).ones().find(|&b| overdue(b));
+        let bank = self.precharge_ready(sc, open, now).ones().find(|&b| overdue(b));
         self.close(sc, bank, now)
     }
 
@@ -1193,8 +1157,8 @@ impl MemoryController {
     /// ([`DramDevice::debug_verify_masks`]), rebuilds every
     /// [`QueueCounts`] and the used-bank set from scratch and compares
     /// them with the incrementally maintained ones, and — when a wake
-    /// cache is valid — recomputes the wake and its per-kind minima at
-    /// the cycle it was cached and demands identical answers.
+    /// cache is valid — recomputes the wake at the cycle it was cached
+    /// and demands the identical answer.
     #[doc(hidden)]
     pub fn debug_verify_index(&self) -> Result<(), String> {
         self.dram.debug_verify_masks()?;
@@ -1226,13 +1190,11 @@ impl MemoryController {
             if used != idx.used {
                 return Err(format!("sc{sc}: used banks {:?} vs fresh {used:?}", idx.used));
             }
-            if let Some(c) = idx.valid_cache() {
-                let fresh = self.compute_wake(sc, c.computed_at);
-                if fresh != (Some(c.wake), c.minima) {
+            if let (Some(cached), Some(at)) = (idx.valid_wake(), idx.valid_computed_at()) {
+                let fresh = self.compute_wake(sc, at);
+                if fresh != Some(cached) {
                     return Err(format!(
-                        "sc{sc}: cached wake {} with minima {:?} (computed at {}) \
-                         vs fresh {fresh:?}",
-                        c.wake, c.minima, c.computed_at
+                        "sc{sc}: cached wake {cached} (computed at {at}) vs fresh {fresh:?}"
                     ));
                 }
             }

@@ -14,8 +14,7 @@
 //!   a bank's queued requests are all conflicts iff `hits == 0`.
 //! * [`SubIndex`] — per-sub-channel bundle of the two queue counts, the
 //!   `used` bank set (banks whose open row has served a column command)
-//!   and the cached next-wake cycle with the per-kind gate minima it was
-//!   built from. Every event that can change scheduling (enqueue,
+//!   and the cached next-wake cycle. Every event that can change scheduling (enqueue,
 //!   dequeue, any DRAM command on the sub-channel, external device
 //!   mutation through `dram_mut`) drops the cache.
 //!
@@ -146,39 +145,13 @@ impl QueueCounts {
     }
 }
 
-/// The least gate, floor included, of the normal-mode candidates of
-/// each command kind a wake computation found: column commands for
-/// queued hits, PREs for the close and conflict candidates, ACTs for
-/// the preferred queue's closed banks (`Cycle::MAX` when a kind had
-/// none). While nothing has changed since, no sweep of a kind whose
-/// minimum is past `now` can find a command, so a full tick skips it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct KindMinima {
-    pub(crate) column: Cycle,
-    pub(crate) pre: Cycle,
-    pub(crate) act: Cycle,
-}
-
-impl KindMinima {
-    /// Nothing known: every sweep runs. Wakes computed in refresh drain
-    /// or ABO recovery store this, and a full tick without a valid
-    /// cache starts from it.
-    pub(crate) const UNKNOWN: Self = Self {
-        column: 0,
-        pre: 0,
-        act: 0,
-    };
-}
-
 /// The cached next-wake for one sub-channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WakeCache {
+struct WakeCache {
     /// The computed wake cycle (strictly after `computed_at`).
-    pub(crate) wake: Cycle,
+    wake: Cycle,
     /// Cycle the computation ran at (for parity re-checks).
-    pub(crate) computed_at: Cycle,
-    /// The per-kind minima behind `wake`.
-    pub(crate) minima: KindMinima,
+    computed_at: Cycle,
 }
 
 /// Per-sub-channel scheduler index: queue counts, the used-bank set
@@ -213,28 +186,27 @@ impl SubIndex {
         self.cache = None;
     }
 
-    /// The cache, if still valid (nothing invalidated it since it was
-    /// computed). The caller must additionally check `now < wake`
+    /// The cached wake, if still valid (nothing invalidated it since it
+    /// was computed). The caller must additionally check `now < wake`
     /// before treating the current tick as a provable no-op.
-    pub(crate) fn valid_cache(&self) -> Option<WakeCache> {
-        self.cache
-    }
-
-    /// The cached wake, if still valid.
     pub(crate) fn valid_wake(&self) -> Option<Cycle> {
         self.cache.map(|c| c.wake)
     }
 
-    /// Stores the wake computed at `now` with its per-kind minima. A
-    /// `None` wake (nothing pending at all) is not cached — the full
-    /// tick path stays authoritative for it.
-    pub(crate) fn store_wake(&mut self, wake: Option<Cycle>, minima: KindMinima, now: Cycle) {
+    /// When the valid cache was computed (parity checks).
+    pub(crate) fn valid_computed_at(&self) -> Option<Cycle> {
+        self.cache.map(|c| c.computed_at)
+    }
+
+    /// Stores the wake computed at `now`. A `None` wake (nothing
+    /// pending at all) is not cached — the full tick path stays
+    /// authoritative for it.
+    pub(crate) fn store_wake(&mut self, wake: Option<Cycle>, now: Cycle) {
         self.cache = wake.map(|w| {
             debug_assert!(w > now, "cached wake must be strictly after now");
             WakeCache {
                 wake: w,
                 computed_at: now,
-                minima,
             }
         });
     }
@@ -295,12 +267,12 @@ mod tests {
     fn cache_dies_on_invalidate() {
         let mut s = SubIndex::new(4);
         assert_eq!(s.valid_wake(), None);
-        s.store_wake(Some(100), KindMinima::UNKNOWN, 10);
+        s.store_wake(Some(100), 10);
         assert_eq!(s.valid_wake(), Some(100));
-        assert_eq!(s.valid_cache().map(|c| c.computed_at), Some(10));
+        assert_eq!(s.valid_computed_at(), Some(10));
         s.invalidate();
         assert_eq!(s.valid_wake(), None);
-        s.store_wake(None, KindMinima::UNKNOWN, 10);
+        s.store_wake(None, 10);
         assert_eq!(s.valid_wake(), None);
     }
 }
