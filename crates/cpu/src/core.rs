@@ -73,6 +73,9 @@ pub struct Core {
     params: CoreParams,
     rob: VecDeque<Slot>,
     rob_instrs: usize,
+    /// Loads in the ROB still outstanding (derived from `rob`, so not
+    /// serialized).
+    outstanding: usize,
     credit: f64,
     retired: u64,
     stall_cycles: u64,
@@ -87,11 +90,18 @@ impl Core {
             params,
             rob: VecDeque::with_capacity(params.rob_size),
             rob_instrs: 0,
+            outstanding: 0,
             credit: 0.0,
             retired: 0,
             stall_cycles: 0,
             finished_at: None,
         }
+    }
+
+    /// The core's parameters.
+    #[must_use]
+    pub fn params(&self) -> CoreParams {
+        self.params
     }
 
     /// Free ROB capacity in instruction slots.
@@ -143,6 +153,7 @@ impl Core {
         debug_assert!(self.rob_free() >= 1, "ROB overflow");
         self.rob.push_back(Slot::Read { id, done: false });
         self.rob_instrs += 1;
+        self.outstanding += 1;
     }
 
     /// Marks the load with `id` complete.
@@ -150,6 +161,7 @@ impl Core {
         for slot in &mut self.rob {
             if let Slot::Read { id: rid, done } = slot {
                 if *rid == id {
+                    self.outstanding -= usize::from(!*done);
                     *done = true;
                     return;
                 }
@@ -240,6 +252,76 @@ impl Core {
         }
     }
 
+    /// A scalar model of this core's retirement while it only receives
+    /// runs of plain instructions and no load completes: see
+    /// [`RetireModel`].
+    #[must_use]
+    pub fn retire_model(&self) -> RetireModel {
+        // Retirement stops at the first outstanding load, if any; with
+        // none, the whole ROB retires and needs no walk.
+        let (ready, stalled) = if self.outstanding == 0 {
+            (self.rob_instrs as u32, false)
+        } else {
+            let mut ready = 0;
+            for slot in &self.rob {
+                match *slot {
+                    Slot::Instrs(n) => ready += n,
+                    Slot::Read { done: true, .. } => ready += 1,
+                    Slot::Read { done: false, .. } => break,
+                }
+            }
+            (ready, true)
+        };
+        RetireModel {
+            rate: self.params.retire_per_dram_cycle,
+            credit: self.credit,
+            ready,
+            stalled,
+            retired: 0,
+            stalls: 0,
+        }
+    }
+
+    /// Brings the core to where the cycles `model` ran through leave
+    /// it, in one pass: `model` started from [`Core::retire_model`] of
+    /// this core, and `pushed` lists, in order, the nonempty runs of
+    /// plain instructions pushed meanwhile (one [`Core::push_instrs`]
+    /// call each). Retirement only takes from the ROB's front and pushes
+    /// only append, so the ROB ends as the old slots followed by the
+    /// pushed runs, less the first `model.retired` instructions — slot
+    /// for slot what the cycle-by-cycle calls leave.
+    pub fn catch_up(&mut self, model: &RetireModel, pushed: &[u32]) {
+        let mut left = model.retired;
+        while left > 0 {
+            match self.rob.front_mut() {
+                Some(Slot::Instrs(n)) => {
+                    let take = u64::from(*n).min(left) as u32;
+                    *n -= take;
+                    self.rob_instrs -= take as usize;
+                    left -= u64::from(take);
+                    if *n == 0 {
+                        self.rob.pop_front();
+                    }
+                }
+                Some(Slot::Read { done: true, .. }) => {
+                    self.rob.pop_front();
+                    self.rob_instrs -= 1;
+                    left -= 1;
+                }
+                Some(Slot::Read { done: false, .. }) | None => break,
+            }
+        }
+        for &n in pushed {
+            let retired = u64::from(n).min(left) as u32;
+            left -= u64::from(retired);
+            self.push_instrs(n - retired);
+        }
+        debug_assert_eq!(left, 0, "the model retired past the ROB");
+        self.credit = model.credit;
+        self.retired += model.retired;
+        self.stall_cycles += model.stalls;
+    }
+
     /// Latches `finished_at` the first time the retired count crosses
     /// `budget`. Returns whether the core has finished.
     pub fn check_finished(&mut self, budget: u64, now: Cycle) -> bool {
@@ -247,6 +329,68 @@ impl Core {
             self.finished_at = Some(now);
         }
         self.finished_at.is_some()
+    }
+}
+
+/// What [`Core::retire`] does, cycle by cycle, to a core whose ROB only
+/// gains runs of plain instructions and whose outstanding loads stay
+/// outstanding — the state of a core between two trace records — kept
+/// as scalars: the retire credit, the instructions retirable ahead of
+/// the first outstanding load, and whether such a load is present.
+///
+/// Retirement only subtracts whole instructions from the credit, and
+/// subtracting an integer from an `f64` of at least that integer is
+/// exact, so retiring `min(ready, floor(credit))` at once leaves the
+/// credit bit-identical to the slot-by-slot walk. A driver uses it to
+/// look ahead to the cycle a core next needs the rest of the system,
+/// without touching the core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetireModel {
+    rate: f64,
+    credit: f64,
+    ready: u32,
+    stalled: bool,
+    /// Instructions retired since the model was taken.
+    pub retired: u64,
+    /// Stall cycles counted since the model was taken.
+    pub stalls: u64,
+}
+
+impl RetireModel {
+    /// A run of `n` plain instructions entered the ROB.
+    pub fn push(&mut self, n: u32) {
+        if !self.stalled {
+            self.ready += n;
+        }
+    }
+
+    /// One cycle of [`Core::retire`]; returns the instructions retired.
+    pub fn retire(&mut self) -> u32 {
+        self.credit += self.rate;
+        let take = self.ready.min(self.credit as u32);
+        self.credit -= f64::from(take);
+        self.ready -= take;
+        self.retired += u64::from(take);
+        if self.credit >= 1.0 {
+            // The walk reached the outstanding load (credit capped, a
+            // stall cycle if nothing retired) or emptied the ROB
+            // (credit dropped).
+            if self.stalled {
+                self.credit = self.credit.min(self.rate);
+                self.stalls += u64::from(take == 0);
+            } else {
+                self.credit = 0.0;
+            }
+        }
+        take
+    }
+
+
+    /// Whether an outstanding load heads the ROB, so nothing retires
+    /// until it completes.
+    #[must_use]
+    pub fn head_stalled(&self) -> bool {
+        self.stalled && self.ready == 0
     }
 }
 
@@ -295,6 +439,11 @@ impl mopac_types::snapshot::Snapshottable for Core {
             self.rob.push_back(slot);
         }
         self.rob_instrs = r.take_usize()?;
+        self.outstanding = self
+            .rob
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Read { done: false, .. }))
+            .count();
         if self.rob_instrs > self.params.rob_size {
             return Err(mopac_types::MopacError::snapshot(format!(
                 "ROB holds {} instructions but capacity is {}",
@@ -379,6 +528,56 @@ mod tests {
         let first = c.finished_at().unwrap();
         c.check_finished(100, 999);
         assert_eq!(c.finished_at(), Some(first));
+    }
+
+    /// The scalar model retires what `Core::retire` retires, cycle by
+    /// cycle, with a bit-identical credit and the same stall count —
+    /// across stalls behind an outstanding load, completed loads and an
+    /// emptied ROB — and `catch_up` from it leaves the core exactly as
+    /// the cycle-by-cycle calls do, ROB slots included.
+    #[test]
+    fn retire_model_matches_retire() {
+        let mut c = core();
+        c.push_instrs(3);
+        c.push_read(1);
+        c.push_read(2);
+        c.on_complete(1);
+        c.push_instrs(7);
+        c.push_read(3);
+        c.push_instrs(40);
+        let mut pushes = [2u32, 9, 0, 1, 5, 5, 0, 13].into_iter().cycle();
+        let mut outstanding = vec![2, 3];
+        for round in 0..4u64 {
+            let mut twin = c.clone();
+            let mut model = c.retire_model();
+            let mut pushed = Vec::new();
+            for cycle in 0..40 {
+                let n = pushes.next().unwrap_or(0).min(c.rob_free() as u32);
+                c.push_instrs(n);
+                model.push(n);
+                if n > 0 {
+                    pushed.push(n);
+                }
+                assert_eq!(u64::from(model.retire()), c.retire(), "round {round}");
+                assert_eq!(model.credit.to_bits(), c.credit.to_bits(), "round {round}");
+                assert_eq!(model.head_stalled(), !c.retire_ready() && c.rob_free() < 256);
+                if cycle % 13 == 12 {
+                    twin.catch_up(&model, &pushed);
+                    assert_eq!(format!("{twin:?}"), format!("{c:?}"), "round {round}");
+                    model = c.retire_model();
+                    pushed.clear();
+                }
+            }
+            twin.catch_up(&model, &pushed);
+            assert_eq!(format!("{twin:?}"), format!("{c:?}"), "round {round}");
+            // A completion changes what retires; take a fresh model.
+            c.on_complete(outstanding.remove(0));
+            if c.rob_free() > 0 {
+                c.push_read(10 + round);
+                outstanding.push(10 + round);
+            }
+        }
+        assert!(c.stall_cycles() > 0, "no stall was modelled");
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod llc;
 pub mod prefetch;
 pub mod trace;
 
-pub use crate::core::{Core, CoreParams};
+pub use crate::core::{Core, CoreParams, RetireModel};
 pub use llc::{CacheAccess, Llc, LlcStats};
 pub use prefetch::StreamPrefetcher;
 pub use trace::{ReplayTrace, TraceRecord, TraceSource};

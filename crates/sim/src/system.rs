@@ -2,23 +2,29 @@
 //! the memory controller and the DRAM device, advanced on the DRAM
 //! clock by one of two kernels:
 //!
-//! * [`KernelMode::EventDriven`] (the default) ticks normally while
-//!   anything is happening, but when a cycle makes *zero* progress (no
-//!   fault event, no DRAM command, no completion delivery, no fetch, no
-//!   retire) it jumps `now` straight to the earliest external wake —
-//!   the minimum of the fault injector's next event, the earliest
-//!   in-flight completion, and [`MemoryController::next_wake`] — and
-//!   compensates the per-cycle statistics in bulk. That skip is the
-//!   kernel's only jump: every other cycle is one full
-//!   `System::step`. Skipped cycles are provably no-ops, so the
-//!   results are bit-identical to lockstep.
-//! * [`KernelMode::Lockstep`] ticks every DRAM cycle; it is the golden
-//!   reference the equivalence suite checks the fast kernel against.
+//! * [`KernelMode::EventDriven`] (the default) puts to sleep every core
+//!   whose next cycles are core-local — folding its fetch credit,
+//!   pushing gap instructions into the ROB, retiring, counting stall
+//!   cycles — until the cycle it reaches its next trace record, crosses
+//!   its instruction budget or, if it blocks behind an outstanding load,
+//!   until that load completes. At its wake the core replays the slept
+//!   cycles with the step's own `f64` folds. When a cycle makes *zero*
+//!   progress (no fault event, no DRAM command, no completion delivery,
+//!   no fetch or retire by an awake core) the kernel jumps `now` straight
+//!   to the earliest wake — the fault injector's next event, the earliest
+//!   in-flight completion, [`MemoryController::next_wake`] and the
+//!   sleepers' wakes — and compensates the per-cycle statistics in bulk.
+//!   Every other cycle is one full `System::step`. Skipped and slept
+//!   cycles are provably reproduced, so the results are bit-identical to
+//!   lockstep.
+//! * [`KernelMode::Lockstep`] steps every core every DRAM cycle; it is
+//!   the golden reference the equivalence suite checks the fast kernel
+//!   against.
 
 use crate::fault::{CorruptingTrace, FaultInjector, FaultPlan};
 use crate::shard::ChannelSet;
 use mopac::config::MitigationConfig;
-use mopac_cpu::core::{Core, CoreParams};
+use mopac_cpu::core::{Core, CoreParams, RetireModel};
 use mopac_cpu::llc::{CacheAccess, Llc, LlcStats};
 use mopac_cpu::prefetch::StreamPrefetcher;
 use mopac_cpu::trace::TraceSource;
@@ -40,10 +46,11 @@ use std::collections::BinaryHeap;
 /// How the system advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Skip provably idle cycles by jumping to the next wake point.
+    /// Sleep cores through their core-local cycles and skip provably
+    /// idle cycles by jumping to the next wake point.
     #[default]
     EventDriven,
-    /// Tick every DRAM cycle (the golden reference kernel).
+    /// Step every core every DRAM cycle (the golden reference kernel).
     Lockstep,
 }
 
@@ -317,25 +324,93 @@ struct CoreDriver {
     pf_lines: DetMap<PfEntry>,
     /// In-flight prefetch request id -> line.
     pf_by_id: DetMap<u64>,
-    /// The first cycle this core slept through, while it sleeps
-    /// ([`CoreDriver::blocked`]); `None` while it is stepped. Never
-    /// serialized: every exit from the run loop wakes all cores.
-    asleep_since: Option<Cycle>,
+    /// The core's sleep ([`CoreDriver::plan_sleep`]); `None` while it
+    /// is stepped. Never serialized: every exit from the run loop wakes
+    /// all cores.
+    sleep: Option<Sleep>,
+    /// Scratch for [`CoreDriver::wake`]: the runs of gap instructions
+    /// the slept cycles pushed.
+    pushed: Vec<u32>,
+}
+
+/// A sleeping core: it does only core-local work (fold its fetch
+/// credit, push gap instructions, retire, count stall cycles) from
+/// `since` until it is next stepped.
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    /// The first cycle the core slept through.
+    since: Cycle,
+    /// The cycle the core must be stepped again: it reaches its pending
+    /// or next trace record, or crosses its instruction budget. `None`
+    /// once it would block behind an outstanding head load, which only a
+    /// completion changes. A completion delivered to the core wakes it
+    /// earlier.
+    until: Option<Cycle>,
+    /// The last cycle (counted after its step, like the watchdog's
+    /// `last_progress_at`) in which the core retires while asleep; it
+    /// retires in every slept cycle up to this one and in none after.
+    /// 0 if it retires in none.
+    retires_through: Cycle,
+    /// Where the plan's look-ahead stopped — `until`, or the cycle the
+    /// core blocks from — and its state there; `None` if it stopped
+    /// mid-cycle at the budget crossing.
+    ahead: Option<(Cycle, Stream)>,
+}
+
+/// A core's fetch and retire state, as scalars, through core-local
+/// cycles ([`CoreDriver::stream`]).
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    fetch_credit: f64,
+    gap: u32,
+    /// ROB occupancy in instructions.
+    rob: usize,
+    /// `None` until the first core-local cycle.
+    model: Option<RetireModel>,
+    /// The last cycle (counted after its step) in which the core
+    /// retired, or 0.
+    retired_at: Cycle,
+}
+
+/// Where [`CoreDriver::stream`] stopped, with the state it returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StreamEnd {
+    /// The step of this cycle is not core-local: the core reaches its
+    /// pending or next trace record, to enqueue, absorb or pull it. The
+    /// state is the one at the start of this cycle.
+    Step(Cycle),
+    /// The core crosses its instruction budget in this cycle's step.
+    /// The state is mid-cycle, so it is not kept.
+    Budget(Cycle),
+    /// From this cycle on the core is blocked: its ROB is full, the
+    /// load at its head is outstanding, and what it would fetch next —
+    /// a gap or a pending record — needs ROB space. Until a completion
+    /// reaches it, each cycle only folds its fetch credit and counts a
+    /// stall cycle, which [`CoreDriver::idle`] reproduces in bulk.
+    Blocked(Cycle),
+    /// The look-ahead reached `to`.
+    Horizon,
 }
 
 impl CoreDriver {
-    /// Whether the core provably cannot move until a completion is
-    /// delivered to it: its ROB is full, the load at its head is
-    /// outstanding (a full ROB is never empty, so `!retire_ready` means
-    /// exactly that), and what it would fetch next — a gap or a pending
-    /// record — needs ROB space. Each cycle of such a core only folds
-    /// its fetch credit and counts a stall cycle, which
-    /// [`CoreDriver::idle`] reproduces in bulk, so the run loop puts it
-    /// to sleep instead of stepping it.
-    fn blocked(&self) -> bool {
-        self.core.rob_free() == 0
-            && !self.core.retire_ready()
-            && (self.gap_left > 0 || self.pending.is_some())
+    /// The per-cycle fetch-credit fold: one cycle's worth of fetch
+    /// width, capped at 64 instructions.
+    fn fold_credit(&mut self) {
+        self.fetch_credit =
+            (self.fetch_credit + self.core.params().retire_per_dram_cycle).min(64.0);
+    }
+
+    /// Pushes as much of the current gap into the ROB as the fetch
+    /// credit and free ROB slots allow; returns how many instructions.
+    fn push_gap(&mut self) -> u32 {
+        let free = self.core.rob_free() as u32;
+        let n = self.gap_left.min(self.fetch_credit as u32).min(free);
+        if n > 0 {
+            self.core.push_instrs(n);
+            self.gap_left -= n;
+            self.fetch_credit -= f64::from(n);
+        }
+        n
     }
 
     /// Reproduces `cycles` cycles in which the core neither fetched nor
@@ -345,23 +420,142 @@ impl CoreDriver {
     /// form would drift, and the stall accounting of
     /// [`Core::skip_idle`].
     fn idle(&mut self, cycles: u64) {
-        let r = CoreParams::paper_default().retire_per_dram_cycle;
         for _ in 0..cycles {
-            let next = (self.fetch_credit + r).min(64.0);
-            if next == self.fetch_credit {
+            let before = self.fetch_credit;
+            self.fold_credit();
+            if self.fetch_credit == before {
                 break;
             }
-            self.fetch_credit = next;
         }
         self.core.skip_idle(cycles);
     }
 
-    /// Wakes a sleeping core at `now`, bringing it up to date with the
-    /// cycles it slept through. No-op for a core that is awake.
-    fn wake(&mut self, now: Cycle) {
-        if let Some(since) = self.asleep_since.take() {
-            self.idle(now - since);
+    /// Looks ahead through the core-local cycles from `from`, on
+    /// scalars — the fetch credit, the gap, the ROB occupancy and a
+    /// [`RetireModel`] — with the step's own per-cycle `f64` folds,
+    /// until `to` or the first cycle that is not core-local (see
+    /// [`StreamEnd`]). `on_push` sees each nonempty run of gap
+    /// instructions the cycles push. Each core-local cycle pushes at
+    /// least one instruction or frees a ROB slot, so the look-ahead
+    /// ends even with `to` at [`Cycle::MAX`].
+    fn stream(
+        &self,
+        from: Cycle,
+        to: Cycle,
+        budget: u64,
+        mut on_push: impl FnMut(u32),
+    ) -> (Stream, StreamEnd) {
+        let params = self.core.params();
+        let rob_size = params.rob_size;
+        let pending = self.pending.is_some();
+        let budget_left = match self.core.finished_at() {
+            Some(_) => u64::MAX,
+            None => budget.saturating_sub(self.core.retired()),
+        };
+        let mut s = Stream {
+            fetch_credit: self.fetch_credit,
+            gap: self.gap_left,
+            rob: rob_size - self.core.rob_free(),
+            model: None,
+            retired_at: 0,
+        };
+        let mut t = from;
+        let end = loop {
+            if t == to {
+                break StreamEnd::Horizon;
+            }
+            let credit = (s.fetch_credit + params.retire_per_dram_cycle).min(64.0);
+            let n = s.gap.min(credit as u32).min((rob_size - s.rob) as u32);
+            let credit = credit - f64::from(n);
+            if s.gap == n && credit >= 1.0 && !(pending && s.rob + n as usize == rob_size) {
+                break StreamEnd::Step(t);
+            }
+            s.fetch_credit = credit;
+            s.gap -= n;
+            s.rob += n as usize;
+            if n > 0 {
+                on_push(n);
+            }
+            // Taken at the first core-local cycle, so from the core as
+            // it stood at `from`.
+            let m = s.model.get_or_insert_with(|| self.core.retire_model());
+            m.push(n);
+            let take = m.retire();
+            s.rob -= take as usize;
+            if m.retired >= budget_left {
+                break StreamEnd::Budget(t);
+            }
+            if take > 0 {
+                s.retired_at = t + 1;
+            }
+            t += 1;
+            if s.rob == rob_size && m.head_stalled() && (s.gap > 0 || pending) {
+                break StreamEnd::Blocked(t);
+            }
+        };
+        (s, end)
+    }
+
+    /// Plans a sleep for the core from cycle `now` on: `None` if its
+    /// step at `now` reaches past core-local work. The look-ahead's
+    /// state where it stopped, with the runs it pushed in `pushed`, is
+    /// kept for a wake at or after that cycle.
+    fn plan_sleep(&mut self, now: Cycle, budget: u64) -> Option<Sleep> {
+        let mut pushed = std::mem::take(&mut self.pushed);
+        pushed.clear();
+        let (s, end) = self.stream(now, Cycle::MAX, budget, |n| pushed.push(n));
+        self.pushed = pushed;
+        let (until, ahead) = match end {
+            StreamEnd::Step(t) if t == now => return None,
+            StreamEnd::Step(t) => (Some(t), Some((t, s))),
+            StreamEnd::Budget(t) => (Some(t), None),
+            StreamEnd::Blocked(t) => (None, Some((t, s))),
+            StreamEnd::Horizon => (None, None),
+        };
+        Some(Sleep {
+            since: now,
+            until,
+            retires_through: s.retired_at,
+            ahead,
+        })
+    }
+
+    /// Wakes a sleeping core at `now` and brings it to the end of the
+    /// cycles it slept, in one [`Core::catch_up`]: from the plan's
+    /// look-ahead when the wake comes at or after where it stopped,
+    /// else from a look-ahead through the slept cycles. Cycles from
+    /// which on it was blocked end in [`CoreDriver::idle`]. Returns the
+    /// last cycle (counted after its step) in which it retired while
+    /// asleep, or 0. No-op for a core that is awake.
+    fn wake(&mut self, now: Cycle) -> Cycle {
+        let Some(sleep) = self.sleep.take() else {
+            return 0;
+        };
+        let mut pushed = std::mem::take(&mut self.pushed);
+        let (s, settled_at) = match sleep.ahead {
+            Some((at, s)) if now >= at => (s, at),
+            _ => {
+                pushed.clear();
+                let (s, end) = self.stream(sleep.since, now, u64::MAX, |n| pushed.push(n));
+                match end {
+                    StreamEnd::Blocked(t) => (s, t),
+                    StreamEnd::Horizon => (s, now),
+                    StreamEnd::Step(_) | StreamEnd::Budget(_) => {
+                        debug_assert!(false, "a sleeping core left core-local work before {now}: {end:?}");
+                        (s, now)
+                    }
+                }
+            }
+        };
+        if let Some(model) = s.model {
+            self.core.catch_up(&model, &pushed);
         }
+        self.fetch_credit = s.fetch_credit;
+        self.gap_left = s.gap;
+        self.pushed = pushed;
+        // Past where the look-ahead stopped the core can only be blocked.
+        self.idle(now - settled_at);
+        s.retired_at
     }
 
     /// The driver's next wake cycle: `Some(now + 1)` while the core can
@@ -454,8 +648,18 @@ pub struct System {
     /// rounds to reach identical snapshot digests.
     kernel_sink: MetricsSink,
     /// How many cores were asleep when the run loop last returned
-    /// (diagnostics; see [`System::debug_last_exit_sleepers`]).
-    last_exit_sleepers: usize,
+    /// (diagnostics; see [`System::debug_last_exit_sleepers`]), and how
+    /// many of them were streaming toward a trace record.
+    last_exit_sleepers: (usize, usize),
+    /// Load completions that woke a core still retiring ahead of the
+    /// load (diagnostics; see [`System::debug_sleep_completions`]).
+    sleep_completions: u64,
+    /// Cores not asleep.
+    awake: usize,
+    /// No sleeping core's `until` comes before this cycle
+    /// ([`Cycle::MAX`] when none will); it may be early once a
+    /// completion has woken the core it came from.
+    due: Cycle,
 }
 
 impl System {
@@ -522,7 +726,7 @@ impl System {
             })
             .collect();
         let chans = ChannelSet::new(mcs);
-        let drivers = traces
+        let drivers: Vec<CoreDriver> = traces
             .into_iter()
             .map(|trace| CoreDriver {
                 core: Core::new(CoreParams::paper_default()),
@@ -536,9 +740,11 @@ impl System {
                 }),
                 pf_lines: DetMap::new(),
                 pf_by_id: DetMap::new(),
-                asleep_since: None,
+                sleep: None,
+                pushed: Vec::new(),
             })
             .collect();
+        let n_cores = drivers.len();
         let llc = cfg.use_llc.then(Llc::paper_default);
         let kernel_sink = match cfg.metrics {
             Some(sink_cfg) => MetricsSink::enabled(sink_cfg),
@@ -558,7 +764,10 @@ impl System {
             last_retired: 0,
             last_progress_at: 0,
             kernel_sink,
-            last_exit_sleepers: 0,
+            last_exit_sleepers: (0, 0),
+            sleep_completions: 0,
+            awake: n_cores,
+            due: Cycle::MAX,
         })
     }
 
@@ -667,20 +876,44 @@ impl System {
         // Every exit — pause, finish or error — wakes all cores, so
         // error fields and snapshots read exactly the core state a run
         // that never slept would have left.
-        let now = self.now;
-        self.last_exit_sleepers = 0;
-        for d in &mut self.drivers {
-            self.last_exit_sleepers += usize::from(d.asleep_since.is_some());
-            d.wake(now);
-        }
+        self.last_exit_sleepers = (
+            self.drivers.len() - self.awake,
+            self.drivers
+                .iter()
+                .filter(|d| d.sleep.is_some_and(|s| s.until.is_some()))
+                .count(),
+        );
+        self.wake_all();
         outcome
     }
 
-    /// The run loop proper: steps (and, on the event kernel, skips)
-    /// until every core has finished or the REF count reaches
-    /// `pause_at_refs` (`Ok(None)`). Cores may still be asleep when it
-    /// returns; [`System::run_loop`] wakes them. No field of the result
-    /// depends on a sleeping core's fetch credit or stall count.
+    /// Wakes every sleeping core up to `now` and brings the watchdog's
+    /// snapshotted fields to what a run that never slept would hold:
+    /// `last_progress_at` takes the sleepers' last retiring cycles, and
+    /// `last_retired` (which such a run raises to the retired total at
+    /// every retiring cycle) is the retired total.
+    fn wake_all(&mut self) {
+        let now = self.now;
+        let watchdog = self.cfg.livelock_window > 0;
+        for d in &mut self.drivers {
+            let retired_at = d.wake(now);
+            if watchdog {
+                self.last_progress_at = self.last_progress_at.max(retired_at);
+            }
+        }
+        if watchdog {
+            self.last_retired = self.drivers.iter().map(|d| d.core.retired()).sum();
+        }
+        self.awake = self.drivers.len();
+        self.due = Cycle::MAX;
+    }
+
+    /// The run loop proper: steps (and, on the event kernel, skips and
+    /// sleeps cores) until every core has finished or the REF count
+    /// reaches `pause_at_refs` (`Ok(None)`). Cores may still be asleep
+    /// when it returns; [`System::run_loop`] wakes them. No field of the
+    /// result depends on a sleeping core's state: a core never crosses
+    /// its budget asleep.
     fn advance(&mut self, pause_at_refs: Option<u64>) -> MopacResult<Option<RunResult>> {
         let budget = self.cfg.instrs_per_core;
         let n_cores = self.drivers.len();
@@ -688,6 +921,11 @@ impl System {
         // The skip target the last step licensed, taken at the top of
         // the next iteration, after the pause check.
         let mut skip: Option<Cycle> = None;
+        let mut done = self
+            .drivers
+            .iter()
+            .filter(|d| d.core.finished_at().is_some())
+            .count();
         let mut finished = 0usize;
         while finished < n_cores {
             // Pause boundary: between full cycles every invariant the
@@ -708,24 +946,32 @@ impl System {
                 self.check_deadlines(finished)?;
             }
             let progress = self.step()?;
-            // A sleeping core retires nothing, so its finish state
-            // cannot change; a core that cannot move falls asleep here,
-            // from the next cycle on.
+            // A sleeping core is woken before the cycle it would cross
+            // its budget in, so its finish state cannot change; on the
+            // event kernel a core whose next cycles are core-local falls
+            // asleep here, from the next cycle on.
             let now = self.now;
-            finished = 0;
-            for d in &mut self.drivers {
-                if d.asleep_since.is_none() {
-                    d.core.check_finished(budget, now);
-                    if d.blocked() {
-                        d.asleep_since = Some(now);
+            if self.awake > 0 {
+                for d in &mut self.drivers {
+                    if d.sleep.is_some() {
+                        continue;
+                    }
+                    if d.core.finished_at().is_none() && d.core.check_finished(budget, now) {
+                        done += 1;
+                    }
+                    if event_driven {
+                        d.sleep = d.plan_sleep(now, budget);
+                        if let Some(sleep) = d.sleep {
+                            self.awake -= 1;
+                            self.due = self.due.min(sleep.until.unwrap_or(Cycle::MAX));
+                        }
                     }
                 }
-                finished += usize::from(d.core.finished_at().is_some());
             }
-            self.note_retirement();
+            finished = done;
             self.check_deadlines(finished)?;
             if event_driven && !progress {
-                skip = self.skip_target(self.last_progress_at);
+                skip = self.skip_target();
             }
         }
         let cores = self
@@ -759,16 +1005,18 @@ impl System {
         }))
     }
 
-    /// Livelock-watchdog bookkeeping after a step: any newly retired
-    /// instruction resets the stall window.
-    fn note_retirement(&mut self) {
-        if self.cfg.livelock_window > 0 {
-            let retired: u64 = self.drivers.iter().map(|d| d.core.retired()).sum();
-            if retired > self.last_retired {
-                self.last_retired = retired;
-                self.last_progress_at = self.now;
-            }
-        }
+    /// The last cycle (counted after its step) in which any core
+    /// retired or, while asleep, will retire: sleeping cores retire in
+    /// every slept cycle up to their `retires_through`. Lockstep's
+    /// `last_progress_at` at cycle `now` is this value capped at `now`,
+    /// so `now - progress >= livelock_window` holds exactly when
+    /// lockstep's watchdog trips.
+    fn watchdog_progress(&self) -> Cycle {
+        self.drivers
+            .iter()
+            .filter_map(|d| d.sleep)
+            .map(|s| s.retires_through)
+            .fold(self.last_progress_at, Cycle::max)
     }
 
     /// The livelock-watchdog and cycle-cap guards, in the order every
@@ -777,12 +1025,18 @@ impl System {
     /// # Errors
     ///
     /// [`MopacError::Livelock`] once no instruction has retired for
-    /// `livelock_window` cycles, then [`MopacError::CycleCapExceeded`]
-    /// once `now` reaches `max_cycles`.
-    fn check_deadlines(&self, finished: usize) -> MopacResult<()> {
-        if self.cfg.livelock_window > 0
-            && self.now - self.last_progress_at >= self.cfg.livelock_window
+    /// `livelock_window` cycles (the cores are woken first, so its
+    /// fields are a never-sleeping run's), then
+    /// [`MopacError::CycleCapExceeded`] once `now` reaches `max_cycles`.
+    fn check_deadlines(&mut self, finished: usize) -> MopacResult<()> {
+        let window = self.cfg.livelock_window;
+        // The sleepers only raise the progress cycle, so the cheap test
+        // on the stepped cores' progress goes first.
+        if window > 0
+            && self.now - self.last_progress_at >= window
+            && self.now.saturating_sub(self.watchdog_progress()) >= window
         {
+            self.wake_all();
             return Err(MopacError::Livelock {
                 cycle: self.now,
                 stalled_for: self.now - self.last_progress_at,
@@ -807,14 +1061,18 @@ impl System {
         self.now
     }
 
-    /// Test/diagnostic hook: advances one cycle.
+    /// Test/diagnostic hook: advances one cycle, every core stepped,
+    /// and leaves the watchdog fields as the run loop leaves them on
+    /// exit — a per-cycle reference for a paused run's state.
     ///
     /// # Errors
     ///
     /// Propagates [`System::run`]'s per-cycle errors.
     #[doc(hidden)]
     pub fn debug_step(&mut self) -> MopacResult<()> {
-        self.step().map(|_| ())
+        self.step()?;
+        self.wake_all();
+        Ok(())
     }
 
     /// Test/diagnostic hook: per-core retired instruction counts.
@@ -833,11 +1091,22 @@ impl System {
 
     /// Test/diagnostic hook: how many cores were asleep (and were woken
     /// up to date) when the last `run_*` call returned — a pause that
-    /// lands among sleeping cores shows here.
+    /// lands among sleeping cores shows here — and how many of those
+    /// were streaming toward their next trace record rather than
+    /// blocked.
     #[doc(hidden)]
     #[must_use]
-    pub fn debug_last_exit_sleepers(&self) -> usize {
+    pub fn debug_last_exit_sleepers(&self) -> (usize, usize) {
         self.last_exit_sleepers
+    }
+
+    /// Test/diagnostic hook: load completions since construction that
+    /// woke a sleeping core whose ROB head, once caught up, was not
+    /// that load — the core was still retiring ahead of it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn debug_sleep_completions(&self) -> u64 {
+        self.sleep_completions
     }
 
     /// Test/diagnostic hook: in-flight read completions.
@@ -975,7 +1244,10 @@ impl System {
                 self.drivers.len(),
             )));
         }
+        self.awake = self.drivers.len();
+        self.due = Cycle::MAX;
         for d in &mut self.drivers {
+            d.sleep = None;
             r.begin_section(SNAP_DRIVER)?;
             d.core.load_state(&mut r)?;
             d.trace.load_state(&mut r)?;
@@ -1052,13 +1324,14 @@ impl System {
 
     /// Advances one DRAM cycle. Returns whether the cycle made any
     /// progress: a fault event fired, the controller issued a command,
-    /// a completion was delivered, a core fetched, or a core retired.
+    /// a completion was delivered, or an awake core fetched or retired.
     /// A `false` return is the event kernel's licence to skip: every
     /// state change left in the machine is idempotent under further
-    /// ticks, so the cycle would replay identically until an external
-    /// wake.
+    /// ticks or belongs to a sleeping core, so the cycle would replay
+    /// identically until an external wake or a sleeper's `until`.
     fn step(&mut self) -> MopacResult<bool> {
         let now = self.now;
+        let watchdog = self.cfg.livelock_window > 0;
         let mut progress = false;
         // Scheduled faults fire before the controllers see the cycle.
         // The injector's addressing predates the channel dimension, so
@@ -1080,8 +1353,8 @@ impl System {
             self.inflight.push(c);
         }
         // Deliver due completions (demand loads and prefetches). A load
-        // completing is the only event that can move a sleeping core,
-        // so its core wakes first, up to date to this cycle.
+        // completing changes what a sleeping core would do, so its core
+        // wakes first, up to date to this cycle.
         while let Some(c) = self.inflight.pop_due(now) {
             progress = true;
             let d = &mut self.drivers[(c.id >> 48) as usize];
@@ -1100,57 +1373,93 @@ impl System {
                 }
                 None => c.id,
             };
-            d.wake(now);
+            if d.sleep.is_some() {
+                let retired_at = d.wake(now);
+                self.awake += 1;
+                self.sleep_completions += u64::from(d.core.retire_ready());
+                if watchdog {
+                    self.last_progress_at = self.last_progress_at.max(retired_at);
+                }
+            }
             d.core.on_complete(load);
         }
+        // Sleepers whose `until` has come wake up to date.
+        if self.due <= now {
+            let mut due = Cycle::MAX;
+            for d in &mut self.drivers {
+                let Some(sleep) = d.sleep else {
+                    continue;
+                };
+                match sleep.until {
+                    Some(until) if until <= now => {
+                        let retired_at = d.wake(now);
+                        self.awake += 1;
+                        if watchdog {
+                            self.last_progress_at = self.last_progress_at.max(retired_at);
+                        }
+                    }
+                    until => due = due.min(until.unwrap_or(Cycle::MAX)),
+                }
+            }
+            self.due = due;
+        }
         // Fetch in rotating order so no core monopolizes a nearly-full
-        // queue, then retire. Sleeping cores would do neither.
-        let n = self.drivers.len();
-        let start = (now as usize) % n;
-        for k in 0..n {
-            let i = (start + k) % n;
-            if self.drivers[i].asleep_since.is_none() && self.fetch_core(i, now) {
-                progress = true;
+        // queue, then retire. Sleepers only do core-local work, replayed
+        // when they wake.
+        let mut retired = false;
+        if self.awake > 0 {
+            self.kernel_sink.add(Counter::KernelCoreSteps, self.awake as u64);
+            let n = self.drivers.len();
+            let start = (now % n as u64) as usize;
+            for i in (start..n).chain(0..start) {
+                if self.drivers[i].sleep.is_none() && self.fetch_core(i, now) {
+                    progress = true;
+                }
+            }
+            for d in &mut self.drivers {
+                if d.sleep.is_none() && d.core.retire() > 0 {
+                    retired = true;
+                }
             }
         }
-        for d in &mut self.drivers {
-            if d.asleep_since.is_none() && d.core.retire() > 0 {
-                progress = true;
-            }
-        }
-        debug_assert!(
-            self.drivers.iter().all(|d| d.asleep_since.is_none()
-                || d.next_wake(now, &self.mapper, &self.chans, self.cfg.geometry.line_bytes)
-                    .is_none()),
-            "a sleeping core could move on its own"
-        );
         self.now += 1;
-        Ok(progress)
+        // Watchdog bookkeeping: a retired instruction resets the stall
+        // window.
+        if retired && watchdog {
+            self.last_progress_at = self.now;
+        }
+        Ok(progress || retired)
     }
 
     /// The cycle the event kernel jumps to after a zero-progress step:
-    /// the earliest external wake among the fault injector's next
-    /// event, the earliest in-flight completion, and the memory
-    /// controller's [`MemoryController::next_wake`] — clamped to the
-    /// livelock-watchdog and cycle-cap deadlines so those guards fire
-    /// at exactly the cycle lockstep would have reached. Returns `None`
-    /// when the wake is the very next cycle (nothing to skip).
-    fn skip_target(&self, last_progress_at: Cycle) -> Option<Cycle> {
+    /// the earliest wake among the fault injector's next event, the
+    /// earliest in-flight completion, the memory controller's
+    /// [`MemoryController::next_wake`] and the sleeping cores' `until`
+    /// — clamped to the livelock-watchdog and cycle-cap deadlines so
+    /// those guards fire at exactly the cycle lockstep would have
+    /// reached. Returns `None` when the wake is the very next cycle
+    /// (nothing to skip).
+    fn skip_target(&self) -> Option<Cycle> {
         // `step` already bumped `now`; the zero-progress tick happened
         // at `now - 1`, and the wake sources speak in "strictly after
         // the cycle I last saw" terms.
         let prev = self.now - 1;
         let mut wake = self.chans.next_wake(prev);
-        // A zero-progress step must leave every driver blocked on an
-        // external event; merging the driver wakes anyway means a
-        // progress-detection bug degrades to lockstep for a cycle
-        // instead of skipping state changes.
+        // A zero-progress step must leave every awake driver blocked on
+        // an external event; merging the awake drivers' wakes anyway
+        // means a progress-detection bug degrades to lockstep for a
+        // cycle instead of skipping state changes.
         let line_bytes = self.cfg.geometry.line_bytes;
-        for d in &self.drivers {
-            if let Some(w) = d.next_wake(prev, &self.mapper, &self.chans, line_bytes) {
-                debug_assert!(false, "zero-progress step left a runnable core");
-                wake = min_opt(wake, Some(w));
+        if self.awake > 0 {
+            for d in self.drivers.iter().filter(|d| d.sleep.is_none()) {
+                if let Some(w) = d.next_wake(prev, &self.mapper, &self.chans, line_bytes) {
+                    debug_assert!(false, "zero-progress step left a runnable core");
+                    wake = min_opt(wake, Some(w));
+                }
             }
+        }
+        if self.due < Cycle::MAX {
+            wake = min_opt(wake, Some(self.due));
         }
         if let Some(inj) = self.injector.as_ref() {
             wake = min_opt(wake, inj.next_due());
@@ -1158,7 +1467,7 @@ impl System {
         wake = min_opt(wake, self.inflight.peek_at());
         let mut target = wake?.max(self.now);
         if self.cfg.livelock_window > 0 {
-            target = target.min(last_progress_at + self.cfg.livelock_window);
+            target = target.min(self.watchdog_progress() + self.cfg.livelock_window);
         }
         target = target.min(self.cfg.max_cycles);
         (target > self.now).then_some(target)
@@ -1173,9 +1482,12 @@ impl System {
     fn skip_to(&mut self, target: Cycle) {
         let skipped = target - self.now;
         self.kernel_sink.record(Hist::KernelBatchLen, 0, skipped);
+        self.kernel_sink.add(Counter::KernelSkippedCycles, skipped);
         self.chans.note_idle_cycles(self.now, skipped);
-        for d in self.drivers.iter_mut().filter(|d| d.asleep_since.is_none()) {
-            d.idle(skipped);
+        if self.awake > 0 {
+            for d in self.drivers.iter_mut().filter(|d| d.sleep.is_none()) {
+                d.idle(skipped);
+            }
         }
         self.now = target;
     }
@@ -1235,22 +1547,16 @@ impl System {
     fn fetch_core(&mut self, idx: usize, now: Cycle) -> bool {
         let mut progress = false;
         let d = &mut self.drivers[idx];
-        d.fetch_credit =
-            (d.fetch_credit + CoreParams::paper_default().retire_per_dram_cycle).min(64.0);
+        d.fold_credit();
         loop {
             if d.fetch_credit < 1.0 {
                 break;
             }
             if d.gap_left > 0 {
-                let free = d.core.rob_free() as u32;
-                let n = d.gap_left.min(d.fetch_credit as u32).min(free);
-                if n == 0 {
+                if d.push_gap() == 0 {
                     break;
                 }
                 progress = true;
-                d.core.push_instrs(n);
-                d.gap_left -= n;
-                d.fetch_credit -= f64::from(n);
                 continue;
             }
             if let Some((addr, is_write)) = d.pending {

@@ -140,11 +140,16 @@ pub enum Counter {
     TraceEventsDropped,
     /// Event kernel: channel-tick rounds (one per simulated `step`).
     KernelSyncRounds,
+    /// Event kernel: cores stepped, summed over steps (awake
+    /// core-steps; a sleeping core's cycles are replayed at its wake).
+    KernelCoreSteps,
+    /// Event kernel: cycles jumped over by zero-progress skips.
+    KernelSkippedCycles,
 }
 
 impl Counter {
     /// Every counter, in declaration order (export order).
-    pub const ALL: [Counter; 42] = [
+    pub const ALL: [Counter; 44] = [
         Counter::McReadsDone,
         Counter::McWritesDone,
         Counter::McReadLatencySum,
@@ -187,6 +192,8 @@ impl Counter {
         Counter::PrefetchLateHits,
         Counter::TraceEventsDropped,
         Counter::KernelSyncRounds,
+        Counter::KernelCoreSteps,
+        Counter::KernelSkippedCycles,
     ];
 
     /// Stable export name (`layer.metric`).
@@ -235,6 +242,8 @@ impl Counter {
             Counter::PrefetchLateHits => "prefetch.late_hits",
             Counter::TraceEventsDropped => "trace.events_dropped",
             Counter::KernelSyncRounds => "kernel.sync_rounds",
+            Counter::KernelCoreSteps => "kernel.core_steps",
+            Counter::KernelSkippedCycles => "kernel.skipped_cycles",
         }
     }
 }

@@ -520,3 +520,132 @@ fn multichannel_equivalence_practical_with_delayed_rfm() {
         Some(FaultPlan::new(0x51).with(2_000, FaultKind::DelayRfm { extra_cycles: 300 }));
     assert_multichannel_equivalent(&cfg, "4ch practical + DelayRfm");
 }
+
+/// A core's trace for the sleep hazards: groups of `burst` reads (a
+/// store now and then) over random rows of the tiny geometry, `spacing`
+/// plain instructions apart, each group followed by `gap` plain
+/// instructions. Between the groups the core only streams its gap, so
+/// on the event kernel it sleeps through most of its cycles.
+fn long_gap_trace(core: u64, gap: u32, burst: u64, spacing: u32) -> Box<dyn TraceSource> {
+    let mut rng = DetRng::from_seed(0x51EE_7000 ^ core.wrapping_mul(0x9E37_79B9));
+    let records = (0..64 * burst)
+        .map(|i| TraceRecord {
+            gap: if i % burst == 0 { gap } else { spacing },
+            addr: PhysAddr::new(rng.below(512) * 64 * 131),
+            is_write: rng.below(5) == 0,
+        })
+        .collect();
+    Box::new(ReplayTrace::new("long-gap", records))
+}
+
+/// The event kernel sleeps a streaming core until the cycle it crosses
+/// its budget, so every core's `finish_cycle` and the run's `cycles`
+/// (the last finisher's crossing) equal lockstep's, whichever core
+/// finishes last. The metrics show the cores slept through almost all
+/// of their cycles, crossings included.
+#[test]
+fn sleeping_core_crosses_its_budget_at_the_lockstep_cycle() {
+    let gaps = [1_500, 2_700, 4_100];
+    for budget in [9_999, 20_011, 33_337] {
+        let run = |kernel: KernelMode| {
+            let mut cfg = tiny_cfg(MitigationConfig::prac(500), budget);
+            cfg.kernel = kernel;
+            cfg.metrics = Some(SinkConfig::default());
+            let traces = (0..3).map(|c| long_gap_trace(c, gaps[c as usize], 2, 0)).collect();
+            System::new(cfg, traces).unwrap().run_with_metrics().unwrap()
+        };
+        let (golden, _) = run(KernelMode::Lockstep);
+        let (fast, snapshot) = run(KernelMode::EventDriven);
+        assert_eq!(golden, fast, "RunResult diverged: budget={budget}");
+        let last = golden.cores.iter().map(|c| c.finish_cycle).max();
+        assert_eq!(Some(fast.cycles), last, "the run ended off the last crossing");
+        let core_steps = snapshot
+            .and_then(|s| s.counter("kernel.core_steps"))
+            .expect("metrics were enabled");
+        assert!(
+            core_steps * 10 < fast.cycles * 3,
+            "budget={budget}: {core_steps} core-steps in {} cycles; the cores barely slept",
+            fast.cycles
+        );
+    }
+}
+
+/// The livelock watchdog counts a sleeping core's retirement as lockstep
+/// does. Each core streams a gap longer than the watchdog window, then
+/// reads a wedged bank and blocks: the `Livelock` error must carry
+/// lockstep's cycle, stall length and retired count, not trip while the
+/// longest gap still streams. Without the wedge the same window never
+/// trips, however long a sleeper streams alone.
+#[test]
+fn livelock_watchdog_counts_streaming_sleepers() {
+    let gaps = [2_000, 20_000, 7_000];
+    let run = |kernel: KernelMode, wedge: bool| {
+        let mut cfg = tiny_cfg(MitigationConfig::baseline(), 200_000);
+        cfg.kernel = kernel;
+        cfg.prefetch_distance = 0;
+        cfg.livelock_window = 1_000;
+        cfg.max_cycles = 50_000_000;
+        if wedge {
+            cfg.fault_plan = Some(FaultPlan::new(0x11).with(
+                100,
+                FaultKind::StuckBank {
+                    subchannel: 0,
+                    bank: 0,
+                    duration: 40_000_000,
+                },
+            ));
+        }
+        let traces = gaps
+            .iter()
+            .map(|&gap| {
+                let records = vec![TraceRecord {
+                    gap,
+                    addr: PhysAddr::new(0),
+                    is_write: false,
+                }];
+                Box::new(ReplayTrace::new("wedged", records)) as Box<dyn TraceSource>
+            })
+            .collect();
+        System::new(cfg, traces).unwrap().run()
+    };
+    let golden = run(KernelMode::Lockstep, true).unwrap_err();
+    let fast = run(KernelMode::EventDriven, true).unwrap_err();
+    let MopacError::Livelock { cycle, stalled_for, .. } = &fast else {
+        panic!("expected Livelock, got {fast}");
+    };
+    assert_eq!(*stalled_for, 1_000);
+    // The 20 000-instruction gap streams for ~3 750 cycles before its
+    // read reaches the wedged bank.
+    assert!(*cycle > 3_750, "tripped at {cycle}, while a sleeper streamed");
+    assert_eq!(format!("{golden:?}"), format!("{fast:?}"));
+
+    let golden = run(KernelMode::Lockstep, false).unwrap();
+    let fast = run(KernelMode::EventDriven, false).unwrap();
+    assert_eq!(golden, fast);
+}
+
+/// A completion can reach a sleeping core for a load that is not at its
+/// ROB head: the core is still retiring the instructions ahead of it.
+/// It wakes the core early, up to date, with its sleep cut short. Reads
+/// spaced by short gaps over random rows make that happen: once a slow
+/// read at the head completes, the core streams through the backlog
+/// behind it while the later reads, some of them row hits that FR-FCFS
+/// served first, complete. The run must equal lockstep.
+#[test]
+fn completions_reach_sleeping_cores_out_of_order() {
+    let run = |kernel: KernelMode| {
+        let mut cfg = tiny_cfg(MitigationConfig::mopac_c(500), 60_000);
+        cfg.kernel = kernel;
+        let traces = (0..4)
+            .map(|c| long_gap_trace(c, [800, 1_300, 2_100, 3_400][c as usize], 6, 150))
+            .collect();
+        let mut sys = System::new(cfg, traces).unwrap();
+        let result = sys.run_to_completion().unwrap();
+        (result, sys.mc_stats(), sys.debug_sleep_completions())
+    };
+    let (golden, golden_mc, _) = run(KernelMode::Lockstep);
+    let (fast, fast_mc, ahead_of_head) = run(KernelMode::EventDriven);
+    assert_eq!(golden, fast, "RunResult diverged");
+    assert_eq!(golden_mc, fast_mc, "McStats diverged");
+    assert!(ahead_of_head > 0, "no completion reached a sleeper ahead of its ROB head");
+}
