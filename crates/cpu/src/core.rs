@@ -73,9 +73,6 @@ pub struct Core {
     params: CoreParams,
     rob: VecDeque<Slot>,
     rob_instrs: usize,
-    /// Loads in the ROB still outstanding (derived from `rob`, so not
-    /// serialized).
-    outstanding: usize,
     credit: f64,
     retired: u64,
     stall_cycles: u64,
@@ -90,7 +87,6 @@ impl Core {
             params,
             rob: VecDeque::with_capacity(params.rob_size),
             rob_instrs: 0,
-            outstanding: 0,
             credit: 0.0,
             retired: 0,
             stall_cycles: 0,
@@ -153,7 +149,6 @@ impl Core {
         debug_assert!(self.rob_free() >= 1, "ROB overflow");
         self.rob.push_back(Slot::Read { id, done: false });
         self.rob_instrs += 1;
-        self.outstanding += 1;
     }
 
     /// Marks the load with `id` complete.
@@ -161,7 +156,6 @@ impl Core {
         for slot in &mut self.rob {
             if let Slot::Read { id: rid, done } = slot {
                 if *rid == id {
-                    self.outstanding -= usize::from(!*done);
                     *done = true;
                     return;
                 }
@@ -257,21 +251,19 @@ impl Core {
     /// [`RetireModel`].
     #[must_use]
     pub fn retire_model(&self) -> RetireModel {
-        // Retirement stops at the first outstanding load, if any; with
-        // none, the whole ROB retires and needs no walk.
-        let (ready, stalled) = if self.outstanding == 0 {
-            (self.rob_instrs as u32, false)
-        } else {
-            let mut ready = 0;
-            for slot in &self.rob {
-                match *slot {
-                    Slot::Instrs(n) => ready += n,
-                    Slot::Read { done: true, .. } => ready += 1,
-                    Slot::Read { done: false, .. } => break,
+        // Retirement stops at the first outstanding load, if any.
+        let mut ready = 0;
+        let mut stalled = false;
+        for slot in &self.rob {
+            match *slot {
+                Slot::Instrs(n) => ready += n,
+                Slot::Read { done: true, .. } => ready += 1,
+                Slot::Read { done: false, .. } => {
+                    stalled = true;
+                    break;
                 }
             }
-            (ready, true)
-        };
+        }
         RetireModel {
             rate: self.params.retire_per_dram_cycle,
             credit: self.credit,
@@ -385,7 +377,6 @@ impl RetireModel {
         take
     }
 
-
     /// Whether an outstanding load heads the ROB, so nothing retires
     /// until it completes.
     #[must_use]
@@ -439,11 +430,6 @@ impl mopac_types::snapshot::Snapshottable for Core {
             self.rob.push_back(slot);
         }
         self.rob_instrs = r.take_usize()?;
-        self.outstanding = self
-            .rob
-            .iter()
-            .filter(|slot| matches!(slot, Slot::Read { done: false, .. }))
-            .count();
         if self.rob_instrs > self.params.rob_size {
             return Err(mopac_types::MopacError::snapshot(format!(
                 "ROB holds {} instructions but capacity is {}",
@@ -560,7 +546,10 @@ mod tests {
                 }
                 assert_eq!(u64::from(model.retire()), c.retire(), "round {round}");
                 assert_eq!(model.credit.to_bits(), c.credit.to_bits(), "round {round}");
-                assert_eq!(model.head_stalled(), !c.retire_ready() && c.rob_free() < 256);
+                assert_eq!(
+                    model.head_stalled(),
+                    !c.retire_ready() && c.rob_free() < 256
+                );
                 if cycle % 13 == 12 {
                     twin.catch_up(&model, &pushed);
                     assert_eq!(format!("{twin:?}"), format!("{c:?}"), "round {round}");

@@ -651,9 +651,6 @@ pub struct System {
     /// (diagnostics; see [`System::debug_last_exit_sleepers`]), and how
     /// many of them were streaming toward a trace record.
     last_exit_sleepers: (usize, usize),
-    /// Load completions that woke a core still retiring ahead of the
-    /// load (diagnostics; see [`System::debug_sleep_completions`]).
-    sleep_completions: u64,
     /// Cores not asleep.
     awake: usize,
     /// No sleeping core's `until` comes before this cycle
@@ -765,7 +762,6 @@ impl System {
             last_progress_at: 0,
             kernel_sink,
             last_exit_sleepers: (0, 0),
-            sleep_completions: 0,
             awake: n_cores,
             due: Cycle::MAX,
         })
@@ -1100,15 +1096,6 @@ impl System {
         self.last_exit_sleepers
     }
 
-    /// Test/diagnostic hook: load completions since construction that
-    /// woke a sleeping core whose ROB head, once caught up, was not
-    /// that load — the core was still retiring ahead of it.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_sleep_completions(&self) -> u64 {
-        self.sleep_completions
-    }
-
     /// Test/diagnostic hook: in-flight read completions.
     #[doc(hidden)]
     #[must_use]
@@ -1376,7 +1363,8 @@ impl System {
             if d.sleep.is_some() {
                 let retired_at = d.wake(now);
                 self.awake += 1;
-                self.sleep_completions += u64::from(d.core.retire_ready());
+                self.kernel_sink
+                    .add(Counter::KernelEarlyWakes, u64::from(d.core.retire_ready()));
                 if watchdog {
                     self.last_progress_at = self.last_progress_at.max(retired_at);
                 }

@@ -145,11 +145,14 @@ pub enum Counter {
     KernelCoreSteps,
     /// Event kernel: cycles jumped over by zero-progress skips.
     KernelSkippedCycles,
+    /// Event kernel: load completions that woke a sleeping core still
+    /// retiring the instructions ahead of the load (its sleep cut short).
+    KernelEarlyWakes,
 }
 
 impl Counter {
     /// Every counter, in declaration order (export order).
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 45] = [
         Counter::McReadsDone,
         Counter::McWritesDone,
         Counter::McReadLatencySum,
@@ -194,6 +197,7 @@ impl Counter {
         Counter::KernelSyncRounds,
         Counter::KernelCoreSteps,
         Counter::KernelSkippedCycles,
+        Counter::KernelEarlyWakes,
     ];
 
     /// Stable export name (`layer.metric`).
@@ -244,6 +248,7 @@ impl Counter {
             Counter::KernelSyncRounds => "kernel.sync_rounds",
             Counter::KernelCoreSteps => "kernel.core_steps",
             Counter::KernelSkippedCycles => "kernel.skipped_cycles",
+            Counter::KernelEarlyWakes => "kernel.early_wakes",
         }
     }
 }

@@ -636,16 +636,21 @@ fn completions_reach_sleeping_cores_out_of_order() {
     let run = |kernel: KernelMode| {
         let mut cfg = tiny_cfg(MitigationConfig::mopac_c(500), 60_000);
         cfg.kernel = kernel;
+        cfg.metrics = Some(SinkConfig::default());
         let traces = (0..4)
             .map(|c| long_gap_trace(c, [800, 1_300, 2_100, 3_400][c as usize], 6, 150))
             .collect();
         let mut sys = System::new(cfg, traces).unwrap();
         let result = sys.run_to_completion().unwrap();
-        (result, sys.mc_stats(), sys.debug_sleep_completions())
+        let early_wakes = sys
+            .metrics_snapshot()
+            .and_then(|s| s.counter("kernel.early_wakes"))
+            .expect("metrics were enabled");
+        (result, sys.mc_stats(), early_wakes)
     };
     let (golden, golden_mc, _) = run(KernelMode::Lockstep);
-    let (fast, fast_mc, ahead_of_head) = run(KernelMode::EventDriven);
+    let (fast, fast_mc, early_wakes) = run(KernelMode::EventDriven);
     assert_eq!(golden, fast, "RunResult diverged");
     assert_eq!(golden_mc, fast_mc, "McStats diverged");
-    assert!(ahead_of_head > 0, "no completion reached a sleeper ahead of its ROB head");
+    assert!(early_wakes > 0, "no completion reached a sleeper ahead of its ROB head");
 }
