@@ -6,8 +6,8 @@
 //! 1; under MoPAC each (probabilistic) update adds `1/p`, and MoPAC-D's
 //! deferred updates add `1 + SCtr/p` when an SRQ entry drains.
 //!
-//! The counters live in a paged [`RowTable`]: a bank pays only for the
-//! pages its activated rows fall in, and refreshes and resets of
+//! The counters live in a [`RowTable`]: a bank pays only for its
+//! non-zero counters while they are few, and refreshes and resets of
 //! untouched rows allocate nothing.
 
 use mopac_types::collections::RowTable;
@@ -88,19 +88,13 @@ impl PracCounters {
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.counts.iter_nonzero()
     }
-
-    /// Number of allocated [`RowTable`] pages.
-    #[must_use]
-    pub fn present_pages(&self) -> usize {
-        self.counts.present_pages()
-    }
 }
 
 impl mopac_types::snapshot::Snapshottable for PracCounters {
     /// Serializes sparsely: the number of non-zero counters, then
-    /// `(row, count)` pairs in row order. Only allocated
-    /// pages are visited, so a mostly-idle 64 K-row bank costs a few
-    /// bytes and a few page scans instead of 256 KB and a full sweep.
+    /// `(row, count)` pairs in row order. Only the non-zero counters are
+    /// visited while they are few, so a mostly-idle 64 K-row bank costs
+    /// a few bytes instead of 256 KB and a full sweep.
     fn save_state(&self, w: &mut mopac_types::snapshot::SnapshotWriter) {
         self.counts.save_nonzero(w);
     }
@@ -151,14 +145,16 @@ mod tests {
             c.reset(row);
             assert_eq!(c.get(row), 0);
         }
-        assert_eq!(c.present_pages(), 0);
+        assert_eq!(c.iter_nonzero().count(), 0);
     }
 
     #[test]
-    fn flip_bit_on_an_absent_row_allocates_one_page() {
+    fn flip_bit_on_an_absent_row_stores_the_row() {
         let mut c = PracCounters::new(64 * 1024);
         assert_eq!(c.flip_bit(40_000, 33), 2);
-        assert_eq!(c.present_pages(), 1);
+        assert_eq!(c.iter_nonzero().collect::<Vec<_>>(), vec![(40_000, 2)]);
+        assert_eq!(c.flip_bit(40_000, 1), 0);
+        assert_eq!(c.iter_nonzero().count(), 0);
     }
 
     #[test]
@@ -170,13 +166,12 @@ mod tests {
         src.save_state(&mut w);
         let bytes = w.finish();
 
+        // Every 10th row non-zero: the destination is past its dense switch.
         let mut dst = PracCounters::new(64 * 1024);
-        for row in (0..64 * 1024).step_by(1000) {
+        for row in (0..64 * 1024).step_by(10) {
             dst.add(row, 1);
         }
-        assert_eq!(dst.present_pages(), 66);
         dst.load_state(&mut SnapshotReader::new(&bytes).unwrap()).unwrap();
-        assert_eq!(dst.present_pages(), 1);
         assert_eq!(dst.iter_nonzero().collect::<Vec<_>>(), vec![(3, 5)]);
     }
 

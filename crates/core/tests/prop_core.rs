@@ -8,7 +8,6 @@ use mopac::moat::MoatTracker;
 use mopac::srq::{Srq, SrqInsert};
 use mopac_types::check::prop_check;
 use mopac_types::prop_ensure;
-use mopac_types::collections::ROW_PAGE;
 use mopac_types::rng::DetRng;
 use mopac_types::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
 
@@ -286,29 +285,26 @@ fn bytes_of(save: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
     w.finish()
 }
 
-/// Page-boundary property: on banks of 1 to 3 pages + 17 rows, with
-/// rows biased toward page edges (`k·256 − 1`, `k·256`) and bank edges,
-/// the paged disturbance store and PRAC counters match dense models:
-/// the same violations and exposure, `save_state` bytes equal to a
-/// dense encoder's, and load → save reproduces the bytes.
+/// Row-state property: on banks of 1 to 800 rows, with rows biased
+/// toward the bank edges and enough writes that many banks pass the
+/// per-row tables' dense switch (`rows / 16` non-zero rows), the
+/// disturbance store and PRAC counters match dense models: the same
+/// violations and exposure, `save_state` bytes equal to a dense
+/// encoder's, and load → save reproduces the bytes.
 #[test]
-fn paged_state_matches_dense_model_at_page_edges() {
-    prop_check("paged_state_matches_dense_model_at_page_edges", 96, |rng| {
-        let rows = 1 + rng.below(u64::from(3 * ROW_PAGE + 17)) as usize;
+fn row_state_matches_dense_model_across_the_dense_switch() {
+    prop_check("row_state_matches_dense_model_across_the_dense_switch", 96, |rng| {
+        let rows = 1 + rng.below(800) as usize;
         let t_rh = 1 + rng.below(40) as u32;
         let mut store = Disturbance::new(rows as u32);
         let mut oracle = Oracle::new(t_rh);
         let mut naive = NaiveChecker::new(rows, t_rh);
         let mut counters = PracCounters::new(rows as u32);
         let mut dense = vec![0u32; rows];
-        let pages = rows.div_ceil(ROW_PAGE as usize) as u64;
         for _ in 0..rng.below(600) {
-            let edge = (rng.below(pages + 1) * u64::from(ROW_PAGE)) as usize;
             let row = match rng.below(6) {
                 0 => 0,
                 1 => rows - 1,
-                2 => edge.saturating_sub(1).min(rows - 1),
-                3 => edge.min(rows - 1),
                 _ => rng.below(rows as u64) as usize,
             };
             let r = row as u32;

@@ -33,7 +33,7 @@ use mopac_memctrl::controller::{
     AccessKind, Completion, McConfig, McStats, MemRequest, MemoryController,
 };
 use mopac_memctrl::mapping::{AddressMapper, Mapping};
-use mopac_types::addr::PhysAddr;
+use mopac_types::addr::{DecodedAddr, PhysAddr};
 use mopac_types::collections::DetMap;
 use mopac_types::error::{MopacError, MopacResult};
 use mopac_types::geometry::DramGeometry;
@@ -316,7 +316,9 @@ struct CoreDriver {
     trace: Box<dyn TraceSource>,
     fetch_credit: f64,
     gap_left: u32,
-    pending: Option<(PhysAddr, bool)>,
+    /// The record waiting to issue: its address, decoded once when the
+    /// record is pulled, and whether it is a write.
+    pending: Option<(PhysAddr, DecodedAddr, bool)>,
     seq: u64,
     prefetcher: Option<StreamPrefetcher>,
     /// Prefetched lines by line index. A [`DetMap`] so per-core
@@ -565,20 +567,14 @@ impl CoreDriver {
     /// (in-flight completions, MC commands) can provide. A step that
     /// made zero progress must leave every driver returning `None`;
     /// the event kernel debug-asserts this before skipping.
-    fn next_wake(
-        &self,
-        now: Cycle,
-        mapper: &AddressMapper,
-        chans: &ChannelSet,
-        line_bytes: u32,
-    ) -> Option<Cycle> {
+    fn next_wake(&self, now: Cycle, chans: &ChannelSet, line_bytes: u32) -> Option<Cycle> {
         if self.core.retire_ready() {
             return Some(now + 1);
         }
         if self.gap_left > 0 {
             return (self.core.rob_free() > 0).then_some(now + 1);
         }
-        if let Some((addr, is_write)) = self.pending {
+        if let Some((addr, decoded, is_write)) = self.pending {
             if self.core.rob_free() == 0 {
                 return None;
             }
@@ -592,7 +588,6 @@ impl CoreDriver {
                     }
                 }
             }
-            let decoded = mapper.decode(addr);
             let kind = if is_write {
                 AccessKind::Write
             } else {
@@ -1133,7 +1128,7 @@ impl System {
             w.put_f64(d.fetch_credit);
             w.put_u32(d.gap_left);
             match d.pending {
-                Some((addr, is_write)) => {
+                Some((addr, _, is_write)) => {
                     w.put_bool(true);
                     w.put_u64(addr.get());
                     w.put_bool(is_write);
@@ -1243,7 +1238,7 @@ impl System {
             d.pending = if r.take_bool()? {
                 let addr = PhysAddr::new(r.take_u64()?);
                 let is_write = r.take_bool()?;
-                Some((addr, is_write))
+                Some((addr, self.mapper.decode(addr), is_write))
             } else {
                 None
             };
@@ -1440,7 +1435,7 @@ impl System {
         let line_bytes = self.cfg.geometry.line_bytes;
         if self.awake > 0 {
             for d in self.drivers.iter().filter(|d| d.sleep.is_none()) {
-                if let Some(w) = d.next_wake(prev, &self.mapper, &self.chans, line_bytes) {
+                if let Some(w) = d.next_wake(prev, &self.chans, line_bytes) {
                     debug_assert!(false, "zero-progress step left a runnable core");
                     wake = min_opt(wake, Some(w));
                 }
@@ -1547,7 +1542,7 @@ impl System {
                 progress = true;
                 continue;
             }
-            if let Some((addr, is_write)) = d.pending {
+            if let Some((addr, decoded, is_write)) = d.pending {
                 if d.core.rob_free() == 0 {
                     break;
                 }
@@ -1596,7 +1591,6 @@ impl System {
                         _ => {}
                     }
                 }
-                let decoded = self.mapper.decode(addr);
                 let kind = if is_write {
                     AccessKind::Write
                 } else {
@@ -1644,8 +1638,9 @@ impl System {
             progress = true;
             let rec = d.trace.next_record();
             d.gap_left = rec.gap;
+            let decode = |addr| self.mapper.decode(addr);
             match self.llc.as_mut() {
-                None => d.pending = Some((rec.addr, rec.is_write)),
+                None => d.pending = Some((rec.addr, decode(rec.addr), rec.is_write)),
                 Some(llc) => match llc.access(rec.addr, rec.is_write) {
                     CacheAccess::Hit => {
                         // Hit: the access is one ordinary instruction.
@@ -1654,12 +1649,12 @@ impl System {
                     CacheAccess::Miss => {
                         // Allocate on write too: the demand fill is a
                         // read; dirty data leaves later.
-                        d.pending = Some((rec.addr, false));
+                        d.pending = Some((rec.addr, decode(rec.addr), false));
                     }
                     CacheAccess::MissDirtyEviction(victim) => {
-                        d.pending = Some((rec.addr, false));
+                        d.pending = Some((rec.addr, decode(rec.addr), false));
                         // Post the writeback without ROB involvement.
-                        let decoded = self.mapper.decode(victim);
+                        let decoded = decode(victim);
                         let id = ((idx as u64) << 48) | d.seq;
                         d.seq += 1;
                         let _ = self.chans.enqueue(

@@ -9,8 +9,8 @@
 //! `u64`-keyed maps on simulator hot paths (prefetcher line tracking),
 //! [`DetCounter`] is the shared accumulator used by workload
 //! statistics in tests and bench binaries, and [`RowTable`] is the
-//! paged per-row `u32` store behind PRAC counters and the disturbance
-//! store.
+//! per-row `u32` store behind PRAC counters and the disturbance store:
+//! a [`DetMap`] of its non-zero rows that turns dense when it fills.
 //!
 //! # Examples
 //!
@@ -331,22 +331,23 @@ impl DetCounter {
     }
 }
 
-/// Rows per [`RowTable`] page: 1 KiB of `u32`s.
-pub const ROW_PAGE: u32 = 1 << PAGE_SHIFT;
+/// A [`RowTable`] turns dense once more than `rows / DENSE_SHARE` of
+/// its rows are non-zero: there a hash slot per live row costs about as
+/// much as a dense `u32` per row.
+const DENSE_SHARE: u32 = 16;
 
-const PAGE_SHIFT: u32 = 8;
-
-type Page = [u32; ROW_PAGE as usize];
-
-/// A per-row `u32` table that pays only for the pages it holds.
+/// A per-row `u32` table that pays only for its non-zero rows while
+/// they are few.
 ///
-/// Rows are split into fixed pages of [`ROW_PAGE`] rows. A page is
-/// allocated on its first non-zero write and recorded in a presence
-/// bitmask; a read of an absent page returns 0, and a zero write to an
-/// absent page is a no-op, so refresh sweeps and resets never allocate.
-/// A bank whose hot rows are few (the expected case: only a bounded set
-/// of rows is activated per refresh window) holds a few pages; one whose
-/// rows are all non-zero holds every page, as a dense array would.
+/// The table starts empty, with nothing allocated. Its non-zero rows
+/// live in a row-keyed [`DetMap`] until more than `rows / 16` of them
+/// are non-zero at once; the table then switches, once, to a dense
+/// array of every row. A read of an absent row returns 0, and a zero
+/// write removes the row from the hash (or is a no-op when absent), so
+/// refresh sweeps and resets never allocate. A bank whose hot rows are
+/// few (the expected case: only a bounded set of rows is activated per
+/// refresh window) holds a small hash; one whose rows are mostly
+/// non-zero holds the 4 bytes per row of a dense array.
 ///
 /// # Examples
 ///
@@ -356,31 +357,34 @@ type Page = [u32; ROW_PAGE as usize];
 /// let mut t = RowTable::new(64 * 1024);
 /// t.set(63_000, 3);
 /// assert_eq!(t.update(5, |c| c + 2), 2);
-/// t.set(9, 0); // zero write to an absent page: nothing allocated
+/// t.set(9, 0); // zero write to an absent row: nothing stored
 /// assert_eq!(t.get(63_000), 3);
-/// assert_eq!(t.present_pages(), 2);
+/// assert_eq!(t.get(9), 0);
 /// assert_eq!(t.iter_nonzero().collect::<Vec<_>>(), vec![(5, 2), (63_000, 3)]);
 /// t.clear();
-/// assert_eq!(t.present_pages(), 0);
+/// assert_eq!(t.iter_nonzero().count(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RowTable {
     rows: u32,
-    pages: Box<[Option<Box<Page>>]>,
-    /// Bit `p % 64` of word `p / 64` is set when page `p` is allocated.
-    present: Box<[u64]>,
+    state: RowState,
+}
+
+#[derive(Debug, Clone)]
+enum RowState {
+    /// Every row is zero; nothing is allocated.
+    Empty,
+    /// The non-zero rows, keyed by row, at most `rows / DENSE_SHARE`.
+    Sparse(DetMap<u32>),
+    /// Every row.
+    Dense(Box<[u32]>),
 }
 
 impl RowTable {
-    /// An all-zero table of `rows` rows; no page is allocated.
+    /// An all-zero table of `rows` rows; nothing is allocated.
     #[must_use]
     pub fn new(rows: u32) -> Self {
-        let pages = rows.div_ceil(ROW_PAGE) as usize;
-        Self {
-            rows,
-            pages: vec![None; pages].into_boxed_slice(),
-            present: vec![0; pages.div_ceil(64)].into_boxed_slice(),
-        }
+        Self { rows, state: RowState::Empty }
     }
 
     /// Number of rows covered.
@@ -402,15 +406,15 @@ impl RowTable {
     #[must_use]
     pub fn get(&self, row: u32) -> u32 {
         self.check(row);
-        match &self.pages[(row >> PAGE_SHIFT) as usize] {
-            Some(page) => page[(row % ROW_PAGE) as usize],
-            None => 0,
+        match &self.state {
+            RowState::Empty => 0,
+            RowState::Sparse(map) => map.get(u64::from(row)).copied().unwrap_or(0),
+            RowState::Dense(dense) => dense[row as usize],
         }
     }
 
-    /// Replaces the value of `row` with `f(value)` and returns it. The
-    /// row's page is allocated only if it is absent and the new value
-    /// is non-zero.
+    /// Replaces the value of `row` with `f(value)` and returns it. A
+    /// sparse table stores the row only while its value is non-zero.
     ///
     /// # Panics
     ///
@@ -418,15 +422,29 @@ impl RowTable {
     #[inline]
     pub fn update(&mut self, row: u32, f: impl FnOnce(u32) -> u32) -> u32 {
         self.check(row);
-        let p = (row >> PAGE_SHIFT) as usize;
-        let slot = (row % ROW_PAGE) as usize;
-        if let Some(page) = &mut self.pages[p] {
-            page[slot] = f(page[slot]);
-            return page[slot];
+        let key = u64::from(row);
+        match &mut self.state {
+            RowState::Dense(dense) => {
+                let slot = &mut dense[row as usize];
+                *slot = f(*slot);
+                return *slot;
+            }
+            RowState::Sparse(map) => {
+                if let Some(slot) = map.get_mut(key) {
+                    let v = f(*slot);
+                    if v == 0 {
+                        map.remove(key);
+                    } else {
+                        *slot = v;
+                    }
+                    return v;
+                }
+            }
+            RowState::Empty => {}
         }
         let v = f(0);
         if v != 0 {
-            self.allocate(p)[slot] = v;
+            self.insert(row, v);
         }
         v
     }
@@ -441,34 +459,51 @@ impl RowTable {
         self.update(row, |_| value);
     }
 
+    /// Stores a non-zero value for an absent row of a sparse table,
+    /// switching to the dense array when the hash would outgrow its
+    /// share.
     #[cold]
-    fn allocate(&mut self, p: usize) -> &mut Page {
-        self.present[p / 64] |= 1 << (p % 64);
-        self.pages[p].insert(Box::new([0; ROW_PAGE as usize]))
-    }
-
-    /// Zeroes every row by dropping the allocated pages.
-    pub fn clear(&mut self) {
-        for (w, word) in self.present.iter_mut().enumerate() {
-            while *word != 0 {
-                self.pages[w * 64 + word.trailing_zeros() as usize] = None;
-                *word &= *word - 1;
+    fn insert(&mut self, row: u32, v: u32) {
+        let share = (self.rows / DENSE_SHARE) as usize;
+        if let RowState::Empty = self.state {
+            self.state = RowState::Sparse(DetMap::new());
+        }
+        match &mut self.state {
+            RowState::Sparse(map) if map.len() < share => {
+                map.insert(u64::from(row), v);
+            }
+            state => {
+                let mut dense = vec![0; self.rows as usize].into_boxed_slice();
+                if let RowState::Sparse(map) = state {
+                    for (r, &x) in map.iter() {
+                        dense[r as usize] = x;
+                    }
+                }
+                dense[row as usize] = v;
+                *state = RowState::Dense(dense);
             }
         }
     }
 
-    /// Number of allocated pages.
-    #[must_use]
-    pub fn present_pages(&self) -> usize {
-        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    /// Zeroes every row and frees the storage.
+    pub fn clear(&mut self) {
+        self.state = RowState::Empty;
     }
 
-    /// `(row, value)` pairs with non-zero values, in row order. Only
-    /// allocated pages are visited.
-    #[must_use]
-    pub fn iter_nonzero(&self) -> NonZeroRows<'_> {
-        let bits = self.present.first().copied().unwrap_or(0);
-        NonZeroRows { table: self, word: 0, bits, page: &[], row: 0 }
+    /// `(row, value)` pairs with non-zero values, in row order. A sparse
+    /// table sorts its rows first; a dense one is walked whole.
+    pub fn iter_nonzero(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        let (sorted, dense) = match &self.state {
+            RowState::Empty => (Vec::new(), &[][..]),
+            RowState::Sparse(map) => {
+                let mut v: Vec<(u32, u32)> = map.iter().map(|(r, &x)| (r as u32, x)).collect();
+                v.sort_unstable_by_key(|&(r, _)| r);
+                (v, &[][..])
+            }
+            RowState::Dense(dense) => (Vec::new(), &dense[..]),
+        };
+        let dense = (0..).zip(dense.iter().copied()).filter(|&(_, x)| x != 0);
+        sorted.into_iter().chain(dense)
     }
 
     /// Writes the table sparsely in one walk: the count of non-zero
@@ -506,43 +541,6 @@ impl RowTable {
             self.set(row, r.take_u32()?);
         }
         Ok(())
-    }
-}
-
-/// The iterator of [`RowTable::iter_nonzero`].
-#[derive(Debug, Clone)]
-pub struct NonZeroRows<'a> {
-    table: &'a RowTable,
-    /// The presence word being walked, and its pages not yet visited.
-    word: usize,
-    bits: u64,
-    /// The rest of the page being scanned, and the row of its first slot.
-    page: &'a [u32],
-    row: u32,
-}
-
-impl Iterator for NonZeroRows<'_> {
-    type Item = (u32, u32);
-
-    fn next(&mut self) -> Option<(u32, u32)> {
-        loop {
-            while let Some((&v, rest)) = self.page.split_first() {
-                let row = self.row;
-                self.page = rest;
-                self.row = row.wrapping_add(1);
-                if v != 0 {
-                    return Some((row, v));
-                }
-            }
-            while self.bits == 0 {
-                self.word += 1;
-                self.bits = *self.table.present.get(self.word)?;
-            }
-            let p = self.word * 64 + self.bits.trailing_zeros() as usize;
-            self.bits &= self.bits - 1;
-            self.page = self.table.pages[p].as_deref().map_or(&[], |page| &page[..]);
-            self.row = (p as u32) << PAGE_SHIFT;
-        }
     }
 }
 
@@ -698,75 +696,127 @@ mod tests {
             assert_eq!(t.update(row, |c| c), 0);
             assert_eq!(t.get(row), 0);
         }
-        assert_eq!(t.present_pages(), 0);
+        assert!(matches!(t.state, RowState::Empty));
         assert_eq!(t.iter_nonzero().count(), 0);
     }
 
+    /// The table stays a hash up to `rows / 16` non-zero rows, switches
+    /// on the next one, and stays dense while rows return to zero.
     #[test]
-    fn row_table_allocates_one_page_per_touched_page() {
-        let mut t = RowTable::new(3 * ROW_PAGE + 17);
-        t.set(ROW_PAGE - 1, 1);
-        assert_eq!(t.present_pages(), 1);
-        t.set(ROW_PAGE, 2);
-        t.set(ROW_PAGE + 1, 3);
-        assert_eq!(t.present_pages(), 2);
-        t.set(3 * ROW_PAGE + 16, 4);
-        assert_eq!(t.present_pages(), 3);
-        // A page zeroed by writes stays allocated but iterates as empty.
-        t.set(ROW_PAGE - 1, 0);
-        assert_eq!(t.present_pages(), 3);
-        let nonzero: Vec<_> = t.iter_nonzero().collect();
-        assert_eq!(nonzero, vec![(ROW_PAGE, 2), (ROW_PAGE + 1, 3), (3 * ROW_PAGE + 16, 4)]);
+    fn row_table_turns_dense_once_past_its_share() {
+        let rows = 1024;
+        let share = rows / DENSE_SHARE;
+        let mut t = RowTable::new(rows);
+        for i in 0..share {
+            // Zeroing a row frees its hash slot.
+            t.set(1000, 9);
+            t.set(1000, 0);
+            t.set(i * 7, i + 1);
+        }
+        assert!(matches!(&t.state, RowState::Sparse(m) if m.len() == share as usize));
+        t.set(1001, 5);
+        assert!(matches!(t.state, RowState::Dense(_)));
+        for i in 0..share {
+            t.set(i * 7, 0);
+        }
+        assert!(matches!(t.state, RowState::Dense(_)));
+        assert_eq!(t.iter_nonzero().collect::<Vec<_>>(), vec![(1001, 5)]);
         t.clear();
-        assert_eq!(t.present_pages(), 0);
-        assert_eq!(t.get(ROW_PAGE), 0);
+        assert!(matches!(t.state, RowState::Empty));
+        assert_eq!(t.get(1001), 0);
+        // Below 16 rows the share is 0: the first non-zero write is dense.
+        let mut tiny = RowTable::new(15);
+        tiny.set(3, 1);
+        assert!(matches!(tiny.state, RowState::Dense(_)));
     }
 
-    /// Random writes biased toward page and table edges, against a
-    /// dense array. Over 64 pages, so the presence mask spans words.
+    fn snapshot_of(t: &RowTable) -> Vec<u8> {
+        use crate::snapshot::SnapshotWriter;
+        let mut w = SnapshotWriter::new();
+        t.save_nonzero(&mut w);
+        w.finish()
+    }
+
+    /// Random `update`/`set`/`clear`/save/load sequences against a dense
+    /// array, biased toward table edges and long enough to cross the
+    /// dense switch: equal values, equal `iter_nonzero` and equal
+    /// snapshot bytes, and each snapshot restores into a fresh table
+    /// (empty, so sparse until it fills) with the same bytes.
     #[test]
     fn row_table_matches_dense_array() {
-        let mut rng = DetRng::from_seed(0x5A6E);
-        for rows in [1, ROW_PAGE - 1, ROW_PAGE, 70 * ROW_PAGE + 3] {
+        use crate::check::prop_check;
+        use crate::prop_ensure;
+        use crate::snapshot::SnapshotReader;
+        let mut densified = 0;
+        prop_check("row_table_matches_dense_array", 48, |rng| {
+            let rows = 1 + rng.below(2_000) as u32;
             let mut t = RowTable::new(rows);
             let mut dense = vec![0u32; rows as usize];
-            for _ in 0..4_000 {
-                let row = match rng.below(3) {
-                    0 => rng.below(u64::from(rows)) as u32,
-                    1 => (rng.below(u64::from(rows.div_ceil(ROW_PAGE))) as u32 * ROW_PAGE)
-                        .saturating_sub(rng.below(2) as u32)
-                        .min(rows - 1),
-                    _ => rows - 1,
+            for _ in 0..rng.below(1_500) {
+                let row = match rng.below(4) {
+                    0 => 0,
+                    1 => rows - 1,
+                    _ => rng.below(u64::from(rows)) as u32,
                 };
                 let v = if rng.below(4) == 0 { 0 } else { rng.below(1 << 20) as u32 };
                 let i = row as usize;
-                match rng.below(50) {
+                match rng.below(200) {
                     0 => {
                         t.clear();
                         dense.fill(0);
                     }
-                    1..=24 => {
+                    1..=3 => {
+                        let bytes = snapshot_of(&t);
+                        let mut fresh = RowTable::new(rows);
+                        let mut r = SnapshotReader::new(&bytes).map_err(|e| e.to_string())?;
+                        fresh.load_nonzero(&mut r, "test").map_err(|e| e.to_string())?;
+                        prop_ensure!(snapshot_of(&fresh) == bytes, "load -> save changed bytes");
+                        t = fresh;
+                    }
+                    4..=99 => {
                         t.set(row, v);
                         dense[i] = v;
                     }
                     _ => {
                         dense[i] = dense[i].saturating_add(v);
-                        assert_eq!(t.update(row, |c| c.saturating_add(v)), dense[i]);
+                        prop_ensure!(t.update(row, |c| c.saturating_add(v)) == dense[i]);
                     }
                 }
-                assert_eq!(t.get(row), dense[i]);
+                prop_ensure!(t.get(row) == dense[i], "row {row}: {} != {}", t.get(row), dense[i]);
+                densified += usize::from(matches!(t.state, RowState::Dense(_)));
             }
             let want: Vec<(u32, u32)> =
                 (0..).zip(dense.iter().copied()).filter(|&(_, v)| v != 0).collect();
-            assert_eq!(t.iter_nonzero().collect::<Vec<_>>(), want);
+            prop_ensure!(t.iter_nonzero().collect::<Vec<_>>() == want, "iter_nonzero differs");
+            let mut w = crate::snapshot::SnapshotWriter::new();
+            w.put_usize(want.len());
+            for &(row, v) in &want {
+                w.put_u32(row);
+                w.put_u32(v);
+            }
+            prop_ensure!(snapshot_of(&t) == w.finish(), "snapshot bytes differ");
+            Ok(())
+        });
+        assert!(densified > 0, "no sequence crossed the dense switch");
+    }
+
+    /// The dense worst case: every row of a paper-geometry bank non-zero.
+    #[test]
+    fn row_table_filled_is_dense_in_row_order() {
+        let rows = 64 * 1024;
+        let mut t = RowTable::new(rows);
+        for row in (0..rows).rev() {
+            t.set(row, row + 1);
         }
+        assert!(matches!(t.state, RowState::Dense(_)));
+        assert!(t.iter_nonzero().eq((0..rows).map(|r| (r, r + 1))));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn row_table_out_of_range_panics() {
-        let t = RowTable::new(ROW_PAGE + 1);
-        let _ = t.get(ROW_PAGE + 1);
+        let t = RowTable::new(257);
+        let _ = t.get(257);
     }
 
     #[test]
