@@ -7,11 +7,13 @@
 //! intervals to take a full [`AttackRun::snapshot`]. Results must stay
 //! bit-identical (the snapshot is a pure observer), and the median
 //! relative slowdown over blocks of back-to-back pairs of runs is
-//! printed as `snapshot_overhead_pct: <value>` — `ci.sh` gates it below
-//! 5% in release builds. The block ratios' first and third quartiles
-//! follow as `snapshot_overhead_iqr_pct: <q1> <q3>`; timing continues
-//! (up to a fixed cap) until they lie on one side of the gate, so a
-//! reading near the gate can be told apart from noise.
+//! printed as `snapshot_overhead_pct: <value>`, and the gate it must
+//! stay below as `snapshot_overhead_gate_pct: <gate>` — `ci.sh` reads
+//! both and fails a release build at or over the gate. The block
+//! medians' first and third quartiles follow as
+//! `snapshot_overhead_iqr_pct: <q1> <q3>`; timing continues (up to a
+//! fixed cap) until they lie on one side of the gate, so a reading near
+//! the gate can be told apart from noise.
 
 use mopac::config::MitigationConfig;
 use mopac_bench::{attack_cycle_budget, u64_knob};
@@ -26,7 +28,8 @@ use std::time::Instant;
 /// 2-CPU shared host, too wide for their quartiles to clear the gate.
 const BLOCK: usize = 8;
 
-/// ci.sh's gate on the median overhead, in percent.
+/// The gate on the median overhead, in percent. ci.sh reads it from
+/// the output, so this is the one place that sets it.
 const GATE_PCT: f64 = 5.0;
 
 /// Measured seconds after which timing stops even if the interquartile
@@ -115,6 +118,7 @@ fn main() {
         cfg.cycles
     );
     println!("snapshot_overhead_pct: {overhead:.2}");
+    println!("snapshot_overhead_gate_pct: {GATE_PCT:.2}");
     println!(
         "snapshot_overhead_iqr_pct: {q1:.2} {q3:.2} ({} blocks of {BLOCK} pairs, {measured:.1}s)",
         blocks.len()
