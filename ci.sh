@@ -139,6 +139,31 @@ if [[ $fast -eq 0 ]]; then
     exit 1
   fi
 
+  # The whole paper suite in one process at a small budget: run_all
+  # must exit 0, write the same CSVs on one worker thread as on two
+  # (each unique cell runs once, whatever the thread count), and
+  # leave the checkout clean (its CSVs go to the temp dirs; run this
+  # gate on a committed tree).
+  step "run_all (small budget, 1 vs 2 threads, diff-checked)"
+  ra1=$(mktemp -d)
+  ra2=$(mktemp -d)
+  run_all_into() {
+    MOPAC_INSTRS=20000 MOPAC_WORKLOADS=xz,cam4 MOPAC_THREADS=$1 MOPAC_DATA_DIR="$2" \
+      ./target/release/run_all >/dev/null
+  }
+  run_all_into 1 "$ra1"
+  run_all_into 2 "$ra2"
+  if ! diff -r "$ra1" "$ra2"; then
+    echo "FAIL: run_all wrote different CSVs at MOPAC_THREADS=1 and 2"
+    exit 1
+  fi
+  rm -rf "$ra1" "$ra2"
+  if [[ -n "$(git status --porcelain)" ]]; then
+    echo "FAIL: the checkout is not clean after run_all"
+    git status --porcelain
+    exit 1
+  fi
+
   # Periodic snapshots on a saturated attack run at the paper geometry
   # (every 32 REF windows) must cost less wall-clock than the gate the
   # bin prints (its `GATE_PCT`, 5%). A missing line fails the step.

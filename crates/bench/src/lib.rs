@@ -1,9 +1,11 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! prints a paper-vs-measured comparison and appends a CSV file under
-//! `EXPERIMENTS-data/`. This library provides the report formatting,
-//! CSV output, and budget knobs they share.
+//! Every table and figure of the paper is an [`experiments::Experiment`]:
+//! the simulated cells it needs, run once on a [`table::RunTable`], and a
+//! formatter that prints a paper-vs-measured comparison and writes a CSV
+//! file under `EXPERIMENTS-data/`. Each has a binary in `src/bin/`, and
+//! `run_all` runs them all in one process. This library also provides
+//! the report formatting, CSV output, and budget knobs they share.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -13,6 +15,9 @@ use std::fs;
 use std::path::PathBuf;
 
 pub use mopac_types::knob::{check_knobs, parse_u64_knob, u64_knob};
+
+pub mod experiments;
+pub mod table;
 
 /// Per-core instruction budget for simulation experiments, overridable
 /// with `MOPAC_INSTRS` (the paper uses 100 M; defaults here are sized
@@ -60,6 +65,39 @@ pub fn workload_filter() -> Option<Vec<String>> {
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
 }
 
+/// The budget of a suite run, read once from `MOPAC_INSTRS`,
+/// `MOPAC_ATTACK_CYCLES` and `MOPAC_WORKLOADS`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Budget {
+    /// Instructions per core of every workload run.
+    pub instrs: u64,
+    /// Cycles of every attack run.
+    pub attack_cycles: u64,
+    /// Workloads the sweeps cover, in row order.
+    pub workloads: Vec<String>,
+}
+
+impl Budget {
+    /// Reads the three knobs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MopacError::Config`](mopac_types::MopacError::Config)
+    /// if a numeric knob is malformed.
+    pub fn from_env() -> MopacResult<Self> {
+        Ok(Self {
+            instrs: instr_budget()?,
+            attack_cycles: attack_cycle_budget()?,
+            workloads: workload_filter().unwrap_or_else(|| {
+                mopac_workloads::spec::all_names()
+                    .iter()
+                    .map(|s| (*s).to_string())
+                    .collect()
+            }),
+        })
+    }
+}
+
 /// A table being accumulated for printing and CSV export.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -67,6 +105,7 @@ pub struct Report {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
 impl Report {
@@ -79,6 +118,7 @@ impl Report {
             title: title.to_string(),
             headers: headers.iter().map(|s| (*s).to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -96,6 +136,11 @@ impl Report {
     pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
         let cells: Vec<String> = cells.iter().map(ToString::to_string).collect();
         self.row(&cells);
+    }
+
+    /// Adds a line printed under the table (not part of the CSV).
+    pub fn note(&mut self, text: &str) {
+        self.notes.push(text.to_string());
     }
 
     /// Renders the report as an aligned text table.
@@ -137,6 +182,9 @@ impl Report {
     /// `EXPERIMENTS-data/<experiment>.csv`.
     pub fn emit(&self) {
         println!("{}", self.to_table());
+        for note in &self.notes {
+            println!("{note}");
+        }
         if let Err(e) = self.write_csv() {
             eprintln!("warning: could not write CSV: {e}");
         }
@@ -198,53 +246,6 @@ pub fn data_dir() -> PathBuf {
             }
             dir.join("EXPERIMENTS-data")
         })
-}
-
-/// Runs every paper workload (or the `MOPAC_WORKLOADS` subset) under the
-/// baseline and each named mitigation config, and builds a slowdown
-/// matrix report with a final mean row.
-///
-/// # Errors
-///
-/// Propagates any simulation failure (unknown workload, timing
-/// violation) instead of aborting the whole sweep with a panic.
-pub fn slowdown_matrix(
-    experiment: &str,
-    title: &str,
-    configs: &[(String, mopac::config::MitigationConfig)],
-) -> MopacResult<Report> {
-    use mopac_sim::experiment::run_workload;
-    let instrs = instr_budget()?;
-    let names: Vec<String> = workload_filter().unwrap_or_else(|| {
-        mopac_workloads::spec::all_names()
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect()
-    });
-    let mut headers: Vec<&str> = vec!["workload"];
-    for (label, _) in configs {
-        headers.push(label.as_str());
-    }
-    let mut r = Report::new(experiment, title, &headers);
-    let mut sums = vec![0.0f64; configs.len()];
-    for name in &names {
-        let base = run_workload(name, mopac::config::MitigationConfig::baseline(), instrs)?;
-        let mut cells = vec![name.clone()];
-        for (i, (_, cfg)) in configs.iter().enumerate() {
-            let run = run_workload(name, *cfg, instrs)?;
-            let s = run.slowdown_vs(&base);
-            sums[i] += s;
-            cells.push(pct(s));
-        }
-        r.row(&cells);
-        eprintln!("  done {name}");
-    }
-    let mut mean = vec!["mean".to_string()];
-    for s in &sums {
-        mean.push(pct(s / names.len() as f64));
-    }
-    r.row(&mean);
-    Ok(r)
 }
 
 /// A CSV file written one row at a time, flushed after every row, so a
@@ -395,7 +396,6 @@ mod tests {
             "MOPAC_FAULT_INSTRS",
             "MOPAC_FAULT_TIMEOUT_SECS",
             "MOPAC_TRACE_CAPACITY",
-            "MOPAC_RUN_ALL_TIMEOUT_SECS",
         ];
         for name in knobs {
             assert_eq!(parse_u64_knob(name, Some("300"), 7).unwrap(), 300);

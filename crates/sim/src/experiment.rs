@@ -104,63 +104,6 @@ pub fn run_workload_with(name: &str, cfg: SystemConfig) -> MopacResult<RunResult
     System::new(cfg, traces)?.run()
 }
 
-/// A (workload, slowdown) pair produced by a sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowdownRow {
-    /// Workload name.
-    pub workload: String,
-    /// Fractional slowdown vs the baseline (positive = slower).
-    pub slowdown: f64,
-}
-
-/// Runs `mitigation` and the unprotected baseline over the given
-/// workloads and reports per-workload slowdowns plus the geometric-mean
-/// row ("gmean" in the paper's figures uses the arithmetic mean of
-/// slowdowns; we report the arithmetic mean, matching "on average").
-///
-/// # Panics
-///
-/// # Errors
-///
-/// Fails on unknown workload names or on any run error.
-pub fn slowdown_sweep(
-    workloads: &[&str],
-    mitigation: MitigationConfig,
-    instrs: u64,
-) -> MopacResult<Vec<SlowdownRow>> {
-    let mut rows = Vec::with_capacity(workloads.len() + 1);
-    let mut total = 0.0;
-    for w in workloads {
-        let base = run_workload(w, MitigationConfig::baseline(), instrs)?;
-        let test = run_workload(w, mitigation, instrs)?;
-        let s = test.slowdown_vs(&base);
-        total += s;
-        rows.push(SlowdownRow {
-            workload: (*w).to_string(),
-            slowdown: s,
-        });
-    }
-    rows.push(SlowdownRow {
-        workload: "mean".to_string(),
-        slowdown: total / workloads.len() as f64,
-    });
-    Ok(rows)
-}
-
-/// The mean slowdown across all 23 paper workloads — the headline number
-/// of Figures 2, 9, 11 and 17.
-///
-/// # Errors
-///
-/// Fails if a workload is missing from the catalog or a run errors.
-pub fn mean_slowdown(mitigation: MitigationConfig, instrs: u64) -> MopacResult<f64> {
-    let names = spec::all_names();
-    let rows = slowdown_sweep(&names, mitigation, instrs)?;
-    rows.last()
-        .map(|r| r.slowdown)
-        .ok_or_else(|| MopacError::internal("slowdown_sweep returned no rows"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ pub use campaign::{
     run_fault_campaign, run_fault_campaign_cells, FaultCampaignSpec, FaultCellOutcome,
     ParallelCampaign,
 };
-pub use experiment::{mean_slowdown, run_workload, slowdown_sweep};
+pub use experiment::run_workload;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use runner::{IsolatedRunner, RunReport, RunStatus};
 pub use shard::ChannelSet;

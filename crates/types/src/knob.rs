@@ -13,7 +13,7 @@ use crate::error::{MopacError, MopacResult};
 use std::ffi::OsStr;
 
 /// Every `MOPAC_*` environment variable read anywhere in the workspace.
-pub const KNOBS: [&str; 15] = [
+pub const KNOBS: [&str; 14] = [
     "MOPAC_ATTACK_CYCLES",
     "MOPAC_DATA_DIR",
     "MOPAC_FAULT_INSTRS",
@@ -23,7 +23,6 @@ pub const KNOBS: [&str; 15] = [
     "MOPAC_REPLAY_ALERT",
     "MOPAC_REPLAY_ENGINE",
     "MOPAC_REPLAY_INTERVAL",
-    "MOPAC_RUN_ALL_TIMEOUT_SECS",
     "MOPAC_SNAP_REF_WINDOWS",
     "MOPAC_THREADS",
     "MOPAC_TRACE_CAPACITY",
@@ -94,7 +93,12 @@ mod tests {
 
     #[test]
     fn unknown_mopac_knobs_are_refused() {
-        for name in ["MOPAC_INSTR", "MOPAC_CKPT_DIR", "MOPAC_INJECT_PANIC"] {
+        for name in [
+            "MOPAC_INSTR",
+            "MOPAC_CKPT_DIR",
+            "MOPAC_INJECT_PANIC",
+            "MOPAC_RUN_ALL_TIMEOUT_SECS",
+        ] {
             let err = check_knobs([("PATH", "/bin"), (name, "1")]).unwrap_err();
             assert!(matches!(err, MopacError::Config { .. }), "{name}: {err:?}");
             assert!(err.to_string().contains(&format!("{name}=\"1\"")), "{err}");
