@@ -109,14 +109,8 @@ impl RunTable {
 
     /// Unique cells run.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.results.len()
-    }
-
-    /// Whether no cell was run.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
     }
 
     /// The campaign the table ran on, for formatters with work of their
